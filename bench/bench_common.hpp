@@ -6,14 +6,37 @@
 // lines with measured points.
 
 #include <cstdio>
+#include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/campaign.hpp"
 #include "core/mnemo.hpp"
 #include "core/placement_engine.hpp"
+#include "util/argparse.hpp"
 
 namespace mnemo::bench {
+
+/// The optional thread-count argument of a figure bench
+/// (`./bench [threads]`): 0 — hardware concurrency — when absent. Anything
+/// but a whole non-negative integer, or an extra argument, is a usage
+/// error: a message naming the argument and exit 2.
+inline std::size_t threads_arg(int argc, char** argv) {
+  if (argc > 2) {
+    std::fprintf(stderr, "usage: %s [threads]\n", argv[0]);
+    std::exit(2);
+  }
+  if (argc < 2) return 0;
+  const std::optional<std::uint64_t> threads = util::parse_u64(argv[1]);
+  if (!threads) {
+    std::fprintf(stderr,
+                 "%s: threads must be a non-negative integer, got '%s'\n",
+                 argv[0], argv[1]);
+    std::exit(2);
+  }
+  return static_cast<std::size_t>(*threads);
+}
 
 /// One measured-vs-estimated capacity point of a sweep.
 struct SweepPoint {

@@ -10,7 +10,6 @@
 // and small-record workloads are flatter.
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench_common.hpp"
 #include "util/ascii_plot.hpp"
@@ -67,17 +66,14 @@ void run_panel(const char* title, const std::vector<workload::WorkloadSpec>& spe
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::printf(
-      "== Fig 5: Redis-like throughput vs memory cost, estimate vs "
-      "measured ==\n");
-
   core::MnemoConfig config;
   config.repeats = 2;
   // Optional: ./fig5_sweeps [threads]  (0 = hardware concurrency).
-  config.threads = argc > 1
-                       ? static_cast<std::size_t>(std::strtoul(
-                             argv[1], nullptr, 10))
-                       : 0;
+  config.threads = bench::threads_arg(argc, argv);
+
+  std::printf(
+      "== Fig 5: Redis-like throughput vs memory cost, estimate vs "
+      "measured ==\n");
 
   util::csv::Writer csv("fig5_sweeps.csv");
   csv.row({"panel", "workload", "cost_factor", "est_throughput",

@@ -9,7 +9,6 @@
 //   (f) MnemoT's estimate stays accurate under the tiered key ordering
 
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -40,14 +39,11 @@ void print_boxplot_row(util::TablePrinter& table, const char* label,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::printf("== Fig 8: estimate accuracy across key-value stores ==\n");
   core::MnemoConfig config;
   config.repeats = 2;
   // Optional: ./fig8_accuracy [threads]  (0 = hardware concurrency).
-  config.threads = argc > 1
-                       ? static_cast<std::size_t>(std::strtoul(
-                             argv[1], nullptr, 10))
-                       : 0;
+  config.threads = bench::threads_arg(argc, argv);
+  std::printf("== Fig 8: estimate accuracy across key-value stores ==\n");
 
   const auto suite = workload::paper_suite();
   util::csv::Writer csv("fig8_accuracy.csv");

@@ -1,14 +1,15 @@
-// Wall-clock campaign microbenchmark for the replay executors (DESIGN.md
-// §12, §14): times the same measure_grid — the engine behind every sweep,
-// baseline and session — under ReplayMode::kLegacy (per-cell
-// rehash/redigest on the heap), ReplayMode::kCompiled (shared
-// CompiledTrace + hash/digest passthrough + per-worker arena, the PR 8
-// per-cell baseline) and ReplayMode::kFused (the default: lane-fused
-// bands replaying K cells per trace pass with util::simd batch kernels).
-// All arms return measurements that are asserted bit-identical here —
-// the bench refuses to report on any divergence — so every speedup is
+// Wall-clock campaign microbenchmark for the replay paths (DESIGN.md §12,
+// §14): times the same measure_grid — the engine behind every sweep,
+// baseline and session — at the library's default repeats under
+// ReplayMode::kLegacy (per-cell rehash/redigest on the heap),
+// ReplayMode::kCompiled (every cell a full try_run_once on the shared
+// CompiledTrace with a per-worker arena, no sharing) and
+// ReplayMode::kGrouped (the default: one leader per placement, its repeat
+// siblings replaying the leader's skeleton as tasks of their own). All
+// arms return measurements that are asserted bit-identical here — the
+// bench refuses to report on any divergence — so every speedup is
 // provably a pure implementation win. Results go to BENCH_campaign.json
-// ("mnemo.bench.campaign/v2") for bench_diff.
+// ("mnemo.bench.campaign/v3") for bench_diff.
 //
 //   ./micro_campaign                full run, writes BENCH_campaign.json
 //   ./micro_campaign --smoke        tiny workload + schema self-check (CI)
@@ -41,17 +42,18 @@ struct CellResult {
   double legacy_min_s = 0.0;
   double compiled_median_s = 0.0;
   double compiled_min_s = 0.0;
-  double fused_median_s = 0.0;
-  double fused_min_s = 0.0;
+  double grouped_median_s = 0.0;
+  double grouped_min_s = 0.0;
 
   [[nodiscard]] double speedup() const {
     return compiled_median_s > 0.0 ? legacy_median_s / compiled_median_s
                                    : 0.0;
   }
-  /// Paired-median win of the fused executor over the per-cell compiled
-  /// baseline it replaced — the headline this PR's acceptance gates on.
-  [[nodiscard]] double fused_speedup() const {
-    return fused_median_s > 0.0 ? compiled_median_s / fused_median_s : 0.0;
+  /// Paired-median win of grouped skeleton replay over replaying every
+  /// cell fully.
+  [[nodiscard]] double grouped_speedup() const {
+    return grouped_median_s > 0.0 ? compiled_median_s / grouped_median_s
+                                  : 0.0;
   }
 };
 
@@ -91,18 +93,17 @@ CellResult run_cell(const workload::Trace& trace,
                     const std::vector<hybridmem::Placement>& placements,
                     kvstore::StoreKind store, std::size_t threads,
                     int repeats) {
-  core::SensitivityConfig cfg;
+  core::SensitivityConfig cfg;  // the library's default repeats
   cfg.store = store;
-  cfg.repeats = 2;
   cfg.threads = threads;
   const core::SensitivityEngine engine(cfg);
 
   std::vector<double> legacy_s;
   std::vector<double> compiled_s;
-  std::vector<double> fused_s;
+  std::vector<double> grouped_s;
   std::vector<core::RunMeasurement> legacy_grid;
   std::vector<core::RunMeasurement> compiled_grid;
-  std::vector<core::RunMeasurement> fused_grid;
+  std::vector<core::RunMeasurement> grouped_grid;
   for (int r = 0; r < repeats; ++r) {
     {
       core::CampaignRunner runner(threads);
@@ -119,10 +120,10 @@ CellResult run_cell(const workload::Trace& trace,
       compiled_s.push_back(timer.elapsed_s());
     }
     {
-      core::CampaignRunner runner(threads);  // default: ReplayMode::kFused
+      core::CampaignRunner runner(threads);  // default: ReplayMode::kGrouped
       util::WallTimer timer;
-      fused_grid = runner.measure_grid(engine, trace, placements);
-      fused_s.push_back(timer.elapsed_s());
+      grouped_grid = runner.measure_grid(engine, trace, placements);
+      grouped_s.push_back(timer.elapsed_s());
     }
     // The arms must agree bit for bit or the comparison is meaningless —
     // refuse to report anything on divergence.
@@ -131,9 +132,9 @@ CellResult run_cell(const workload::Trace& trace,
                    "micro_campaign: compiled grid diverged from legacy\n");
       std::exit(1);
     }
-    if (fused_grid != compiled_grid) {
+    if (grouped_grid != compiled_grid) {
       std::fprintf(stderr,
-                   "micro_campaign: fused grid diverged from compiled\n");
+                   "micro_campaign: grouped grid diverged from compiled\n");
       std::exit(1);
     }
   }
@@ -148,8 +149,8 @@ CellResult run_cell(const workload::Trace& trace,
   cell.compiled_median_s = median(compiled_s);
   cell.compiled_min_s =
       *std::min_element(compiled_s.begin(), compiled_s.end());
-  cell.fused_median_s = median(fused_s);
-  cell.fused_min_s = *std::min_element(fused_s.begin(), fused_s.end());
+  cell.grouped_median_s = median(grouped_s);
+  cell.grouped_min_s = *std::min_element(grouped_s.begin(), grouped_s.end());
   return cell;
 }
 
@@ -158,16 +159,16 @@ void write_json(const std::string& path, const workload::Trace& trace,
                 const std::vector<CellResult>& cells) {
   double legacy_total = 0.0;
   double compiled_total = 0.0;
-  double fused_total = 0.0;
+  double grouped_total = 0.0;
   for (const CellResult& c : cells) {
     legacy_total += c.legacy_median_s;
     compiled_total += c.compiled_median_s;
-    fused_total += c.fused_median_s;
+    grouped_total += c.grouped_median_s;
   }
   const double aggregate =
       compiled_total > 0.0 ? legacy_total / compiled_total : 0.0;
-  const double fused_aggregate =
-      fused_total > 0.0 ? compiled_total / fused_total : 0.0;
+  const double grouped_aggregate =
+      grouped_total > 0.0 ? compiled_total / grouped_total : 0.0;
 
   std::ostringstream out;
   char buf[64];
@@ -176,7 +177,7 @@ void write_json(const std::string& path, const workload::Trace& trace,
     return std::string(buf);
   };
   out << "{\n";
-  out << "  \"schema\": \"mnemo.bench.campaign/v2\",\n";
+  out << "  \"schema\": \"mnemo.bench.campaign/v3\",\n";
   out << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n";
   out << "  \"repeats\": " << repeats << ",\n";
   out << "  \"workload\": {\"name\": \"" << trace.name()
@@ -192,18 +193,18 @@ void write_json(const std::string& path, const workload::Trace& trace,
         << ", \"min_s\": " << num(c.legacy_min_s) << "},\n";
     out << "     \"compiled\": {\"median_s\": " << num(c.compiled_median_s)
         << ", \"min_s\": " << num(c.compiled_min_s) << "},\n";
-    out << "     \"fused\": {\"median_s\": " << num(c.fused_median_s)
-        << ", \"min_s\": " << num(c.fused_min_s) << "},\n";
+    out << "     \"grouped\": {\"median_s\": " << num(c.grouped_median_s)
+        << ", \"min_s\": " << num(c.grouped_min_s) << "},\n";
     out << "     \"speedup\": " << num(c.speedup())
-        << ", \"fused_speedup\": " << num(c.fused_speedup()) << "}"
+        << ", \"grouped_speedup\": " << num(c.grouped_speedup()) << "}"
         << (i + 1 < cells.size() ? "," : "") << "\n";
   }
   out << "  ],\n";
   out << "  \"aggregate\": {\"legacy_s\": " << num(legacy_total)
       << ", \"compiled_s\": " << num(compiled_total)
-      << ", \"fused_s\": " << num(fused_total)
+      << ", \"grouped_s\": " << num(grouped_total)
       << ", \"speedup\": " << num(aggregate)
-      << ", \"fused_speedup\": " << num(fused_aggregate) << "}\n";
+      << ", \"grouped_speedup\": " << num(grouped_aggregate) << "}\n";
   out << "}\n";
 
   std::ofstream file(path);
@@ -223,10 +224,10 @@ bool validate_json(const std::string& path, std::size_t expected_results) {
   const std::string text = ss.str();
   if (text.empty()) return false;
   for (const char* key :
-       {"\"schema\": \"mnemo.bench.campaign/v2\"", "\"repeats\"",
+       {"\"schema\": \"mnemo.bench.campaign/v3\"", "\"repeats\"",
         "\"workload\"", "\"results\"", "\"legacy\"", "\"compiled\"",
-        "\"fused\"", "\"median_s\"", "\"speedup\"",
-        "\"fused_speedup\"", "\"aggregate\""}) {
+        "\"grouped\"", "\"median_s\"", "\"speedup\"",
+        "\"grouped_speedup\"", "\"aggregate\""}) {
     if (text.find(key) == std::string::npos) {
       std::fprintf(stderr, "micro_campaign: missing key %s\n", key);
       return false;
@@ -252,7 +253,8 @@ bool validate_json(const std::string& path, std::size_t expected_results) {
 int main(int argc, char** argv) {
   util::ArgParser parser(
       "micro_campaign",
-      "legacy vs compiled vs lane-fused campaign wall-clock benchmark");
+      "legacy vs per-cell compiled vs grouped campaign wall-clock "
+      "benchmark");
   parser.add_flag("smoke", "tiny workload + schema self-check (CI)");
   parser.add_option("out", "output JSON path", "BENCH_campaign.json");
   parser.add_option("repeats", "timing repeats per cell", "");
@@ -289,10 +291,11 @@ int main(int argc, char** argv) {
           run_cell(trace, placements, store, threads, repeats);
       std::printf(
           "%-10s threads %zu  legacy %8.1f ms  compiled %8.1f ms  "
-          "fused %8.1f ms  speedup %.2fx  fused %.2fx\n",
+          "grouped %8.1f ms  speedup %.2fx  grouped %.2fx\n",
           std::string(kvstore::to_string(store)).c_str(), threads,
           cell.legacy_median_s * 1e3, cell.compiled_median_s * 1e3,
-          cell.fused_median_s * 1e3, cell.speedup(), cell.fused_speedup());
+          cell.grouped_median_s * 1e3, cell.speedup(),
+          cell.grouped_speedup());
       cells.push_back(cell);
     }
   }

@@ -11,8 +11,8 @@
 // profilers themselves, not the simulated workload.
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "bench_common.hpp"
 #include "core/campaign.hpp"
 #include "core/profilers.hpp"
 #include "util/table.hpp"
@@ -20,16 +20,14 @@
 
 int main(int argc, char** argv) {
   using namespace mnemo;
+  core::SensitivityConfig cfg;
+  cfg.repeats = 1;
+  // Optional: ./table4_overhead [threads]  (0 = hardware concurrency).
+  cfg.threads = bench::threads_arg(argc, argv);
   std::printf("== Table IV: profiling overhead comparison ==\n\n");
 
   const workload::Trace trace =
       workload::Trace::generate(workload::paper_workload("trending"));
-  core::SensitivityConfig cfg;
-  cfg.repeats = 1;
-  // Optional: ./table4_overhead [threads]  (0 = hardware concurrency).
-  cfg.threads = argc > 1 ? static_cast<std::size_t>(std::strtoul(
-                               argv[1], nullptr, 10))
-                         : 0;
   const core::SensitivityEngine engine(cfg);
 
   const auto mnemot = core::run_mnemot_profiler(trace, engine);

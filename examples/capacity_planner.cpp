@@ -12,30 +12,40 @@
 //     without a single emulator replay.
 
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 
 #include "core/campaign.hpp"
 #include "core/mnemo.hpp"
 #include "core/session.hpp"
 #include "kvstore/factory.hpp"
+#include "util/argparse.hpp"
 #include "util/bytes.hpp"
 #include "util/table.hpp"
 #include "workload/suite.hpp"
 
 int main(int argc, char** argv) {
   using namespace mnemo;
-  const double slo = argc > 1 ? std::atof(argv[1]) : 0.10;
-  const std::size_t threads =
-      argc > 2
-          ? static_cast<std::size_t>(std::strtoul(argv[2], nullptr, 10))
-          : 0;
-  const std::string cache_dir = argc > 3 ? argv[3] : "";
-  if (slo < 0.0 || slo >= 1.0) {
-    std::fprintf(stderr,
-                 "usage: %s [slo_slowdown in [0,1)] [threads] [cache_dir]\n",
-                 argv[0]);
-    return 1;
+  const std::optional<double> slo_arg =
+      argc > 1 ? util::parse_double(argv[1]) : 0.10;
+  const std::optional<std::uint64_t> threads_arg =
+      argc > 2 ? util::parse_u64(argv[2]) : 0;
+  const char* bad = nullptr;
+  if (!slo_arg || !(*slo_arg >= 0.0 && *slo_arg < 1.0)) {
+    bad = "slo_slowdown must be a number in [0,1)";
+  } else if (!threads_arg) {
+    bad = "threads must be a non-negative integer (0 = hardware)";
+  } else if (argc > 4) {
+    bad = "too many arguments";
   }
+  if (bad != nullptr) {
+    std::fprintf(stderr,
+                 "%s: %s\nusage: %s [slo_slowdown] [threads] [cache_dir]\n",
+                 argv[0], bad, argv[0]);
+    return 2;
+  }
+  const double slo = *slo_arg;
+  const auto threads = static_cast<std::size_t>(*threads_arg);
+  const std::string cache_dir = argc > 3 ? argv[3] : "";
   std::printf("capacity plan at %.0f%% permissible slowdown, p = 0.2\n\n",
               slo * 100.0);
 

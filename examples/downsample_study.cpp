@@ -8,25 +8,32 @@
 //   ./downsample_study [threads]   (0 = hardware concurrency)
 
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 
 #include "core/campaign.hpp"
 #include "core/mnemo.hpp"
+#include "util/argparse.hpp"
 #include "util/table.hpp"
 #include "workload/downsample.hpp"
 #include "workload/suite.hpp"
 
 int main(int argc, char** argv) {
   using namespace mnemo;
+  const std::optional<std::uint64_t> threads =
+      argc > 1 ? util::parse_u64(argv[1]) : 0;
+  if (argc > 2 || !threads) {
+    std::fprintf(stderr,
+                 "%s: threads must be a non-negative integer (0 = "
+                 "hardware)\nusage: %s [threads]\n",
+                 argv[0], argv[0]);
+    return 2;
+  }
   const workload::Trace full =
       workload::Trace::generate(workload::paper_workload("timeline"));
 
   core::MnemoConfig config;
   config.repeats = 2;
-  config.threads =
-      argc > 1
-          ? static_cast<std::size_t>(std::strtoul(argv[1], nullptr, 10))
-          : 0;
+  config.threads = static_cast<std::size_t>(*threads);
   const core::Mnemo mnemo(config);
 
   const core::MnemoReport full_report = mnemo.profile(full);

@@ -1,17 +1,16 @@
 #include "core/campaign.hpp"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <utility>
 
 #include "faultinject/io_fault.hpp"
 #include "stats/summary.hpp"
 #include "util/arena.hpp"
+#include "util/assert.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
@@ -30,7 +29,6 @@ struct TotalsRegistry {
   std::size_t threads = 0;  ///< widest fan-out seen
   double wall_s = 0.0;
   double cpu_s = 0.0;
-  std::size_t lane_width = 0;        ///< widest fused band seen
   std::size_t arena_peak_bytes = 0;  ///< largest single-arena high-water
 };
 
@@ -47,22 +45,16 @@ void record_campaign(const CampaignStats& stats,
   reg.threads = std::max(reg.threads, stats.threads);
   reg.wall_s += stats.wall_s;
   reg.cpu_s += stats.cpu_s;
-  reg.lane_width = std::max(reg.lane_width, stats.lane_width);
   reg.arena_peak_bytes =
       std::max(reg.arena_peak_bytes, stats.arena_peak_bytes);
 }
 
-/// Worker-local arena pool for fused bands: lane j of every band this
-/// worker runs reuses arenas[j] under the same grow-once/reset-per-cell
-/// cycle as the per-cell thread_local arena, so after a worker's first
-/// band warmed its lanes up, later bands allocate without touching
-/// malloc. Arenas are not movable, hence the unique_ptr indirection.
-util::Arena& worker_arena(std::size_t lane) {
-  thread_local std::vector<std::unique_ptr<util::Arena>> arenas;
-  while (arenas.size() <= lane) {
-    arenas.push_back(std::make_unique<util::Arena>());
-  }
-  return *arenas[lane];
+/// Each worker owns one arena for every cell it runs; resetting rewinds
+/// the bump pointer while keeping the grown chunks, so only a worker's
+/// first cell pays allocation at all.
+util::Arena& worker_arena() {
+  thread_local util::Arena arena;
+  return arena;
 }
 
 /// Lock-free running max for the campaign-wide arena high-water mark.
@@ -71,157 +63,6 @@ void raise_peak(std::atomic<std::size_t>& peak, std::size_t candidate) {
   while (candidate > seen && !peak.compare_exchange_weak(
                                  seen, candidate, std::memory_order_relaxed)) {
   }
-}
-
-/// The checked per-cell attempt loop shared by run_checked and the async
-/// grid: accept only runs that are provably unperturbed (success AND zero
-/// fault events), retry exactly once under an attempt-shifted fault
-/// stream, then quarantine. Writes exactly one of `slot` / `failure`.
-void execute_checked_cell(const SensitivityEngine& engine,
-                          const workload::Trace& trace,
-                          const workload::CompiledTrace* compiled,
-                          const CampaignCell& cell, std::size_t index,
-                          std::optional<RunMeasurement>& slot,
-                          std::optional<CellFailure>& failure,
-                          std::size_t& arena_bytes) {
-  util::Error last_error;
-  faultinject::FaultStats last_stats;
-  int attempts = 0;
-  bool accepted = false;
-  arena_bytes = 0;
-  for (int attempt = 0; attempt < 2 && !accepted; ++attempt) {
-    util::Result<RunMeasurement> run = [&] {
-      if (compiled != nullptr) {
-        util::Arena& arena = worker_arena(0);
-        // An attempt's state is fully torn down before the next starts,
-        // so the rewind is safe between attempts too.
-        arena.reset();
-        util::Result<RunMeasurement> r = engine.try_run_once(
-            *compiled, cell.placement, cell.repeat, attempt, &arena);
-        // Deallocation is a no-op, so bytes_allocated() still reports the
-        // attempt's full footprint after its state is gone.
-        arena_bytes = std::max(arena_bytes, arena.bytes_allocated());
-        return r;
-      }
-      return engine.try_run_once(trace, cell.placement, cell.repeat, attempt);
-    }();
-    ++attempts;
-    if (run.ok() && run.value().faults.events() == 0) {
-      slot = run.value();
-      accepted = true;
-    } else if (run.ok()) {
-      last_stats = run.value().faults;
-      last_error.code = util::ErrorCode::kFaultInjected;
-      last_error.message = "measurement perturbed: " +
-                           std::to_string(last_stats.events()) +
-                           " fault events absorbed";
-    } else {
-      last_error = run.error();
-      last_stats = faultinject::FaultStats{};
-    }
-  }
-  if (!accepted) {
-    CellFailure f;
-    f.cell = index;
-    f.fast_keys = cell.placement.fast_keys();
-    f.repeat = cell.repeat;
-    f.attempts = attempts;
-    f.error = last_error;
-    f.faults = last_stats;
-    failure = std::move(f);
-  }
-}
-
-/// Checked counterpart of one fused band: attempt 0 replays every lane of
-/// cells [first, first + count) in a single LaneBand pass; a lane that
-/// comes back provably unperturbed (success AND zero fault events) is
-/// accepted, and every other lane *sheds to per-cell* — an attempt-1 retry
-/// through engine.try_run_once on the lane's own arena, exactly the retry
-/// execute_checked_cell would have run. Ledger parity is exact: the same
-/// attempts counts, errors and fault stats as per-cell checked replay,
-/// because each lane's attempt sequence is the same instruction stream,
-/// only attempt 0 is interleaved with its bandmates.
-void execute_checked_band(const SensitivityEngine& engine,
-                          const workload::CompiledTrace& compiled,
-                          const std::vector<CampaignCell>& cells,
-                          std::size_t first, std::size_t count,
-                          std::vector<std::optional<RunMeasurement>>& slots,
-                          std::vector<std::optional<CellFailure>>& failed,
-                          std::size_t& arena_bytes) {
-  std::array<LaneBand::Lane, LaneBand::kMaxLanes> lanes;
-  std::array<std::optional<util::Result<RunMeasurement>>, LaneBand::kMaxLanes>
-      outs;
-  for (std::size_t j = 0; j < count; ++j) {
-    util::Arena& arena = worker_arena(j);
-    arena.reset();
-    lanes[j] = LaneBand::Lane{&cells[first + j].placement,
-                              cells[first + j].repeat, 0, &arena};
-  }
-  LaneBand::replay(
-      engine, compiled,
-      std::span<const LaneBand::Lane>(lanes.data(), count),
-      std::span<std::optional<util::Result<RunMeasurement>>>(outs.data(),
-                                                             count));
-  // Record every lane's attempt-0 footprint before any retry resets its
-  // arena (deallocation is a no-op, so the counts are still live).
-  arena_bytes = 0;
-  for (std::size_t j = 0; j < count; ++j) {
-    arena_bytes = std::max(arena_bytes, worker_arena(j).bytes_allocated());
-  }
-  for (std::size_t j = 0; j < count; ++j) {
-    const std::size_t i = first + j;
-    const CampaignCell& cell = cells[i];
-    util::Result<RunMeasurement>& first_try = *outs[j];
-    if (first_try.ok() && first_try.value().faults.events() == 0) {
-      slots[i] = first_try.value();
-      continue;
-    }
-    util::Error last_error;
-    faultinject::FaultStats last_stats;
-    if (first_try.ok()) {
-      last_stats = first_try.value().faults;
-      last_error.code = util::ErrorCode::kFaultInjected;
-      last_error.message = "measurement perturbed: " +
-                           std::to_string(last_stats.events()) +
-                           " fault events absorbed";
-    } else {
-      last_error = first_try.error();
-      last_stats = faultinject::FaultStats{};
-    }
-    util::Arena& arena = worker_arena(j);
-    arena.reset();
-    util::Result<RunMeasurement> retry =
-        engine.try_run_once(compiled, cell.placement, cell.repeat, 1, &arena);
-    arena_bytes = std::max(arena_bytes, arena.bytes_allocated());
-    if (retry.ok() && retry.value().faults.events() == 0) {
-      slots[i] = retry.value();
-      continue;
-    }
-    if (retry.ok()) {
-      last_stats = retry.value().faults;
-      last_error.code = util::ErrorCode::kFaultInjected;
-      last_error.message = "measurement perturbed: " +
-                           std::to_string(last_stats.events()) +
-                           " fault events absorbed";
-    } else {
-      last_error = retry.error();
-      last_stats = faultinject::FaultStats{};
-    }
-    CellFailure f;
-    f.cell = i;
-    f.fast_keys = cell.placement.fast_keys();
-    f.repeat = cell.repeat;
-    f.attempts = 2;
-    f.error = last_error;
-    f.faults = last_stats;
-    failed[i] = std::move(f);
-  }
-}
-
-/// Fused band partition: bands of `width` consecutive cells; depends only
-/// on the cell count and the width, never on threads or scheduling.
-[[nodiscard]] std::size_t band_count(std::size_t cells, std::size_t width) {
-  return cells == 0 ? 0 : (cells + width - 1) / width;
 }
 
 /// The repeat-major cell vector behind every measurement grid.
@@ -279,6 +120,261 @@ void finalize_stats(CampaignStats& accounting,
   record_campaign(accounting, cell_s);
 }
 
+/// One grid in flight (DESIGN.md §14), shared by every task of the grid:
+/// the last reference to drop frees it, and with it any skeleton a group
+/// still holds.
+struct Grid {
+  // The plan, fixed before the first task starts.
+  std::shared_ptr<const SensitivityEngine> engine_owner;  ///< async only
+  const SensitivityEngine* engine = nullptr;
+  const workload::Trace* trace = nullptr;
+  std::optional<workload::CompiledTrace> compiled;  ///< empty under kLegacy
+  std::vector<CampaignCell> owned_cells;            ///< async only
+  const std::vector<CampaignCell>* cells = nullptr;
+  /// Placement groups, each in cell order with its leader first; all
+  /// singletons when skeleton sharing is off.
+  std::vector<std::vector<std::size_t>> groups;
+  bool checked = false;
+  const util::CancelToken* cancel = nullptr;
+  /// Where tasks run: this scheduler group, or — on the serial path, when
+  /// null — directly on the thread that submits them.
+  util::TaskScheduler::Group* group = nullptr;
+
+  // Async only: the group to keep alive, the merge continuation and the
+  // shape it folds the cells back into.
+  std::shared_ptr<util::TaskScheduler::Group> group_owner;
+  std::function<void(CampaignRunner::AsyncOutcome)> done;
+  std::size_t num_placements = 0;
+  int repeats = 0;
+  util::WallTimer wall;
+
+  // Slot-indexed results: cell i writes only slot i, so the merge order is
+  // the cell order whatever the schedule.
+  std::vector<std::optional<RunMeasurement>> slots;
+  std::vector<std::optional<CellFailure>> failed;
+  std::vector<double> cell_s;
+  std::atomic<std::size_t> arena_peak{0};
+  std::atomic<std::size_t> remaining{0};  ///< tasks queued or running
+  std::mutex error_mu;
+  std::exception_ptr error;  ///< first exception a task let escape
+
+  [[nodiscard]] bool canceled() const {
+    return cancel != nullptr && cancel->canceled();
+  }
+
+  /// The accounting the plan fixes: `workers` bounded by the widest
+  /// fan-out, C cells less one per shared group (see CampaignStats).
+  [[nodiscard]] CampaignStats plan_stats(std::size_t workers) const {
+    std::size_t width = cells->size();
+    for (const std::vector<std::size_t>& g : groups) width -= g.size() > 1;
+    CampaignStats stats;
+    stats.cells = cells->size();
+    stats.threads = std::max<std::size_t>(1, std::min(workers, width));
+    return stats;
+  }
+
+  [[nodiscard]] CampaignResult take_result() {
+    CampaignResult result;
+    result.measurements = std::move(slots);
+    for (std::optional<CellFailure>& f : failed) {
+      if (f) result.failures.push_back(std::move(*f));
+    }
+    return result;
+  }
+};
+
+/// Lays out the grid's plan and result slots. With `share`, every cell
+/// joins the group of the first earlier cell with an equal placement —
+/// content equality, since cells carry copies — so the partition depends
+/// on the cells alone, never on threads or scheduling.
+void plan_grid(Grid& g, bool share) {
+  const std::vector<CampaignCell>& cells = *g.cells;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const auto same = [&](const std::vector<std::size_t>& group) {
+      return cells[group.front()].placement == cells[i].placement;
+    };
+    const auto it =
+        share ? std::find_if(g.groups.begin(), g.groups.end(), same)
+              : g.groups.end();
+    if (it == g.groups.end()) {
+      g.groups.push_back({i});
+    } else {
+      it->push_back(i);
+    }
+  }
+  g.slots.resize(cells.size());
+  g.failed.resize(cells.size());
+  g.cell_s.assign(cells.size(), 0.0);
+}
+
+/// One attempt at cell `cell`: a follower's skeleton replay when `follow`
+/// is set, else a full replay that records a skeleton into `record` when
+/// asked.
+util::Result<RunMeasurement> replay_cell(Grid& g, const CampaignCell& cell,
+                                         int attempt,
+                                         const ReplaySkeleton* follow,
+                                         ReplaySkeleton* record) {
+  if (!g.compiled) {
+    return g.engine->try_run_once(*g.trace, cell.placement, cell.repeat,
+                                  attempt);
+  }
+  // An attempt's state is fully torn down before the next starts, so the
+  // rewind is safe between attempts too.
+  util::Arena& arena = worker_arena();
+  arena.reset();
+  util::Result<RunMeasurement> run =
+      follow != nullptr
+          ? g.engine->replay_skeleton(*g.compiled, cell.placement, cell.repeat,
+                                      *follow, &arena)
+          : g.engine->try_run_once(*g.compiled, cell.placement, cell.repeat,
+                                   attempt, &arena, record);
+  // Deallocation is a no-op, so bytes_allocated() still reports the
+  // attempt's full footprint after its state is gone.
+  raise_peak(g.arena_peak, arena.bytes_allocated());
+  return run;
+}
+
+/// The one attempt path every cell takes. A checked grid accepts a run
+/// only when it succeeded AND absorbed zero fault events — the condition
+/// under which it is bit-identical to the fault-free campaign — retries
+/// once under an attempt-shifted fault stream, then quarantines the cell.
+/// An unchecked grid (run()) takes attempt 0 as it comes. Only attempt 0
+/// follows a skeleton or records one; a retry is always a full replay.
+void run_cell(Grid& g, std::size_t i, const ReplaySkeleton* follow,
+              ReplaySkeleton* record) {
+  faultinject::chaos_cell_delay(i);
+  // Thread-CPU time, not wall: a cell's cost must not include the time its
+  // worker spent descheduled, or an oversubscribed scheduler would
+  // fabricate speedup.
+  util::ThreadCpuTimer timer;
+  const CampaignCell& cell = (*g.cells)[i];
+  const int attempts = g.checked ? 2 : 1;
+  util::Error last_error;
+  faultinject::FaultStats last_stats;
+  for (int attempt = 0; attempt < attempts; ++attempt) {
+    util::Result<RunMeasurement> run =
+        replay_cell(g, cell, attempt, attempt == 0 ? follow : nullptr,
+                    attempt == 0 ? record : nullptr);
+    if (!g.checked) {
+      MNEMO_ASSERT(run.ok() && "run requires cells that cannot fail");
+    }
+    if (!g.checked || (run.ok() && run.value().faults.events() == 0)) {
+      g.slots[i] = std::move(run.value());
+      g.cell_s[i] = timer.elapsed_s();
+      return;
+    }
+    if (run.ok()) {
+      last_stats = run.value().faults;
+      last_error.code = util::ErrorCode::kFaultInjected;
+      last_error.message = "measurement perturbed: " +
+                           std::to_string(last_stats.events()) +
+                           " fault events absorbed";
+    } else {
+      last_error = run.error();
+      last_stats = faultinject::FaultStats{};
+    }
+  }
+  CellFailure f;
+  f.cell = i;
+  f.fast_keys = cell.placement.fast_keys();
+  f.repeat = cell.repeat;
+  f.attempts = attempts;
+  f.error = std::move(last_error);
+  f.faults = last_stats;
+  g.failed[i] = std::move(f);
+  g.cell_s[i] = timer.elapsed_s();
+}
+
+void merge_async_grid(const std::shared_ptr<Grid>& g);
+
+/// Drop one task's hold on the grid. The last one out hands an async grid
+/// to its merge continuation — submitted from inside a still-counted task,
+/// so the scheduler never observes a quiescent gap mid-campaign.
+void release(const std::shared_ptr<Grid>& g) {
+  if (--g->remaining == 0 && g->done) {
+    g->group->submit(util::TaskScheduler::TaskClass::kRequest,
+                     [g] { merge_async_grid(g); });
+  }
+}
+
+/// Queue one task on the grid's executor: a detached kCell task of its
+/// group, or on the serial path a direct call. The cancel token is checked
+/// before every task — a canceled grid starts nothing new, and whatever
+/// already started finishes.
+void submit(const std::shared_ptr<Grid>& g, std::function<void()> body) {
+  ++g->remaining;
+  auto task = [g, body = std::move(body)] {
+    if (!g->canceled()) {
+      try {
+        body();
+      } catch (...) {
+        std::lock_guard lock(g->error_mu);
+        if (g->error == nullptr) g->error = std::current_exception();
+      }
+    }
+    release(g);
+  };
+  if (g->group != nullptr) {
+    g->group->submit(util::TaskScheduler::TaskClass::kCell, std::move(task));
+  } else {
+    task();
+  }
+}
+
+/// A placement group's leader task: replay the first cell fully with the
+/// skeleton tap armed, then queue each sibling as a task of its own. The
+/// skeleton lives in storage the group owns, not in the worker's arena —
+/// the next cell on this worker resets that arena while siblings may still
+/// be reading — and the last sibling task to finish frees it. A leader
+/// that failed, or whose run evicted or expired anything, publishes
+/// nothing: its siblings replay fully (reproducing its error, if any).
+void lead(const std::shared_ptr<Grid>& g, std::size_t group) {
+  const std::vector<std::size_t>& members = g->groups[group];
+  std::shared_ptr<ReplaySkeleton> skeleton;
+  if (members.size() > 1) skeleton = std::make_shared<ReplaySkeleton>();
+  run_cell(*g, members.front(), nullptr, skeleton.get());
+  if (skeleton != nullptr && !skeleton->shareable) skeleton.reset();
+  for (std::size_t k = 1; k < members.size(); ++k) {
+    submit(g, [g, i = members[k], skeleton] {
+      run_cell(*g, i, skeleton.get(), nullptr);
+    });
+  }
+}
+
+/// Queue every group's leader. A hold on the grid keeps it from settling
+/// while leaders are still being queued.
+void launch(const std::shared_ptr<Grid>& g) {
+  ++g->remaining;
+  for (std::size_t group = 0; group < g->groups.size(); ++group) {
+    submit(g, [g, group] { lead(g, group); });
+  }
+  release(g);
+}
+
+/// The async merge continuation: runs once, as a kRequest task, after the
+/// last cell settles. Mirrors the synchronous tail exactly (including
+/// skipping the totals ledger for canceled campaigns).
+void merge_async_grid(const std::shared_ptr<Grid>& g) {
+  CampaignRunner::AsyncOutcome outcome;
+  outcome.stats = g->plan_stats(g->group->scheduler().threads());
+  outcome.stats.wall_s = g->wall.elapsed_s();
+  outcome.stats.arena_peak_bytes =
+      g->arena_peak.load(std::memory_order_relaxed);
+  if (g->canceled()) {
+    outcome.error =
+        std::make_exception_ptr(util::CanceledError(g->cancel->reason()));
+  } else if (g->error != nullptr) {
+    outcome.error = g->error;
+  } else if (!g->cells->empty()) {
+    finalize_stats(outcome.stats, g->cell_s);
+    outcome.grid =
+        merge_placement_grid(g->take_result(), g->num_placements, g->repeats);
+  }
+  const std::function<void(CampaignRunner::AsyncOutcome)> done =
+      std::move(g->done);
+  done(std::move(outcome));
+}
+
 }  // namespace
 
 double CampaignStats::speedup() const {
@@ -303,7 +399,6 @@ void CampaignStats::merge(const CampaignStats& other) {
   threads = std::max(threads, other.threads);
   wall_s += other.wall_s;
   cpu_s += other.cpu_s;
-  lane_width = std::max(lane_width, other.lane_width);
   arena_peak_bytes = std::max(arena_peak_bytes, other.arena_peak_bytes);
 }
 
@@ -311,7 +406,6 @@ std::string CampaignStats::render(const std::string& title) const {
   util::TablePrinter table({title, "value"});
   table.add_row({"cells run", std::to_string(cells)});
   table.add_row({"threads", std::to_string(threads)});
-  table.add_row({"lane width", std::to_string(lane_width)});
   table.add_row({"arena peak (KiB)",
                  util::TablePrinter::num(
                      static_cast<double>(arena_peak_bytes) / 1024.0, 1)});
@@ -336,209 +430,76 @@ CampaignRunner::CampaignRunner(std::size_t threads,
       scheduler_(scheduler),
       group_(group) {}
 
-void CampaignRunner::throw_if_canceled() const {
+CampaignResult CampaignRunner::execute(const SensitivityEngine& engine,
+                                       const workload::Trace& trace,
+                                       const std::vector<CampaignCell>& cells,
+                                       bool checked) {
+  const auto g = std::make_shared<Grid>();
+  g->engine = &engine;
+  g->trace = &trace;
+  g->cells = &cells;
+  g->checked = checked;
+  g->cancel = cancel_;
+  // Fault plans are placement-crossing (a poisoned read remaps its key
+  // mid-run), so an armed plan makes every cell its own task.
+  plan_grid(*g,
+            mode_ == ReplayMode::kGrouped && engine.config().faults.empty());
+  stats_ = g->plan_stats(scheduler_ != nullptr ? scheduler_->threads()
+                                               : threads_);
+  if (cells.empty()) return {};
+
+  // Compile once per campaign: the per-key hashes/digests/byte streams are
+  // placement- and repeat-invariant, so every cell shares one read-only
+  // artifact instead of re-deriving them (DESIGN.md §12).
+  if (mode_ != ReplayMode::kLegacy) g->compiled.emplace(trace);
+
+  util::WallTimer wall;
+  // One executor for the whole grid: the injected scheduler, else one
+  // transient scheduler sized by the fan-out, else (fan-out 1) the caller
+  // alone — the serial reference schedule every parallel run matches.
+  std::optional<util::TaskScheduler> local;
+  util::TaskScheduler* sched = scheduler_;
+  if (sched == nullptr && stats_.threads > 1) {
+    sched = &local.emplace(stats_.threads);
+  }
+  std::shared_ptr<util::TaskScheduler::Group> transient;
+  if (sched != nullptr) {
+    if (scheduler_ == nullptr || group_ == nullptr) {
+      transient = sched->make_group();
+    }
+    g->group = transient != nullptr ? transient.get() : group_;
+  }
+  launch(g);
+  if (sched != nullptr) {
+    sched->help_until([&] { return g->remaining == 0; });
+  }
+  stats_.wall_s = wall.elapsed_s();
   if (cancel_ != nullptr && cancel_->canceled()) {
     throw util::CanceledError(cancel_->reason());
   }
-}
+  if (g->error != nullptr) std::rethrow_exception(g->error);
 
-void CampaignRunner::fan_out(std::size_t n,
-                             const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  util::TaskScheduler::GroupOptions opts;
-  opts.cancel = cancel_;
-  if (scheduler_ != nullptr) {
-    // Shared scheduler: cells interleave with every other campaign's under
-    // its fairness policy; the calling thread helps run cells meanwhile.
-    if (group_ != nullptr) {
-      scheduler_->run_batch(*group_, n, fn);
-    } else {
-      auto group = scheduler_->make_group(opts);
-      scheduler_->run_batch(*group, n, fn);
-    }
-    return;
-  }
-  const std::size_t workers = std::max<std::size_t>(1, std::min(threads_, n));
-  if (workers == 1) {
-    // Serial fast path: no workers at all, cells in cell order — the
-    // reference schedule every parallel fan-out must be bit-identical to.
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  util::TaskScheduler local(workers);
-  auto group = local.make_group(opts);
-  local.run_batch(*group, n, fn);
+  stats_.arena_peak_bytes = g->arena_peak.load(std::memory_order_relaxed);
+  finalize_stats(stats_, g->cell_s);
+  return g->take_result();
 }
 
 std::vector<RunMeasurement> CampaignRunner::run(
     const SensitivityEngine& engine, const workload::Trace& trace,
     const std::vector<CampaignCell>& cells) {
-  const std::size_t width = mode_ == ReplayMode::kFused ? lane_width_ : 1;
-  const std::size_t bands = band_count(cells.size(), width);
-  stats_ = CampaignStats{};
-  stats_.cells = cells.size();
-  stats_.lane_width = width;
-  // The scheduling unit is the band, so the fan-out never exceeds the
-  // band count (== cell count when replay is per-cell).
-  stats_.threads = std::max<std::size_t>(
-      1, std::min(threads_, std::max<std::size_t>(1, bands)));
-
-  std::vector<RunMeasurement> merged(cells.size());
-  std::vector<double> cell_s(cells.size(), 0.0);
-  if (cells.empty()) return merged;
-
-  // Compile once per campaign: the per-key hashes/digests/byte streams are
-  // placement- and repeat-invariant, so every cell shares one read-only
-  // artifact instead of re-deriving them (DESIGN.md §12).
-  std::optional<workload::CompiledTrace> compiled;
-  if (mode_ != ReplayMode::kLegacy) compiled.emplace(trace);
-
-  std::atomic<std::size_t> arena_peak{0};
-  util::WallTimer wall;
-  if (mode_ == ReplayMode::kFused) {
-    // Shared-nothing band fan-out: band b writes only its members' slots,
-    // so the merge order is the cell order by construction — and the band
-    // partition ignores threads, so grids are bit-identical at any count.
-    fan_out(bands, [&](std::size_t b) {
-      // Cancellation point *between* bands: a canceled campaign skips
-      // bands it has not started, never interrupts one mid-flight.
-      if (cancel_ != nullptr && cancel_->canceled()) return;
-      const std::size_t first = b * width;
-      const std::size_t count = std::min(width, cells.size() - first);
-      faultinject::chaos_band_delay(first, count);
-      util::ThreadCpuTimer band_timer;
-      std::array<LaneBand::Lane, LaneBand::kMaxLanes> lanes;
-      std::array<std::optional<util::Result<RunMeasurement>>,
-                 LaneBand::kMaxLanes>
-          outs;
-      for (std::size_t j = 0; j < count; ++j) {
-        util::Arena& arena = worker_arena(j);
-        arena.reset();
-        lanes[j] = LaneBand::Lane{&cells[first + j].placement,
-                                  cells[first + j].repeat, 0, &arena};
-      }
-      LaneBand::replay(
-          engine, *compiled,
-          std::span<const LaneBand::Lane>(lanes.data(), count),
-          std::span<std::optional<util::Result<RunMeasurement>>>(outs.data(),
-                                                                 count));
-      std::size_t band_arena = 0;
-      for (std::size_t j = 0; j < count; ++j) {
-        MNEMO_ASSERT(outs[j].has_value() && outs[j]->ok() &&
-                     "run requires cells that cannot fail");
-        merged[first + j] = outs[j]->value();
-        band_arena = std::max(band_arena, worker_arena(j).bytes_allocated());
-      }
-      raise_peak(arena_peak, band_arena);
-      // The fused pass is genuinely shared work; attribute it evenly so
-      // per-cell accounting stays comparable across replay modes.
-      const double per_cell_s =
-          band_timer.elapsed_s() / static_cast<double>(count);
-      for (std::size_t j = 0; j < count; ++j) {
-        cell_s[first + j] = per_cell_s;
-      }
-    });
-  } else {
-    // Per-cell fan-out: cell i writes only slot i, so the merge order is
-    // the cell order by construction, independent of scheduling.
-    fan_out(cells.size(), [&](std::size_t i) {
-      // Cancellation point *between* cells: a canceled campaign skips
-      // cells it has not started, never interrupts one mid-flight. The
-      // skipped slots are discarded below by the throw.
-      if (cancel_ != nullptr && cancel_->canceled()) return;
-      faultinject::chaos_cell_delay(i);
-      // Thread-CPU time, not wall: a cell's cost must not include the
-      // time its worker spent descheduled, or an oversubscribed scheduler
-      // would fabricate speedup.
-      util::ThreadCpuTimer cell_timer;
-      if (compiled) {
-        // Each worker owns one arena for the whole campaign; resetting
-        // rewinds the bump pointer while keeping the grown chunks, so
-        // only a worker's first cell pays allocation at all.
-        util::Arena& arena = worker_arena(0);
-        arena.reset();
-        merged[i] = engine.run_once(*compiled, cells[i].placement,
-                                    cells[i].repeat, &arena);
-        raise_peak(arena_peak, arena.bytes_allocated());
-      } else {
-        merged[i] =
-            engine.run_once(trace, cells[i].placement, cells[i].repeat);
-      }
-      cell_s[i] = cell_timer.elapsed_s();
-    });
+  CampaignResult grid = execute(engine, trace, cells, /*checked=*/false);
+  std::vector<RunMeasurement> merged;
+  merged.reserve(grid.measurements.size());
+  for (std::optional<RunMeasurement>& slot : grid.measurements) {
+    merged.push_back(std::move(*slot));
   }
-  stats_.wall_s = wall.elapsed_s();
-  throw_if_canceled();
-
-  stats_.arena_peak_bytes = arena_peak.load(std::memory_order_relaxed);
-  finalize_stats(stats_, cell_s);
   return merged;
 }
 
 CampaignResult CampaignRunner::run_checked(
     const SensitivityEngine& engine, const workload::Trace& trace,
     const std::vector<CampaignCell>& cells) {
-  const std::size_t width = mode_ == ReplayMode::kFused ? lane_width_ : 1;
-  const std::size_t bands = band_count(cells.size(), width);
-  stats_ = CampaignStats{};
-  stats_.cells = cells.size();
-  stats_.lane_width = width;
-  stats_.threads = std::max<std::size_t>(
-      1, std::min(threads_, std::max<std::size_t>(1, bands)));
-
-  CampaignResult result;
-  result.measurements.resize(cells.size());
-  // Slot-indexed failures keep the ledger in cell order no matter how the
-  // pool schedules cells — same shared-nothing trick as run().
-  std::vector<std::optional<CellFailure>> failed(cells.size());
-  std::vector<double> cell_s(cells.size(), 0.0);
-  if (cells.empty()) return result;
-
-  std::optional<workload::CompiledTrace> compiled;
-  if (mode_ != ReplayMode::kLegacy) compiled.emplace(trace);
-
-  std::atomic<std::size_t> arena_peak{0};
-  util::WallTimer wall;
-  if (mode_ == ReplayMode::kFused) {
-    fan_out(bands, [&](std::size_t b) {
-      if (cancel_ != nullptr && cancel_->canceled()) return;
-      const std::size_t first = b * width;
-      const std::size_t count = std::min(width, cells.size() - first);
-      faultinject::chaos_band_delay(first, count);
-      util::ThreadCpuTimer band_timer;
-      std::size_t band_arena = 0;
-      execute_checked_band(engine, *compiled, cells, first, count,
-                           result.measurements, failed, band_arena);
-      raise_peak(arena_peak, band_arena);
-      const double per_cell_s =
-          band_timer.elapsed_s() / static_cast<double>(count);
-      for (std::size_t j = 0; j < count; ++j) {
-        cell_s[first + j] = per_cell_s;
-      }
-    });
-  } else {
-    fan_out(cells.size(), [&](std::size_t i) {
-      if (cancel_ != nullptr && cancel_->canceled()) return;
-      faultinject::chaos_cell_delay(i);
-      util::ThreadCpuTimer cell_timer;
-      std::size_t cell_arena = 0;
-      execute_checked_cell(engine, trace, compiled ? &*compiled : nullptr,
-                           cells[i], i, result.measurements[i], failed[i],
-                           cell_arena);
-      raise_peak(arena_peak, cell_arena);
-      cell_s[i] = cell_timer.elapsed_s();
-    });
-  }
-  stats_.wall_s = wall.elapsed_s();
-  throw_if_canceled();
-
-  for (std::optional<CellFailure>& f : failed) {
-    if (f) result.failures.push_back(std::move(*f));
-  }
-
-  stats_.arena_peak_bytes = arena_peak.load(std::memory_order_relaxed);
-  finalize_stats(stats_, cell_s);
-  return result;
+  return execute(engine, trace, cells, /*checked=*/true);
 }
 
 CampaignResult CampaignRunner::measure_grid_checked(
@@ -550,65 +511,6 @@ CampaignResult CampaignRunner::measure_grid_checked(
                               placements.size(), repeats);
 }
 
-namespace {
-
-/// Shared state of one in-flight async grid. Owned jointly by the cell
-/// closures and the merge continuation; the last reference dying frees it.
-struct AsyncGrid {
-  std::shared_ptr<const SensitivityEngine> engine;
-  const workload::Trace* trace = nullptr;
-  std::optional<workload::CompiledTrace> compiled;
-  std::vector<CampaignCell> cells;
-  std::size_t num_placements = 0;
-  int repeats = 0;
-  const util::CancelToken* cancel = nullptr;
-  std::shared_ptr<util::TaskScheduler::Group> group;
-  std::function<void(CampaignRunner::AsyncOutcome)> done;
-
-  /// Lanes per fused band; the async grid always replays fused with the
-  /// default width (the band partition never depends on the scheduler).
-  std::size_t lane_width = LaneBand::kDefaultLanes;
-  std::size_t bands = 0;
-
-  util::WallTimer wall;
-  std::vector<std::optional<RunMeasurement>> slots;
-  std::vector<std::optional<CellFailure>> failed;
-  std::vector<double> cell_s;
-  std::atomic<std::size_t> arena_peak{0};
-  std::atomic<std::size_t> remaining{0};  ///< bands still outstanding
-};
-
-/// The merge continuation: runs once, as a kRequest task, after the last
-/// band settles. Mirrors run_checked's tail exactly (including skipping
-/// the totals ledger for canceled campaigns).
-void merge_async_grid(const std::shared_ptr<AsyncGrid>& grid) {
-  CampaignRunner::AsyncOutcome outcome;
-  outcome.stats.cells = grid->cells.size();
-  outcome.stats.lane_width = grid->lane_width;
-  outcome.stats.threads = std::max<std::size_t>(
-      1, std::min(grid->group->scheduler().threads(),
-                  std::max<std::size_t>(1, grid->bands)));
-  outcome.stats.wall_s = grid->wall.elapsed_s();
-  outcome.stats.arena_peak_bytes =
-      grid->arena_peak.load(std::memory_order_relaxed);
-  if (grid->cancel != nullptr && grid->cancel->canceled()) {
-    outcome.error =
-        std::make_exception_ptr(util::CanceledError(grid->cancel->reason()));
-  } else {
-    CampaignResult raw;
-    raw.measurements = std::move(grid->slots);
-    for (std::optional<CellFailure>& f : grid->failed) {
-      if (f) raw.failures.push_back(std::move(*f));
-    }
-    finalize_stats(outcome.stats, grid->cell_s);
-    outcome.grid = merge_placement_grid(std::move(raw), grid->num_placements,
-                                        grid->repeats);
-  }
-  grid->done(std::move(outcome));
-}
-
-}  // namespace
-
 void CampaignRunner::measure_grid_checked_async(
     std::shared_ptr<const SensitivityEngine> engine,
     const workload::Trace& trace,
@@ -616,64 +518,24 @@ void CampaignRunner::measure_grid_checked_async(
     const util::CancelToken* cancel,
     std::shared_ptr<util::TaskScheduler::Group> group,
     std::function<void(AsyncOutcome)> done) {
-  auto grid = std::make_shared<AsyncGrid>();
-  grid->repeats = engine->config().repeats;
-  grid->num_placements = placements.size();
-  grid->cells = build_grid_cells(placements, grid->repeats);
-  grid->engine = std::move(engine);
-  grid->trace = &trace;
-  grid->compiled.emplace(trace);
-  grid->cancel = cancel;
-  grid->group = std::move(group);
-  grid->done = std::move(done);
-
-  const std::size_t n = grid->cells.size();
-  if (n == 0) {
-    // Degenerate grid: still deliver asynchronously, as a group task, so
-    // callers observe one completion path.
-    grid->group->submit(util::TaskScheduler::TaskClass::kRequest,
-                        [grid] { merge_async_grid(grid); });
-    return;
-  }
-  grid->slots.resize(n);
-  grid->failed.resize(n);
-  grid->cell_s.assign(n, 0.0);
-  grid->bands = band_count(n, grid->lane_width);
-  grid->remaining.store(grid->bands, std::memory_order_relaxed);
-
-  util::TaskScheduler::Group& g = *grid->group;
-  for (std::size_t b = 0; b < grid->bands; ++b) {
-    // A kCell task is now a lane band (fused attempt 0, per-cell retry
-    // shedding) — same fairness unit across serve, session and campaigns.
-    g.submit(util::TaskScheduler::TaskClass::kCell, [grid, b] {
-      // Same band body as run_checked: cancellation between bands, chaos
-      // delay, thread-CPU timing, checked band with per-cell shedding.
-      if (grid->cancel == nullptr || !grid->cancel->canceled()) {
-        const std::size_t first = b * grid->lane_width;
-        const std::size_t count =
-            std::min(grid->lane_width, grid->cells.size() - first);
-        faultinject::chaos_band_delay(first, count);
-        util::ThreadCpuTimer band_timer;
-        std::size_t band_arena = 0;
-        execute_checked_band(*grid->engine, *grid->compiled, grid->cells,
-                             first, count, grid->slots, grid->failed,
-                             band_arena);
-        raise_peak(grid->arena_peak, band_arena);
-        const double per_cell_s =
-            band_timer.elapsed_s() / static_cast<double>(count);
-        for (std::size_t j = 0; j < count; ++j) {
-          grid->cell_s[first + j] = per_cell_s;
-        }
-      }
-      // The last band to settle hands off to the merge continuation —
-      // submitted from inside a still-outstanding task, so the scheduler
-      // never observes a quiescent gap mid-campaign.
-      if (grid->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        grid->group->submit(util::TaskScheduler::TaskClass::kRequest,
-                            [grid] { merge_async_grid(grid); });
-      }
-    });
-  }
+  const auto g = std::make_shared<Grid>();
+  g->repeats = engine->config().repeats;
+  g->num_placements = placements.size();
+  g->owned_cells = build_grid_cells(placements, g->repeats);
+  g->cells = &g->owned_cells;
+  g->engine = engine.get();
+  g->engine_owner = std::move(engine);
+  g->trace = &trace;
+  g->checked = true;
+  g->cancel = cancel;
+  g->group_owner = std::move(group);
+  g->group = g->group_owner.get();
+  g->done = std::move(done);
+  plan_grid(*g, g->engine->config().faults.empty());
+  if (!g->cells->empty()) g->compiled.emplace(trace);
+  // A degenerate grid still settles through launch() and release(), so
+  // callers observe one asynchronous completion path.
+  launch(g);
 }
 
 std::string render_failure_ledger(const std::vector<CellFailure>& failures) {
@@ -720,7 +582,6 @@ CampaignStats campaign_totals() {
   totals.threads = reg.threads;
   totals.wall_s = reg.wall_s;
   totals.cpu_s = reg.cpu_s;
-  totals.lane_width = reg.lane_width;
   totals.arena_peak_bytes = reg.arena_peak_bytes;
   if (!reg.cell_s.empty()) {
     std::vector<double> sorted = reg.cell_s;
@@ -738,7 +599,6 @@ void reset_campaign_totals() {
   reg.threads = 0;
   reg.wall_s = 0.0;
   reg.cpu_s = 0.0;
-  reg.lane_width = 0;
   reg.arena_peak_bytes = 0;
 }
 

@@ -1,7 +1,7 @@
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <functional>
 #include <memory>
@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "core/lane_band.hpp"
 #include "core/sensitivity_engine.hpp"
 #include "faultinject/fault_plan.hpp"
 #include "hybridmem/placement.hpp"
@@ -27,18 +26,18 @@ struct CampaignCell {
   int repeat = 0;
 };
 
-/// How the runner replays each cell (DESIGN.md §12, §14). kFused — the
-/// default — partitions the cell vector into bands of lane_width()
-/// consecutive cells and replays each band with core::LaneBand: one pass
-/// over the shared CompiledTrace advances every lane's independent state
-/// machine, amortizing the op-stream decode and hint loads across lanes.
-/// kCompiled replays the same CompiledTrace one cell at a time (the PR 8
-/// per-cell baseline and the fused path's pairwise oracle). kLegacy
-/// replays the raw Trace per cell on the heap. All three produce
+/// How the runner replays a grid (DESIGN.md §12, §14). kGrouped — the
+/// default — makes the placement group the unit of dispatch: the first
+/// cell of each placement leads, replaying fully on the shared
+/// CompiledTrace with the skeleton tap armed, and each of its repeat
+/// siblings then runs as a task of its own that replays the published
+/// skeleton through its own noise streams. kCompiled replays every cell
+/// fully on the CompiledTrace with no sharing (the per-cell oracle).
+/// kLegacy replays the raw Trace per cell on the heap. All three produce
 /// bit-identical measurements — the slower modes exist as equivalence
-/// oracles for tests and as the "before" arms of bench_campaign.
+/// oracles for tests and as the "before" arms of micro_campaign.
 enum class ReplayMode : std::uint8_t {
-  kFused = 0,
+  kGrouped = 0,
   kCompiled = 1,
   kLegacy = 2,
 };
@@ -77,18 +76,18 @@ struct CampaignResult {
 /// real wall-clock of the *tool itself* (like Table IV), never the
 /// simulated clock, so they are safe to print without perturbing results.
 struct CampaignStats {
-  std::size_t cells = 0;    ///< simulation runs fanned out
-  std::size_t threads = 0;  ///< workers the fan-out used
+  std::size_t cells = 0;  ///< simulation runs fanned out
+  /// Widest fan-out the grid could use: min(workers, the most cells
+  /// runnable at once). A follower never overlaps its own leader, so a
+  /// grid of C cells in S shared placement groups runs at most C − S at
+  /// once. Computed from the plan, never observed, so it is deterministic.
+  std::size_t threads = 0;
   double wall_s = 0.0;      ///< end-to-end wall time of the campaign
   double cpu_s = 0.0;       ///< sum of per-cell wall times
   double cell_p50_s = 0.0;  ///< median cell duration
   double cell_p95_s = 0.0;  ///< p95 cell duration
-  /// Lanes per fused band this campaign replayed with (1 = per-cell
-  /// replay, i.e. ReplayMode::kCompiled/kLegacy). Max-merged: the widest
-  /// band any merged campaign used.
-  std::size_t lane_width = 0;
   /// High-water mark of any single cell arena's bytes_allocated() across
-  /// the campaign — the grow-once footprint one lane of replay needs.
+  /// the campaign — the grow-once footprint one cell of replay needs.
   /// Max-merged; 0 when no arena was used (kLegacy).
   std::size_t arena_peak_bytes = 0;
 
@@ -108,30 +107,33 @@ struct CampaignStats {
 };
 
 /// The campaign runner: takes a set of (placement, repeat) cells and
-/// submits them to a util::TaskScheduler as shared-nothing cell tasks.
-/// Each cell builds its own deployment and seed-shifted RNG inside
-/// SensitivityEngine::run_once, and results are merged in the fixed cell
-/// order — so aggregates are bit-identical to the serial path at any
-/// thread count. Every sweep-shaped feature (baselines, validation
-/// sweeps, sharding) should go through here rather than hand-rolling a
-/// parallel_for over measurements.
+/// submits them to a util::TaskScheduler as shared-nothing tasks, one
+/// placement group at a time (ReplayMode::kGrouped): a group's leader is
+/// one task, and each of its followers becomes a task of its own as soon
+/// as the leader publishes its skeleton. Every cell builds its own
+/// deployment (or noise streams) from its own seed, and results are merged
+/// in the fixed cell order — so aggregates are bit-identical to the serial
+/// path at any thread count. Every sweep-shaped feature (baselines,
+/// validation sweeps, sharding) should go through here rather than
+/// hand-rolling a parallel loop over measurements.
 class CampaignRunner {
  public:
   /// `threads` = 0 picks hardware concurrency; the fan-out never exceeds
-  /// the cell count. `cancel` (optional, not owned, must outlive the
-  /// runner's calls) makes every run a cooperative cancellation point: the
-  /// token is checked *between* cells — a cell that has started always
-  /// finishes, so the cells that did complete are bit-identical to an
-  /// uncanceled campaign — and a canceled run throws util::CanceledError
-  /// instead of returning, so partial grids can never flow into caches or
-  /// artifacts.
+  /// the cells runnable at once. `cancel` (optional, not owned, must
+  /// outlive the runner's calls) makes every run a cooperative
+  /// cancellation point: the token is checked before every leader and
+  /// every follower task — a cell that has started always finishes, so the
+  /// cells that did complete are bit-identical to an uncanceled campaign —
+  /// and a canceled run throws util::CanceledError instead of returning,
+  /// so partial grids can never flow into caches or artifacts.
   ///
   /// When `scheduler` is set the runner owns no workers at all: cells run
   /// as tasks of `group` (or of a transient group when `group` is null) on
   /// the shared scheduler, interleaved with every other campaign's cells
   /// under its fairness policy, while the calling thread cooperatively
-  /// helps. Without a scheduler the runner spins up a transient one sized
-  /// by `threads` (a plain serial loop when that is 1).
+  /// helps. Without a scheduler the runner builds one transient scheduler
+  /// per grid, sized by the grid's fan-out — or, when that is 1, runs the
+  /// grid as a plain loop on the caller and spawns no threads.
   explicit CampaignRunner(std::size_t threads = 0,
                           const util::CancelToken* cancel = nullptr,
                           util::TaskScheduler* scheduler = nullptr,
@@ -183,14 +185,14 @@ class CampaignRunner {
   };
 
   /// Continuation-based counterpart of measure_grid_checked for the serve
-  /// scheduler: submits every cell of the {placement × repeat} grid to
-  /// `group` and returns immediately — no thread blocks on the campaign.
-  /// After the last cell settles, the merge runs as a kRequest task of
-  /// the same group and invokes `done` exactly once with the outcome
-  /// (bit-identical to what measure_grid_checked would have returned).
-  /// `engine` is kept alive by the in-flight cells; `trace` must outlive
-  /// `done`. `cancel` follows the same between-cells contract as the
-  /// synchronous path.
+  /// scheduler: submits the {placement × repeat} grid's placement groups
+  /// to `group` — the same grid core as the synchronous path — and returns
+  /// immediately; no thread blocks on the campaign. After the last cell
+  /// settles, the merge runs as a kRequest task of the same group and
+  /// invokes `done` exactly once with the outcome (bit-identical to what
+  /// measure_grid_checked would have returned). `engine` is kept alive by
+  /// the in-flight cells; `trace` must outlive `done`. `cancel` follows
+  /// the same contract as the synchronous path.
   static void measure_grid_checked_async(
       std::shared_ptr<const SensitivityEngine> engine,
       const workload::Trace& trace,
@@ -206,35 +208,24 @@ class CampaignRunner {
   void set_replay_mode(ReplayMode mode) noexcept { mode_ = mode; }
   [[nodiscard]] ReplayMode replay_mode() const noexcept { return mode_; }
 
-  /// Lanes per fused band under ReplayMode::kFused, clamped to
-  /// [1, LaneBand::kMaxLanes]; width 1 replays the same schedule one cell
-  /// per band. The band partition depends only on the cell count and this
-  /// width — never on the thread count — so grids stay bit-identical at
-  /// any `threads`, and fixed lane widths stay comparable across runs.
-  void set_lane_width(std::size_t width) noexcept {
-    lane_width_ = std::clamp<std::size_t>(width, 1, LaneBand::kMaxLanes);
-  }
-  [[nodiscard]] std::size_t lane_width() const noexcept { return lane_width_; }
-
   /// Accounting of the most recent run()/measure_grid() on this runner.
   [[nodiscard]] const CampaignStats& stats() const noexcept { return stats_; }
 
  private:
-  /// Throws util::CanceledError when the token says stop. Called after
-  /// the fan-out returns on the coordinating thread, so the throw never
-  /// crosses the scheduler.
-  void throw_if_canceled() const;
-
-  /// Run fn(0..n) to completion: on the injected scheduler group when one
-  /// was provided, else on a transient scheduler (serial loop at 1).
-  void fan_out(std::size_t n, const std::function<void(std::size_t)>& fn);
+  /// The synchronous grid core behind run() and run_checked(): plans the
+  /// placement groups, replays them on the injected scheduler, a transient
+  /// one or the caller alone, and joins. `checked` selects the fault-aware
+  /// attempt rule (see run_checked).
+  [[nodiscard]] CampaignResult execute(const SensitivityEngine& engine,
+                                       const workload::Trace& trace,
+                                       const std::vector<CampaignCell>& cells,
+                                       bool checked);
 
   std::size_t threads_;
   const util::CancelToken* cancel_;
   util::TaskScheduler* scheduler_;
   util::TaskScheduler::Group* group_;
-  ReplayMode mode_ = ReplayMode::kFused;
-  std::size_t lane_width_ = LaneBand::kDefaultLanes;
+  ReplayMode mode_ = ReplayMode::kGrouped;
   CampaignStats stats_;
 };
 

@@ -1,12 +1,11 @@
 #pragma once
 
-// Shared internals of the replay executors — the per-cell paths in
-// sensitivity_engine.cpp and the lane-fused band in lane_band.cpp. Every
-// run, whatever the ReplayMode, funnels its latency streams through
-// derive_measurement here, which is what makes "bit-identical across
-// replay modes" a structural property instead of a hope: the statistics
-// code literally cannot diverge between modes. Not installed API — core
-// internals only.
+// Shared internals of the replay paths in sensitivity_engine.cpp — full
+// replay (legacy and compiled) and skeleton replay. Every run, whatever
+// the ReplayMode, funnels its latency streams through derive_measurement
+// here, which is what makes "bit-identical across replay modes" a
+// structural property instead of a hope: the statistics code literally
+// cannot diverge between modes. Not installed API — core internals only.
 
 #include <algorithm>
 #include <cstdint>
@@ -62,7 +61,7 @@ inline stats::Line fit_service_line(
 /// equivalence suite holds them against each other.
 enum class PercentileMode : std::uint8_t {
   kSortMerge,  ///< legacy arm: sort both streams, merge, index (n log n)
-  kSelect,     ///< compiled/fused arms: rank selection, no sort (O(n))
+  kSelect,     ///< compiled/skeleton arms: rank selection, no sort (O(n))
 };
 
 /// percentile_sorted without the sort: nth_element places exactly the
@@ -98,7 +97,7 @@ template <typename Vec>
 /// legacy tests plus the golden fixtures pin it.
 ///
 /// `Vec` is std::vector<double> (heap replay) or std::pmr::vector<double>
-/// (arena-backed compiled/fused replay); `merged` scratch must use the
+/// (arena-backed compiled/skeleton replay); `merged` scratch must use the
 /// same allocator strategy as the inputs. The compiled path hands in the
 /// CompiledTrace's precomputed fit moments; the legacy path passes
 /// nullptr and recomputes the x-side per cell.

@@ -20,8 +20,8 @@ SensitivityConfig::SensitivityConfig()
     : platform(hybridmem::paper_testbed()) {}
 
 // The statistics tail (fit_service_line, percentile selection,
-// derive_measurement) lives in replay_internal.hpp, shared verbatim with
-// the lane-fused executor so the replay modes cannot drift apart.
+// derive_measurement) lives in replay_internal.hpp, shared verbatim by
+// every replay path so the replay modes cannot drift apart.
 using replay_detail::derive_measurement;
 using replay_detail::empty_trace_error;
 using replay_detail::PercentileMode;
@@ -44,6 +44,15 @@ hybridmem::EmulationProfile SensitivityEngine::sized_platform(
   return platform;
 }
 
+kvstore::StoreConfig SensitivityEngine::store_config(
+    int repeat, std::pmr::memory_resource* memory) const {
+  kvstore::StoreConfig store_cfg;
+  store_cfg.payload_mode = config_.payload_mode;
+  store_cfg.seed = config_.seed + static_cast<std::uint64_t>(repeat) * 0x9e37;
+  store_cfg.table_memory = memory;
+  return store_cfg;
+}
+
 RunMeasurement SensitivityEngine::run_once(
     const workload::Trace& trace, const hybridmem::Placement& placement,
     int repeat) const {
@@ -57,12 +66,8 @@ util::Result<RunMeasurement> SensitivityEngine::try_run_once(
     int repeat, int attempt) const {
   if (trace.requests().empty()) return empty_trace_error();
   hybridmem::HybridMemory memory(sized_platform(trace.dataset_bytes()));
-
-  kvstore::StoreConfig store_cfg;
-  store_cfg.payload_mode = config_.payload_mode;
-  store_cfg.seed = config_.seed + static_cast<std::uint64_t>(repeat) * 0x9e37;
-
-  kvstore::DualServer servers(memory, config_.store, store_cfg);
+  kvstore::DualServer servers(memory, config_.store,
+                              store_config(repeat, nullptr));
   {
     util::Status loaded = servers.populate(trace, placement);
     if (!loaded.ok()) return loaded.error();
@@ -129,29 +134,67 @@ RunMeasurement SensitivityEngine::run_once(
   return run.value();
 }
 
+namespace {
+
+/// The per-cell latency streams of a compiled replay: the per-op sink both
+/// full replay and skeleton replay feed, and the statistics tail they
+/// share — so the two paths cannot drift apart.
+struct CompiledSamples {
+  std::pmr::vector<double> read_lat;
+  std::pmr::vector<double> write_lat;
+
+  CompiledSamples(const workload::CompiledTrace& compiled,
+                  std::pmr::memory_resource* memory)
+      : read_lat(memory), write_lat(memory) {
+    // Exact counts are campaign invariants the compile step already paid
+    // for.
+    read_lat.reserve(compiled.read_count());
+    write_lat.reserve(compiled.write_count());
+  }
+
+  void add(RunMeasurement& m, workload::OpType op, double service_ns) {
+    m.runtime_ns += service_ns;
+    m.latency_hist.add(service_ns);
+    (op == workload::OpType::kRead ? read_lat : write_lat)
+        .push_back(service_ns);
+  }
+
+  /// The per-request byte streams are placement-invariant: the compiled
+  /// trace carries them pre-split, in the same order add() pushed.
+  [[nodiscard]] util::Status derive(RunMeasurement& m,
+                                    const workload::CompiledTrace& compiled) {
+    std::pmr::vector<double> merged(read_lat.get_allocator());
+    return derive_measurement(m, compiled.read_bytes(), compiled.write_bytes(),
+                              read_lat, write_lat, merged,
+                              PercentileMode::kSelect, &compiled.read_fit(),
+                              &compiled.write_fit());
+  }
+};
+
+[[nodiscard]] std::pmr::memory_resource* cell_memory_of(util::Arena* arena) {
+  return arena != nullptr ? static_cast<std::pmr::memory_resource*>(arena)
+                          : std::pmr::get_default_resource();
+}
+
+}  // namespace
+
 util::Result<RunMeasurement> SensitivityEngine::try_run_once(
     const workload::CompiledTrace& compiled,
     const hybridmem::Placement& placement, int repeat, int attempt,
-    util::Arena* arena) const {
+    util::Arena* arena, ReplaySkeleton* record) const {
+  MNEMO_EXPECTS(record == nullptr || config_.faults.empty());
   if (compiled.request_count() == 0) return empty_trace_error();
 
   // One resource backs every per-cell allocation below — the platform's
   // flat tables, both stores' slot pools, and the latency streams. With an
   // arena those become grow-once bump allocations the worker reuses across
   // cells; without one this is exactly the heap the Trace overload uses.
-  std::pmr::memory_resource* cell_memory =
-      arena != nullptr ? static_cast<std::pmr::memory_resource*>(arena)
-                       : std::pmr::get_default_resource();
+  std::pmr::memory_resource* cell_memory = cell_memory_of(arena);
 
   hybridmem::HybridMemory memory(sized_platform(compiled.dataset_bytes()),
                                  cell_memory);
-
-  kvstore::StoreConfig store_cfg;
-  store_cfg.payload_mode = config_.payload_mode;
-  store_cfg.seed = config_.seed + static_cast<std::uint64_t>(repeat) * 0x9e37;
-  store_cfg.table_memory = cell_memory;
-
-  kvstore::DualServer servers(memory, config_.store, store_cfg);
+  kvstore::DualServer servers(memory, config_.store,
+                              store_config(repeat, cell_memory));
   {
     util::Status loaded = servers.populate(compiled, placement);
     if (!loaded.ok()) return loaded.error();
@@ -162,15 +205,20 @@ util::Result<RunMeasurement> SensitivityEngine::try_run_once(
                       (static_cast<std::uint64_t>(repeat) << 16) +
                           static_cast<std::uint64_t>(attempt));
   }
-
-  std::pmr::vector<double> read_lat(cell_memory);
-  std::pmr::vector<double> write_lat(cell_memory);
-  // Exact counts are campaign invariants the compile step already paid for.
-  read_lat.reserve(compiled.read_count());
-  write_lat.reserve(compiled.write_count());
+  // The skeleton tap records each op's pre-noise service time in op
+  // order: the cursor is shared by both instances, and populate is done.
+  double* tap = nullptr;
+  if (record != nullptr) {
+    record->shareable = false;
+    record->service_ns.resize(compiled.request_count());
+    tap = record->service_ns.data();
+    servers.fast().set_skeleton_tap(&tap);
+    servers.slow().set_skeleton_tap(&tap);
+  }
 
   RunMeasurement m;
   m.requests = compiled.request_count();
+  CompiledSamples samples(compiled, cell_memory);
   const std::span<const std::uint64_t> hashes = compiled.key_hashes();
   const std::span<const std::uint64_t> digests = compiled.key_digests();
   // Replay off the compiled flat streams (1-byte ops + 4-byte keys) rather
@@ -186,25 +234,67 @@ util::Result<RunMeasurement> SensitivityEngine::try_run_once(
     if (!served.ok()) return served.error();
     const kvstore::OpResult r = served.value();
     MNEMO_ASSERT(r.ok && "all requested keys were populated");
-    m.runtime_ns += r.service_ns;
-    m.latency_hist.add(r.service_ns);
-    if (ops[i] == workload::OpType::kRead) {
-      read_lat.push_back(r.service_ns);
-    } else {
-      write_lat.push_back(r.service_ns);
-    }
+    samples.add(m, ops[i], r.service_ns);
   }
-  std::pmr::vector<double> merged(cell_memory);
-  // The per-request byte streams are placement-invariant: the compiled
-  // trace carries them pre-split, in the same order the pushes above used.
-  const util::Status derived =
-      derive_measurement(m, compiled.read_bytes(), compiled.write_bytes(),
-                         read_lat, write_lat, merged,
-                         PercentileMode::kSelect, &compiled.read_fit(),
-                         &compiled.write_fit());
+  const util::Status derived = samples.derive(m, compiled);
   if (!derived.ok()) return derived.error();
   m.llc_hit_rate = memory.llc().hit_rate();
   m.faults = memory.fault_stats();
+  if (record != nullptr) {
+    MNEMO_ASSERT(tap == record->service_ns.data() + ops.size() &&
+                 "one skeleton entry per replayed op");
+    record->shareable =
+        ReplaySkeleton::repeat_invariant(servers.combined_stats());
+    record->llc_hit_rate = m.llc_hit_rate;
+    record->faults = m.faults;
+  }
+  return m;
+}
+
+util::Result<RunMeasurement> SensitivityEngine::replay_skeleton(
+    const workload::CompiledTrace& compiled,
+    const hybridmem::Placement& placement, int repeat,
+    const ReplaySkeleton& skeleton, util::Arena* arena) const {
+  MNEMO_EXPECTS(skeleton.shareable &&
+                skeleton.service_ns.size() == compiled.request_count());
+  // The sibling's noise streams, reproduced instance-exactly: the same
+  // profile resolution, seeds and rng type its own deployment would
+  // construct (kvstore::ServiceNoise::for_instance is the one definition
+  // both paths share).
+  const kvstore::StoreConfig fast_cfg = store_config(repeat, nullptr);
+  kvstore::StoreConfig slow_cfg = fast_cfg;
+  slow_cfg.seed ^= kvstore::DualServer::kSlowSeedMix;
+  kvstore::ServiceNoise fast_noise =
+      kvstore::ServiceNoise::for_instance(fast_cfg, config_.store);
+  kvstore::ServiceNoise slow_noise =
+      kvstore::ServiceNoise::for_instance(slow_cfg, config_.store);
+  // Populate advances each instance's stream by one draw per loaded key
+  // (DualServer::populate finalizes one put per key, in key order, routed
+  // by the placement): replay that consumption so the streams enter the
+  // measured run in the exact state the sibling's own deployment would.
+  const std::uint64_t initial = compiled.initial_key_count();
+  for (std::uint64_t key = 0; key < initial; ++key) {
+    (placement.node_of(key) == hybridmem::NodeId::kFast ? fast_noise
+                                                        : slow_noise)
+        .apply(0.0);
+  }
+
+  RunMeasurement m;
+  m.requests = compiled.request_count();
+  CompiledSamples samples(compiled, cell_memory_of(arena));
+  const std::span<const workload::OpType> ops = compiled.ops();
+  const std::span<const std::uint32_t> keys = compiled.keys();
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const bool fast = placement.node_of(keys[i]) == hybridmem::NodeId::kFast;
+    samples.add(m, ops[i],
+                (fast ? fast_noise : slow_noise).apply(skeleton.service_ns[i]));
+  }
+  const util::Status derived = samples.derive(m, compiled);
+  if (!derived.ok()) return derived.error();
+  // The platform counters are the leader's: LLC decisions and the absence
+  // of faults are functions of the placement, not of the seed.
+  m.llc_hit_rate = skeleton.llc_hit_rate;
+  m.faults = skeleton.faults;
   return m;
 }
 

@@ -1,6 +1,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory_resource>
+#include <vector>
 
 #include "core/baselines.hpp"
 #include "faultinject/fault_plan.hpp"
@@ -54,6 +56,32 @@ struct SensitivityConfig {
   SensitivityConfig();
 };
 
+/// What the leader of a placement group publishes to its repeat siblings
+/// (DESIGN.md §14): the deterministic pre-noise service time of every op
+/// of its replay, recorded through the kvstore skeleton tap, plus the
+/// platform counters the siblings inherit.
+struct ReplaySkeleton {
+  std::vector<double> service_ns;  ///< one entry per replayed op
+  double llc_hit_rate = 0.0;
+  faultinject::FaultStats faults;
+  /// Siblings may replay it: the leader succeeded on a fault-free
+  /// platform and its stores passed repeat_invariant().
+  bool shareable = false;
+
+  /// Cells that share a placement and differ only in `repeat` run the
+  /// same deterministic state machine — the per-repeat seed feeds only the
+  /// service-noise rng — unless the run evicted or expired a record
+  /// (Vermilion samples eviction victims from a seeded rng; TTL deadlines
+  /// follow the noisy store clock). Both leave a counter behind, and their
+  /// triggers (capacity pressure, TTL stamps) are seed-free, so zero of
+  /// each over a finished run's combined store counters proves a sibling's
+  /// full replay could not have taken a path the leader did not.
+  [[nodiscard]] static bool repeat_invariant(
+      const kvstore::StoreStats& combined) noexcept {
+    return combined.evictions + combined.expirations == 0;
+  }
+};
+
 /// The paper's Sensitivity Engine: a customized YCSB client that executes
 /// the actual workload against the dual-server deployment and extracts
 /// client-side performance — total runtime, throughput, average read and
@@ -92,10 +120,23 @@ class SensitivityEngine {
       const hybridmem::Placement& placement, int repeat = 0,
       util::Arena* arena = nullptr) const;
 
+  ///
+  /// With `record` set (fault-free engines only) the run also arms the
+  /// skeleton tap and leaves its skeleton there for repeat siblings.
   [[nodiscard]] util::Result<RunMeasurement> try_run_once(
       const workload::CompiledTrace& compiled,
       const hybridmem::Placement& placement, int repeat = 0, int attempt = 0,
-      util::Arena* arena = nullptr) const;
+      util::Arena* arena = nullptr, ReplaySkeleton* record = nullptr) const;
+
+  /// A repeat sibling's replay: exactly what try_run_once(compiled,
+  /// placement, repeat, 0, arena) returns, derived from a sibling's
+  /// published skeleton — only the per-repeat service noise and the
+  /// statistics tail run, no deployment is built. Requires
+  /// `skeleton.shareable`, recorded over the same trace and placement.
+  [[nodiscard]] util::Result<RunMeasurement> replay_skeleton(
+      const workload::CompiledTrace& compiled,
+      const hybridmem::Placement& placement, int repeat,
+      const ReplaySkeleton& skeleton, util::Arena* arena = nullptr) const;
 
   /// Mean of `repeats` runs for one placement, fanned out as a
   /// measurement campaign over config().threads workers.
@@ -117,10 +158,10 @@ class SensitivityEngine {
   [[nodiscard]] hybridmem::EmulationProfile sized_platform(
       std::uint64_t dataset_bytes) const;
 
-  /// The lane-fused executor (core/lane_band) replays K cells per trace
-  /// pass; it builds each lane's deployment exactly like try_run_once, so
-  /// it needs the same platform-sizing internals.
-  friend class LaneBand;
+  /// The store configuration of one cell's deployment: the repeat
+  /// perturbs the service-noise seed and nothing else.
+  [[nodiscard]] kvstore::StoreConfig store_config(
+      int repeat, std::pmr::memory_resource* memory) const;
 
   SensitivityConfig config_;
 };

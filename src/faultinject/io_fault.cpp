@@ -105,18 +105,4 @@ void chaos_cell_delay(std::size_t cell) {
       std::chrono::duration<double, std::milli>(ms));
 }
 
-void chaos_band_delay(std::size_t first, std::size_t count) {
-  IoFaultInjector* injector = g_injector.load(std::memory_order_acquire);
-  if (injector == nullptr) return;
-  double ms = 0.0;
-  // One draw (and one stat bump when it hits) per member cell, exactly as
-  // if the band's cells had stalled individually; the sleeps coalesce.
-  for (std::size_t i = 0; i < count; ++i) {
-    ms += injector->cell_delay_ms(first + i);
-  }
-  if (ms <= 0.0) return;
-  std::this_thread::sleep_for(
-      std::chrono::duration<double, std::milli>(ms));
-}
-
 }  // namespace mnemo::faultinject

@@ -104,12 +104,4 @@ class ScopedIoFaults {
 /// installed (the production case — one relaxed atomic load).
 void chaos_cell_delay(std::size_t cell);
 
-/// Band-granular chaos seam for the lane-fused campaign runner: a fused
-/// band replays cells [first, first + count) in one pass, so the worker
-/// stalls once for the *sum* of the member cells' injected delays. Each
-/// member keeps its own per-cell stall draw — the delayed-cell count and
-/// total injected stall are identical to per-cell replay of the same
-/// campaign, whatever the lane width.
-void chaos_band_delay(std::size_t first, std::size_t count);
-
 }  // namespace mnemo::faultinject

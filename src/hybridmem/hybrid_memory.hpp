@@ -142,20 +142,6 @@ class HybridMemory {
   /// this once up front; everything still works, just slower, without it.
   void reserve_objects(std::size_t max_objects);
 
-  /// Batch entry point for the lane-fused replay (core/lane_band): hint
-  /// the object-table and LLC set-index loads the next access() of
-  /// `object_id` will perform, issued while the current op executes.
-  /// Advisory only — no architectural effect on placement, cache state or
-  /// statistics — so bit-identity across replay modes is untouched.
-  void prefetch_object(std::uint64_t object_id) const noexcept {
-#if defined(__GNUC__) || defined(__clang__)
-    if (object_id < dense_objects_.size()) {
-      __builtin_prefetch(&dense_objects_[static_cast<std::size_t>(object_id)]);
-    }
-#endif
-    llc_.prefetch(object_id);
-  }
-
   /// Total bytes resident across both nodes.
   [[nodiscard]] std::uint64_t total_used_bytes() const noexcept;
 

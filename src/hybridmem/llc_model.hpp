@@ -62,11 +62,6 @@ class LlcModel {
     return false;
   }
 
-  /// Batch entry point for the lane-fused replay: hint the set-index load
-  /// an upcoming access(id, ...) will perform. Advisory only (no recency
-  /// or statistics effect), so bit-identity across replay modes holds.
-  void prefetch(std::uint64_t id) const noexcept { lru_.prefetch(id); }
-
   /// Drop an object (e.g. deleted or resized record). Inline: every record
   /// update resizes its object, which lands here (DESIGN.md §8).
   void invalidate(std::uint64_t id) {

@@ -41,8 +41,8 @@ class Placement {
   }
 
   /// Two placements are equal when every key lives on the same node. Used
-  /// by the lane-fused replay (core::LaneBand) to recognize repeat-sibling
-  /// lanes: cells that share a placement and differ only in repeat.
+  /// by the campaign runner (core/campaign) to form placement groups:
+  /// cells that share a placement and differ only in repeat.
   friend bool operator==(const Placement&, const Placement&) = default;
   [[nodiscard]] std::size_t fast_keys() const noexcept { return fast_keys_; }
   [[nodiscard]] std::size_t slow_keys() const noexcept {

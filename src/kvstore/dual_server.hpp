@@ -24,8 +24,8 @@ class DualServer {
  public:
   /// Seed perturbation applied to the SlowMem instance's StoreConfig so
   /// the two instances draw distinct jitter streams, like two independent
-  /// processes. Public so skeleton replay (core::LaneBand, DESIGN.md §14)
-  /// can reproduce an instance's noise stream without building the store.
+  /// processes. Public so skeleton replay (DESIGN.md §14) can reproduce
+  /// an instance's noise stream without building the store.
   static constexpr std::uint64_t kSlowSeedMix = 0x510'3141ULL;
 
   DualServer(hybridmem::HybridMemory& memory, StoreKind kind,

@@ -71,10 +71,10 @@ struct KeyHints {
 
 /// The stochastic service-time tail every operation passes through
 /// (KeyValueStore::finalize): multiplicative gaussian jitter with a floor,
-/// plus an occasional tail spike. A standalone value type so the
-/// lane-fused replay (core::LaneBand, DESIGN.md §14) can advance a repeat
-/// sibling's noise stream over a recorded deterministic skeleton with the
-/// exact arithmetic and rng consumption of a full replay.
+/// plus an occasional tail spike. A standalone value type so skeleton
+/// replay (SensitivityEngine::replay_skeleton, DESIGN.md §14) can advance
+/// a repeat sibling's noise stream over a recorded deterministic skeleton
+/// with the exact arithmetic and rng consumption of a full replay.
 class ServiceNoise {
  public:
   ServiceNoise(const ServiceProfile& profile, bool deterministic,
@@ -193,13 +193,13 @@ class KeyValueStore {
   /// time advances as requests are served).
   [[nodiscard]] double now_ns() const noexcept { return stats_.busy_ns; }
 
-  /// Skeleton tap for the lane-fused replay (core::LaneBand, DESIGN.md
-  /// §14): while armed, finalize() records each operation's deterministic
-  /// pre-noise service time through `cursor` before applying noise. The
-  /// cursor is shared across both DualServer instances so the writes land
-  /// in op order. Arm only on a fault-free deployment after populate;
-  /// pass nullptr to disarm. Purely observational — results, rng streams
-  /// and statistics are untouched.
+  /// Skeleton tap for a placement group's leader (DESIGN.md §14): while
+  /// armed, finalize() records each operation's deterministic pre-noise
+  /// service time through `cursor` before applying noise. The cursor is
+  /// shared across both DualServer instances so the writes land in op
+  /// order. Arm only on a fault-free deployment after populate; pass
+  /// nullptr to disarm. Purely observational — results, rng streams and
+  /// statistics are untouched.
   void set_skeleton_tap(double** cursor) noexcept { skeleton_tap_ = cursor; }
 
  protected:

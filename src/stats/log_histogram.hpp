@@ -30,8 +30,8 @@ class LogHistogram {
   /// allows). Counts commute, so add_batch(v) produces exactly the same
   /// histogram as add()-ing each element in any order; the boundary table
   /// is exact by construction (see bucket_bounds), so every index matches
-  /// bucket_index() bit for bit. This is the lane-fused replay path's
-  /// histogram (DESIGN.md §14); per-op add() stays the per-cell oracle.
+  /// bucket_index() bit for bit. Replay itself calls add() per op, which
+  /// measures faster than this batch path.
   void add_batch(std::span<const double> ns) noexcept;
 
   /// Ascending boundary table driving add_batch: bounds[i] is the

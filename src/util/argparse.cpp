@@ -1,6 +1,7 @@
 #include "util/argparse.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <sstream>
 #include <stdexcept>
 
@@ -143,6 +144,22 @@ const std::string& ArgParser::get(const std::string& name) const {
   const auto it = specs_.find(name);
   MNEMO_EXPECTS(it != specs_.end() && !it->second.is_flag);
   return it->second.value;
+}
+
+std::optional<std::uint64_t> parse_u64(const std::string& text) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
+std::optional<double> parse_double(const std::string& text) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
 }
 
 double ArgParser::get_double(const std::string& name) const {

@@ -1,6 +1,8 @@
 #pragma once
 
+#include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -12,6 +14,13 @@ namespace mnemo::util {
 /// strictly less than the query length), empty string otherwise.
 [[nodiscard]] std::string closest_match(
     const std::string& query, const std::vector<std::string>& candidates);
+
+/// Strict whole-string numbers for the positional arguments of the bench
+/// and example binaries: nullopt on an empty string, a sign on the
+/// unsigned form, any trailing character, or a value out of range —
+/// never a silent 0.
+[[nodiscard]] std::optional<std::uint64_t> parse_u64(const std::string& text);
+[[nodiscard]] std::optional<double> parse_double(const std::string& text);
 
 /// Minimal command-line parser for the mnemo CLI: boolean flags and
 /// string-valued options (`--name value` or `--name=value`), plus

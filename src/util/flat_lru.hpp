@@ -88,21 +88,6 @@ class FlatLru {
     return &slots_[static_cast<std::size_t>(slot)].payload;
   }
 
-  /// Hint the id→slot index load for an upcoming touch()/find() of `id`.
-  /// The lane-fused replay (core/lane_band) issues this for the *next*
-  /// op's key while the current op executes, so the index line is warm by
-  /// the time the lane reaches it. Advisory only — never reads or moves
-  /// recency state, so results are identical with or without the hint.
-  void prefetch(std::uint64_t id) const noexcept {
-#if defined(__GNUC__) || defined(__clang__)
-    if (id < dense_.size()) {
-      __builtin_prefetch(&dense_[static_cast<std::size_t>(id)]);
-    }
-#else
-    (void)id;
-#endif
-  }
-
   /// Insert `id` (must be absent) at the MRU end.
   void push_front(std::uint64_t id, Payload payload) {
     std::int32_t slot;

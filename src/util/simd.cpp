@@ -35,10 +35,6 @@ double min_scalar(const double* x, std::size_t n) noexcept {
   return m;
 }
 
-void accumulate_scalar(double* acc, const double* x, std::size_t n) noexcept {
-  for (std::size_t i = 0; i < n; ++i) acc[i] += x[i];
-}
-
 std::uint32_t partition_index_scalar(const double* bounds256,
                                      double x) noexcept {
   std::uint32_t base = 0;
@@ -121,15 +117,6 @@ double min_sse2(const double* x, std::size_t n) noexcept {
   return out;
 }
 
-void accumulate_sse2(double* acc, const double* x, std::size_t n) noexcept {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    _mm_storeu_pd(acc + i,
-                  _mm_add_pd(_mm_loadu_pd(acc + i), _mm_loadu_pd(x + i)));
-  }
-  accumulate_scalar(acc + i, x + i, n - i);
-}
-
 // ---- AVX2 (runtime-dispatched; compiled via target attribute) ----------
 
 __attribute__((target("avx2"))) inline __m256i mullo64_avx2(
@@ -196,17 +183,6 @@ __attribute__((target("avx2"))) double min_avx2(const double* x,
     if (x[i] < out) out = x[i];
   }
   return out;
-}
-
-__attribute__((target("avx2"))) void accumulate_avx2(
-    double* acc, const double* x, std::size_t n) noexcept {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(
-        acc + i, _mm256_add_pd(_mm256_loadu_pd(acc + i),
-                               _mm256_loadu_pd(x + i)));
-  }
-  accumulate_scalar(acc + i, x + i, n - i);
 }
 
 __attribute__((target("avx2"))) void partition_avx2(
@@ -295,18 +271,6 @@ double min_double(const double* x, std::size_t n) noexcept {
   return active_isa() == Isa::kAvx2 ? min_avx2(x, n) : min_sse2(x, n);
 #else
   return min_scalar(x, n);
-#endif
-}
-
-void accumulate_lanes(double* acc, const double* x, std::size_t n) noexcept {
-#if defined(MNEMO_SIMD_X86)
-  if (active_isa() == Isa::kAvx2) {
-    accumulate_avx2(acc, x, n);
-  } else {
-    accumulate_sse2(acc, x, n);
-  }
-#else
-  accumulate_scalar(acc, x, n);
 #endif
 }
 

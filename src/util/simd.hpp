@@ -5,9 +5,9 @@
 
 namespace mnemo::util::simd {
 
-/// Batch kernels for the lane-fused replay path (DESIGN.md §14). Every
-/// kernel is exact — integer ops, IEEE compares and elementwise adds only,
-/// never a reassociated float reduction — so using them cannot move a
+/// Batch kernels for the replay hot paths (DESIGN.md §14). Every kernel
+/// is exact — integer ops and IEEE compares only, never a reassociated
+/// float reduction — so using them cannot move a
 /// result by even one ULP relative to the scalar loop they replace. The
 /// implementation is picked once per process: AVX2 when the CPU has it,
 /// SSE2 on any other x86-64, plain scalar elsewhere or when the build was
@@ -38,11 +38,6 @@ void mix64_iota_batch(std::uint64_t first, std::uint64_t* out,
 /// service-time streams, which are finite and non-negative with +0 only.
 /// Value-identical to *std::min_element under those preconditions.
 [[nodiscard]] double min_double(const double* x, std::size_t n) noexcept;
-
-/// acc[i] += x[i], elementwise. Each slot keeps its own sequential
-/// addition chain — this vectorizes *across* independent accumulators
-/// (the per-lane service-time totals), never within one, so it is exact.
-void accumulate_lanes(double* acc, const double* x, std::size_t n) noexcept;
 
 /// For each x[j]: the largest index i in [0, 256) with bounds256[i] <=
 /// x[j], via a branchless 8-step binary search (AVX2: gathered probes,

@@ -186,24 +186,34 @@ void TaskScheduler::run_batch(Group& group, std::size_t n,
   }
   cv_.notify_all();
 
-  // Cooperative join: run queued cells (any group's — work conservation)
-  // until our batch settles. Restricting help to kCell keeps the stack
-  // free of foreign request drivers.
   std::unique_lock lock(mu_);
-  while (batch->remaining != 0) {
+  help_locked(lock, [&] { return batch->remaining == 0; });
+  const std::exception_ptr err = batch->error;
+  lock.unlock();
+  if (err != nullptr) std::rethrow_exception(err);
+}
+
+void TaskScheduler::help_until(const std::function<bool()>& done) {
+  std::unique_lock lock(mu_);
+  help_locked(lock, done);
+}
+
+void TaskScheduler::help_locked(std::unique_lock<std::mutex>& lock,
+                                const std::function<bool()>& done) {
+  // Cooperative join: run queued cells (any group's — work conservation)
+  // until `done`. Restricting help to kCell keeps the stack free of
+  // foreign request drivers. Every settle takes the lock and then
+  // notifies, so a condition a task flipped before settling is never
+  // missed here.
+  while (!done()) {
     if (auto popped = pop_locked(/*cells_only=*/true)) {
       lock.unlock();
       execute(std::move(*popped));
       lock.lock();
       continue;
     }
-    cv_.wait(lock, [&] {
-      return batch->remaining == 0 || cell_ready_locked();
-    });
+    cv_.wait(lock, [&] { return done() || cell_ready_locked(); });
   }
-  const std::exception_ptr err = batch->error;
-  lock.unlock();
-  if (err != nullptr) std::rethrow_exception(err);
 }
 
 TaskScheduler::Ticket TaskScheduler::arm(Clock::time_point when,

@@ -125,6 +125,15 @@ class TaskScheduler {
   void run_batch(Group& group, std::size_t n,
                  const std::function<void(std::size_t)>& fn);
 
+  /// The join of a fork-join whose tasks were submitted detached and may
+  /// submit more (a campaign's placement groups): cooperatively execute
+  /// queued cells (any group's) on the calling thread until `done()`
+  /// holds. `done` is re-evaluated under the scheduler lock whenever a
+  /// task settles, so it must be cheap, must not call back in here, and
+  /// may only turn true before the call or inside a task of this
+  /// scheduler (that task's settle is what wakes the waiter).
+  void help_until(const std::function<bool()>& done);
+
   /// Deadline queue (the former DeadlineWatchdog, folded in). `fire`
   /// runs once on a worker thread at or after `when`, in deadline order
   /// when several are due; disarm() is best-effort — a timer already
@@ -151,6 +160,8 @@ class TaskScheduler {
                      std::shared_ptr<BatchState> batch);
   [[nodiscard]] std::optional<Popped> pop_locked(bool cells_only);
   [[nodiscard]] bool cell_ready_locked() const;
+  void help_locked(std::unique_lock<std::mutex>& lock,
+                   const std::function<bool()>& done);
   void execute(Popped popped);
   void fire_due_locked(std::unique_lock<std::mutex>& lock);
   [[nodiscard]] std::optional<std::chrono::steady_clock::time_point>

@@ -110,46 +110,6 @@ class CompiledTrace {
     return key_digests_;
   }
 
-  /// Zero-indirection replay view for the lane-fused executor: raw
-  /// pointers into the flat streams so the per-op decode — op, key, and
-  /// the key's hash/digest hints — is loaded once per op and shared by
-  /// every lane of a band (DESIGN.md §14). The cursor borrows from the
-  /// CompiledTrace and must not outlive it.
-  struct ReplayCursor {
-    const OpType* ops = nullptr;
-    const std::uint32_t* keys = nullptr;
-    const std::uint64_t* hashes = nullptr;    ///< indexed by key id
-    const std::uint64_t* digests = nullptr;   ///< indexed by key id
-    std::size_t size = 0;
-
-    struct Decoded {
-      OpType op;
-      std::uint32_t key;
-      std::uint64_t hash;
-      std::uint64_t digest;
-    };
-
-    [[nodiscard]] Decoded decode(std::size_t i) const noexcept {
-      const std::uint32_t key = keys[i];
-      return {ops[i], key, hashes[key], digests[key]};
-    }
-
-    /// Hint the next op's hint loads into cache while the lanes execute
-    /// the current one. Purely advisory — no architectural effect.
-    void prefetch(std::size_t i) const noexcept {
-      if (i < size) {
-        const std::uint32_t key = keys[i];
-        __builtin_prefetch(&hashes[key]);
-        __builtin_prefetch(&digests[key]);
-      }
-    }
-  };
-
-  [[nodiscard]] ReplayCursor cursor() const noexcept {
-    return {ops_.data(), keys_.data(), key_hashes_.data(),
-            key_digests_.data(), ops_.size()};
-  }
-
  private:
   static ServiceFitMoments fit_moments(std::span<const double> bytes);
 

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "core/campaign.hpp"
 #include "util/csv.hpp"
 
 namespace mnemo::cli {
@@ -120,6 +121,39 @@ TEST(Cli, ProfileThreadsAndStatsReportTheCampaign) {
   const std::size_t cut = parallel.out.find("\n| campaign totals");
   ASSERT_NE(cut, std::string::npos);
   EXPECT_EQ(serial.out, parallel.out.substr(0, cut));
+}
+
+// `mnemo run` replays {FastMem, SlowMem} x repeats: two placement groups
+// whose followers can run at once, so --stats reports a real fan-out —
+// computed from the plan, hence deterministic — at the CLI's default
+// repeats 2 as well as at 3, while the report itself never depends on the
+// thread count.
+TEST(Cli, RunStatsReportTheGroupedFanOut) {
+  for (const char* repeats : {"2", "3"}) {
+    const std::vector<std::string> base = {
+        "run",        "--workload", "trending",  "--keys", "200",
+        "--requests", "2000",       "--repeats", repeats};
+    std::vector<std::string> serial_args = base;
+    serial_args.insert(serial_args.end(), {"--threads", "1"});
+    std::vector<std::string> parallel_args = base;
+    parallel_args.insert(parallel_args.end(), {"--threads", "4", "--stats"});
+
+    const CliResult serial = run_cli(serial_args);
+    ASSERT_EQ(serial.code, 0) << serial.err;
+    core::reset_campaign_totals();  // --stats reports process-wide totals
+    const CliResult parallel = run_cli(parallel_args);
+    ASSERT_EQ(parallel.code, 0) << parallel.err;
+
+    const std::size_t cut = parallel.out.find("\n| campaign totals");
+    ASSERT_NE(cut, std::string::npos);
+    EXPECT_EQ(serial.out, parallel.out.substr(0, cut)) << "repeats " << repeats;
+    const std::size_t row = parallel.out.find("| threads", cut);
+    ASSERT_NE(row, std::string::npos);
+    const std::size_t value = parallel.out.find('|', row + 1);
+    ASSERT_NE(value, std::string::npos);
+    EXPECT_GE(std::stoul(parallel.out.substr(value + 1)), 2u)
+        << "repeats " << repeats << parallel.out.substr(cut);
+  }
 }
 
 TEST(Cli, ProfileRejectsBadStore) {

@@ -93,10 +93,10 @@ TEST(CompiledReplay, GridBitIdenticalToLegacyAcrossStoresAndThreads) {
       CampaignRunner legacy(threads);
       legacy.set_replay_mode(ReplayMode::kLegacy);
       CampaignRunner fast(threads);
-      // The default is now the lane-fused executor; this suite pins the
-      // per-cell compiled arm against legacy (the fused ≡ per-cell leg
-      // lives in test_lane_fusion.cpp).
-      ASSERT_EQ(fast.replay_mode(), ReplayMode::kFused);
+      // The default is grouped skeleton replay; this suite pins the
+      // per-cell compiled arm against legacy (the grouped ≡ per-cell leg
+      // lives in test_grouped_replay.cpp).
+      ASSERT_EQ(fast.replay_mode(), ReplayMode::kGrouped);
       fast.set_replay_mode(ReplayMode::kCompiled);
 
       const std::vector<RunMeasurement> before =

@@ -1,0 +1,498 @@
+// Equivalence oracle for placement-grouped skeleton replay (DESIGN.md
+// §14): ReplayMode::kGrouped — one leader per placement replaying fully
+// with the skeleton tap armed, its repeat siblings replaying the published
+// skeleton as tasks of their own — must produce measurements bit-identical
+// (field-for-field via RunMeasurement's defaulted operator==) to per-cell
+// SensitivityEngine::try_run_once and to ReplayMode::kLegacy, for every
+// store architecture, at every thread count in {1, 2, 8}, with and without
+// fault injection, through run(), run_checked() and the async grid. The
+// golden fixtures (test_golden_replay, test_serve_golden) run under the
+// grouped default too, so any drift from the pinned bits fails there too.
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <future>
+#include <latch>
+#include <memory>
+#include <vector>
+
+#include "core/campaign.hpp"
+#include "core/sensitivity_engine.hpp"
+#include "faultinject/io_fault.hpp"
+#include "hybridmem/hybrid_memory.hpp"
+#include "kvstore/dual_server.hpp"
+#include "util/arena.hpp"
+#include "util/bytes.hpp"
+#include "util/cancel.hpp"
+#include "util/task_scheduler.hpp"
+#include "workload/compiled_trace.hpp"
+#include "workload/workload_spec.hpp"
+
+namespace mnemo::core {
+namespace {
+
+constexpr std::size_t kThreadCounts[] = {1, 2, 8};
+constexpr kvstore::StoreKind kStores[] = {kvstore::StoreKind::kVermilion,
+                                          kvstore::StoreKind::kCachet,
+                                          kvstore::StoreKind::kDynaStore};
+
+workload::Trace small_trace() {
+  workload::WorkloadSpec spec;
+  spec.name = "grouped_replay";
+  spec.distribution = workload::DistributionKind::kZipfian;
+  spec.dist_params.zipf_theta = 0.9;
+  spec.read_fraction = 0.85;
+  spec.record_size = workload::RecordSizeType::kPreviewMix;
+  spec.key_count = 200;
+  spec.request_count = 2'000;
+  spec.seed = 0xc0dec;
+  return workload::Trace::generate(spec);
+}
+
+/// `count` placements along the key order, from all-SlowMem to all-FastMem.
+std::vector<hybridmem::Placement> sweep_placements(
+    const workload::Trace& trace, std::size_t count = 3) {
+  std::vector<std::uint64_t> order(trace.key_count());
+  for (std::uint64_t k = 0; k < trace.key_count(); ++k) order[k] = k;
+  std::vector<hybridmem::Placement> placements;
+  for (std::size_t p = 0; p < count; ++p) {
+    const double f = static_cast<double>(p) / static_cast<double>(count - 1);
+    placements.push_back(hybridmem::Placement::from_order(
+        order, static_cast<std::size_t>(
+                   f * static_cast<double>(trace.key_count()))));
+  }
+  return placements;
+}
+
+std::vector<CampaignCell> grid_cells(
+    const std::vector<hybridmem::Placement>& placements, int repeats) {
+  std::vector<CampaignCell> cells;
+  for (const hybridmem::Placement& p : placements) {
+    for (int r = 0; r < repeats; ++r) cells.push_back({p, r});
+  }
+  return cells;
+}
+
+faultinject::FaultPlan poison_plan() {
+  faultinject::FaultPlan plan;
+  plan.poison_rate = 0.2;
+  return plan;
+}
+
+/// The per-cell oracle: one full try_run_once per cell, no sharing.
+std::vector<RunMeasurement> per_cell(const SensitivityEngine& engine,
+                                     const workload::Trace& trace,
+                                     const std::vector<CampaignCell>& cells) {
+  const workload::CompiledTrace compiled(trace);
+  std::vector<RunMeasurement> out;
+  for (const CampaignCell& cell : cells) {
+    out.push_back(
+        engine.try_run_once(compiled, cell.placement, cell.repeat).value());
+  }
+  return out;
+}
+
+/// measure_grid_checked_async on a private scheduler, joined here.
+CampaignRunner::AsyncOutcome run_async(
+    const SensitivityConfig& cfg, const workload::Trace& trace,
+    const std::vector<hybridmem::Placement>& placements,
+    std::size_t threads) {
+  util::TaskScheduler sched(threads);
+  std::promise<CampaignRunner::AsyncOutcome> settled;
+  CampaignRunner::measure_grid_checked_async(
+      std::make_shared<const SensitivityEngine>(cfg), trace, placements,
+      /*cancel=*/nullptr, sched.make_group(),
+      [&](CampaignRunner::AsyncOutcome outcome) {
+        settled.set_value(std::move(outcome));
+      });
+  return settled.get_future().get();
+}
+
+TEST(GroupedReplay, GridBitIdenticalAcrossThreadsAndStores) {
+  const workload::Trace trace = small_trace();
+  const std::vector<hybridmem::Placement> placements =
+      sweep_placements(trace);
+
+  for (const kvstore::StoreKind store : kStores) {
+    SensitivityConfig cfg;
+    cfg.store = store;
+    cfg.repeats = 3;
+    const SensitivityEngine engine(cfg);
+    const std::vector<CampaignCell> cells =
+        grid_cells(placements, cfg.repeats);
+
+    const std::vector<RunMeasurement> oracle = per_cell(engine, trace, cells);
+    CampaignRunner legacy(1);
+    legacy.set_replay_mode(ReplayMode::kLegacy);
+    ASSERT_EQ(legacy.run(engine, trace, cells), oracle)
+        << kvstore::to_string(store);
+    const std::vector<RunMeasurement> merged =
+        legacy.measure_grid(engine, trace, placements);
+
+    for (const std::size_t threads : kThreadCounts) {
+      CampaignRunner grouped(threads);
+      ASSERT_EQ(grouped.replay_mode(), ReplayMode::kGrouped);
+      const std::vector<RunMeasurement> out =
+          grouped.run(engine, trace, cells);
+      ASSERT_EQ(out.size(), oracle.size());
+      for (std::size_t i = 0; i < out.size(); ++i) {
+        EXPECT_EQ(oracle[i], out[i]) << kvstore::to_string(store) << " cell "
+                                     << i << " threads " << threads;
+      }
+      // Three groups of three: each leader overlaps only the other
+      // groups, so at most 9 - 3 cells are ever runnable at once.
+      EXPECT_EQ(grouped.stats().threads, std::min<std::size_t>(threads, 6));
+      EXPECT_EQ(grouped.measure_grid(engine, trace, placements), merged)
+          << kvstore::to_string(store) << " threads " << threads;
+    }
+  }
+}
+
+TEST(GroupedReplay, CheckedCampaignWithFaultsMatchesPerCellAndLegacy) {
+  const workload::Trace trace = small_trace();
+  const std::vector<hybridmem::Placement> placements =
+      sweep_placements(trace, 2);
+
+  for (const kvstore::StoreKind store : kStores) {
+    for (const bool faults : {false, true}) {
+      SensitivityConfig cfg;
+      cfg.store = store;
+      cfg.repeats = 3;
+      if (faults) cfg.faults = poison_plan();
+      const SensitivityEngine engine(cfg);
+      const std::vector<CampaignCell> cells =
+          grid_cells(placements, cfg.repeats);
+
+      CampaignRunner legacy(1);
+      legacy.set_replay_mode(ReplayMode::kLegacy);
+      const CampaignResult reference =
+          legacy.run_checked(engine, trace, cells);
+      CampaignRunner compiled(1);
+      compiled.set_replay_mode(ReplayMode::kCompiled);
+      const CampaignResult per_cell_result =
+          compiled.run_checked(engine, trace, cells);
+      ASSERT_EQ(reference.measurements, per_cell_result.measurements)
+          << kvstore::to_string(store);
+      ASSERT_EQ(reference.failures, per_cell_result.failures)
+          << kvstore::to_string(store);
+      if (faults) {
+        // The plan must actually quarantine something, or the checked
+        // path's retry/quarantine legs go untested.
+        EXPECT_TRUE(reference.partial()) << kvstore::to_string(store);
+      }
+
+      for (const std::size_t threads : kThreadCounts) {
+        CampaignRunner grouped(threads);
+        const CampaignResult out = grouped.run_checked(engine, trace, cells);
+        EXPECT_EQ(reference.measurements, out.measurements)
+            << kvstore::to_string(store) << " faults " << faults
+            << " threads " << threads;
+        EXPECT_EQ(reference.failures, out.failures)
+            << kvstore::to_string(store) << " faults " << faults
+            << " threads " << threads;
+        // An armed plan makes every cell its own task.
+        EXPECT_EQ(grouped.stats().threads,
+                  std::min<std::size_t>(threads, faults ? 6 : 4));
+      }
+    }
+  }
+}
+
+TEST(GroupedReplay, AsyncGridMatchesSyncAcrossThreadsStoresAndFaults) {
+  const workload::Trace trace = small_trace();
+  const std::vector<hybridmem::Placement> placements =
+      sweep_placements(trace, 2);
+
+  for (const kvstore::StoreKind store : kStores) {
+    for (const bool faults : {false, true}) {
+      SensitivityConfig cfg;
+      cfg.store = store;
+      cfg.repeats = 3;
+      if (faults) cfg.faults = poison_plan();
+      const SensitivityEngine engine(cfg);
+      CampaignRunner legacy(1);
+      legacy.set_replay_mode(ReplayMode::kLegacy);
+      const CampaignResult reference =
+          legacy.measure_grid_checked(engine, trace, placements);
+
+      for (const std::size_t threads : kThreadCounts) {
+        const CampaignRunner::AsyncOutcome outcome =
+            run_async(cfg, trace, placements, threads);
+        ASSERT_EQ(outcome.error, nullptr);
+        EXPECT_EQ(reference.measurements, outcome.grid.measurements)
+            << kvstore::to_string(store) << " faults " << faults
+            << " threads " << threads;
+        EXPECT_EQ(reference.failures, outcome.grid.failures)
+            << kvstore::to_string(store) << " faults " << faults
+            << " threads " << threads;
+        EXPECT_EQ(outcome.stats.cells, 6u);
+        EXPECT_EQ(outcome.stats.threads,
+                  std::min<std::size_t>(threads, faults ? 6 : 4));
+      }
+    }
+  }
+}
+
+TEST(GroupedReplay, FollowerMatchesTryRunOnce) {
+  const workload::Trace trace = small_trace();
+  const workload::CompiledTrace compiled(trace);
+  const std::vector<hybridmem::Placement> placements =
+      sweep_placements(trace);
+
+  for (const kvstore::StoreKind store : kStores) {
+    SensitivityConfig cfg;
+    cfg.store = store;
+    const SensitivityEngine engine(cfg);
+    for (const hybridmem::Placement& placement : placements) {
+      // Recording is purely observational: the leader's own measurement
+      // is the unrecorded one, bit for bit.
+      ReplaySkeleton skeleton;
+      const util::Result<RunMeasurement> leader =
+          engine.try_run_once(compiled, placement, 0, 0, nullptr, &skeleton);
+      ASSERT_TRUE(leader.ok());
+      EXPECT_EQ(leader.value(),
+                engine.try_run_once(compiled, placement, 0).value());
+      ASSERT_TRUE(skeleton.shareable);
+      ASSERT_EQ(skeleton.service_ns.size(), compiled.request_count());
+
+      // Siblings with and without arenas, across arena reuse cycles, and
+      // the degenerate sibling that shares the leader's own repeat.
+      util::Arena arena;
+      for (const int repeat : {1, 2, 0}) {
+        const RunMeasurement expected =
+            engine.try_run_once(compiled, placement, repeat).value();
+        EXPECT_EQ(engine.replay_skeleton(compiled, placement, repeat,
+                                         skeleton)
+                      .value(),
+                  expected)
+            << kvstore::to_string(store) << " repeat " << repeat;
+        arena.reset();
+        EXPECT_EQ(engine.replay_skeleton(compiled, placement, repeat,
+                                         skeleton, &arena)
+                      .value(),
+                  expected)
+            << kvstore::to_string(store) << " repeat " << repeat << " arena";
+      }
+    }
+  }
+}
+
+// Placement groups form by placement content across the whole cell list:
+// a sibling copied to a new address, a sibling separated from its leader
+// by other groups, and a duplicate of the leader's own cell all replay the
+// leader's skeleton — and still match their own full replay exactly.
+TEST(GroupedReplay, RepeatSiblingsMatchPerCellExactly) {
+  const workload::Trace trace = small_trace();
+  const std::vector<hybridmem::Placement> placements =
+      sweep_placements(trace);
+  const hybridmem::Placement half_copy = placements[1];
+
+  for (const kvstore::StoreKind store : kStores) {
+    SensitivityConfig cfg;
+    cfg.store = store;
+    const SensitivityEngine engine(cfg);
+    const std::vector<CampaignCell> cells = {
+        {placements[1], 0},  // leader
+        {half_copy, 1},      // sibling via content equality
+        {placements[2], 0},  // another group between siblings
+        {placements[0], 0},  // a singleton group
+        {placements[1], 2},  // sibling after the gap
+        {placements[2], 1},  // the middle group's sibling
+        {placements[1], 0},  // duplicate of the leader's cell
+    };
+    const std::vector<RunMeasurement> oracle = per_cell(engine, trace, cells);
+    for (const std::size_t threads : kThreadCounts) {
+      CampaignRunner grouped(threads);
+      EXPECT_EQ(grouped.run(engine, trace, cells), oracle)
+          << kvstore::to_string(store) << " threads " << threads;
+      // Two shared groups: 7 - 2 cells are runnable at once at most.
+      EXPECT_EQ(grouped.stats().threads, std::min<std::size_t>(threads, 5));
+    }
+    // The duplicate shares the leader's seed, so the whole measurement —
+    // noise stream included — must be bit-equal to it.
+    EXPECT_EQ(oracle[6], oracle[0]) << kvstore::to_string(store);
+  }
+}
+
+// Repeats 1: every group is a leader alone, nothing is shared, and every
+// cell is runnable at once — including more groups than workers.
+TEST(GroupedReplay, SingleRepeatGridsHaveNoFollowers) {
+  const workload::Trace trace = small_trace();
+  const std::vector<hybridmem::Placement> placements =
+      sweep_placements(trace, 6);
+  SensitivityConfig cfg;
+  cfg.repeats = 1;
+  const SensitivityEngine engine(cfg);
+  const std::vector<CampaignCell> cells = grid_cells(placements, 1);
+  const std::vector<RunMeasurement> oracle = per_cell(engine, trace, cells);
+  for (const std::size_t threads : kThreadCounts) {
+    CampaignRunner grouped(threads);
+    EXPECT_EQ(grouped.run(engine, trace, cells), oracle)
+        << "threads " << threads;
+    EXPECT_EQ(grouped.stats().threads, std::min<std::size_t>(threads, 6));
+  }
+}
+
+TEST(GroupedReplay, MoreGroupsThanWorkersStayBitIdentical) {
+  const workload::Trace trace = small_trace();
+  const std::vector<hybridmem::Placement> placements =
+      sweep_placements(trace, 7);
+  SensitivityConfig cfg;
+  cfg.store = kvstore::StoreKind::kCachet;
+  cfg.repeats = 2;
+  const SensitivityEngine engine(cfg);
+  const std::vector<CampaignCell> cells = grid_cells(placements, 2);
+  const std::vector<RunMeasurement> oracle = per_cell(engine, trace, cells);
+  CampaignRunner grouped(2);
+  EXPECT_EQ(grouped.run(engine, trace, cells), oracle);
+  EXPECT_EQ(grouped.stats().threads, 2u);
+  const CampaignRunner::AsyncOutcome outcome =
+      run_async(cfg, trace, placements, 2);
+  ASSERT_EQ(outcome.error, nullptr);
+  CampaignRunner legacy(1);
+  legacy.set_replay_mode(ReplayMode::kLegacy);
+  EXPECT_EQ(outcome.grid.measurements,
+            legacy.measure_grid_checked(engine, trace, placements)
+                .measurements);
+}
+
+// A leader that fails publishes no skeleton; its siblings replay fully and
+// reproduce its typed error, with the same ledger per-cell replay keeps.
+TEST(GroupedReplay, LeaderErrorIsReproducedByItsFollowers) {
+  const workload::Trace trace("empty", 16, {},
+                              std::vector<std::uint64_t>(16, 64));
+  const hybridmem::Placement placement(trace.key_count(),
+                                       hybridmem::NodeId::kFast);
+  SensitivityConfig cfg;
+  cfg.repeats = 3;
+  const SensitivityEngine engine(cfg);
+  const std::vector<CampaignCell> cells = grid_cells({placement}, 3);
+
+  CampaignRunner compiled(1);
+  compiled.set_replay_mode(ReplayMode::kCompiled);
+  const CampaignResult reference = compiled.run_checked(engine, trace, cells);
+  ASSERT_EQ(reference.failures.size(), cells.size());
+  for (const std::size_t threads : kThreadCounts) {
+    CampaignRunner grouped(threads);
+    const CampaignResult out = grouped.run_checked(engine, trace, cells);
+    EXPECT_EQ(out.failures, reference.failures) << "threads " << threads;
+    for (const CellFailure& f : out.failures) {
+      EXPECT_EQ(f.error.code, util::ErrorCode::kInvalidArgument);
+      EXPECT_EQ(f.attempts, 2);
+    }
+  }
+}
+
+// Evictions and TTL expirations are the store paths that can depend on the
+// per-repeat seed; a leader whose stores counted either publishes nothing.
+// No engine grid reaches them (the platform is sized at twice the
+// dataset), so the rule is checked on deployments driven into both.
+TEST(GroupedReplay, EvictionsOrExpirationsForbidSharing) {
+  kvstore::StoreConfig store_cfg;
+  store_cfg.deterministic_service = true;
+
+  hybridmem::HybridMemory healthy(
+      hybridmem::paper_testbed_with_capacity(64 * util::kMiB));
+  const kvstore::DualServer quiet(healthy, kvstore::StoreKind::kVermilion,
+                                  store_cfg);
+  EXPECT_TRUE(ReplaySkeleton::repeat_invariant(quiet.combined_stats()));
+
+  hybridmem::HybridMemory tight(
+      hybridmem::paper_testbed_with_capacity(4 * util::kMiB));
+  kvstore::DualServer evicting(tight, kvstore::StoreKind::kCachet, store_cfg);
+  for (std::uint64_t k = 0; k < 100; ++k) {
+    ASSERT_TRUE(evicting.slow().put(k, 100 * util::kKiB).ok);
+  }
+  ASSERT_GT(evicting.combined_stats().evictions, 0u);
+  EXPECT_FALSE(ReplaySkeleton::repeat_invariant(evicting.combined_stats()));
+
+  hybridmem::HybridMemory roomy(
+      hybridmem::paper_testbed_with_capacity(64 * util::kMiB));
+  kvstore::DualServer expiring(roomy, kvstore::StoreKind::kVermilion,
+                               store_cfg);
+  ASSERT_TRUE(expiring.slow().put_ttl(1, 1000, /*ttl_ns=*/1.0).ok);
+  (void)expiring.slow().put(2, 1000);
+  EXPECT_FALSE(expiring.slow().get(1).ok);
+  ASSERT_EQ(expiring.combined_stats().expirations, 1u);
+  EXPECT_FALSE(ReplaySkeleton::repeat_invariant(expiring.combined_stats()));
+}
+
+// Cancellation lands after the first leader settles and before any of its
+// followers (or the second leader) starts: one worker, blocked until the
+// whole schedule is queued, runs the grid's first leader, then the
+// canceling task (its group holds the round's next credit). The grid must
+// publish nothing.
+TEST(GroupedReplay, CancelBetweenLeaderAndFollowersLeavesNoPartialGrid) {
+  const workload::Trace trace = small_trace();
+  const std::vector<hybridmem::Placement> placements =
+      sweep_placements(trace, 2);
+  SensitivityConfig cfg;
+  cfg.repeats = 3;
+
+  faultinject::IoFaultPlan chaos_plan;  // counts every cell that starts
+  chaos_plan.slow_cell_rate = 1.0;
+  chaos_plan.slow_cell_ms = 0.001;
+  faultinject::ScopedIoFaults chaos(chaos_plan);
+
+  const std::size_t recorded = campaign_totals().cells;
+  util::CancelToken token;
+  util::TaskScheduler sched(1);
+  auto blocker = sched.make_group();
+  auto grid_group = sched.make_group();
+  auto canceler = sched.make_group();
+  std::latch queued(1);
+  blocker->submit(util::TaskScheduler::TaskClass::kCell,
+                  [&] { queued.wait(); });
+  std::promise<CampaignRunner::AsyncOutcome> settled;
+  CampaignRunner::measure_grid_checked_async(
+      std::make_shared<const SensitivityEngine>(cfg), trace, placements,
+      &token, grid_group, [&](CampaignRunner::AsyncOutcome outcome) {
+        settled.set_value(std::move(outcome));
+      });
+  canceler->submit(util::TaskScheduler::TaskClass::kCell, [&] {
+    token.cancel({util::ErrorCode::kCanceled, "client hung up"});
+  });
+  queued.count_down();
+
+  const CampaignRunner::AsyncOutcome outcome = settled.get_future().get();
+  ASSERT_NE(outcome.error, nullptr);
+  try {
+    std::rethrow_exception(outcome.error);
+  } catch (const util::CanceledError& e) {
+    EXPECT_EQ(e.error().code, util::ErrorCode::kCanceled);
+  }
+  EXPECT_TRUE(outcome.grid.measurements.empty());
+  EXPECT_TRUE(outcome.grid.failures.empty());
+  EXPECT_EQ(chaos.injector().stats().delayed_cells, 1u)
+      << "only the first leader may start";
+  EXPECT_EQ(campaign_totals().cells, recorded);
+}
+
+TEST(GroupedReplay, StatsReportFanOutAndArenaPeak) {
+  const workload::Trace trace = small_trace();
+  const std::vector<hybridmem::Placement> placements =
+      sweep_placements(trace);
+  SensitivityConfig cfg;
+  cfg.repeats = 2;
+  const SensitivityEngine engine(cfg);
+
+  reset_campaign_totals();
+  CampaignRunner runner(8);
+  (void)runner.measure_grid(engine, trace, placements);
+  const CampaignStats& s = runner.stats();
+  EXPECT_EQ(s.cells, 6u);
+  EXPECT_EQ(s.threads, 3u);  // 6 cells, 3 shared groups
+  EXPECT_GT(s.arena_peak_bytes, 0u);
+  const std::string table = s.render("campaign");
+  EXPECT_EQ(table.find("lane width"), std::string::npos);
+  EXPECT_NE(table.find("arena peak (KiB)"), std::string::npos);
+
+  const CampaignStats totals = campaign_totals();
+  EXPECT_EQ(totals.threads, 3u);
+  EXPECT_EQ(totals.arena_peak_bytes, s.arena_peak_bytes);
+  reset_campaign_totals();
+}
+
+}  // namespace
+}  // namespace mnemo::core

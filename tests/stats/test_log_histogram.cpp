@@ -104,8 +104,8 @@ TEST(MixtureQuantile, WeightsShiftTheTail) {
 }
 
 TEST(LogHistogram, BucketBoundsTableIsExactAtEveryBoundary) {
-  // bucket_bounds() is the 256-entry partition table the lane-fused
-  // replay feeds to util::simd::partition_index_batch: bounds[i] must be
+  // bucket_bounds() is the 256-entry partition table add_batch feeds to
+  // util::simd::partition_index_batch: bounds[i] must be
   // the smallest double classified into bucket i, so batch bucketing by
   // "largest i with bounds[i] <= x" reproduces bucket_index() bit for
   // bit. Probe every boundary and its one-ulp neighbour.

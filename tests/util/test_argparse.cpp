@@ -134,5 +134,20 @@ TEST(ArgParser, HelpMentionsEveryOption) {
   EXPECT_NE(help.find("default: 10"), std::string::npos);
 }
 
+TEST(StrictParse, WholeStringNumbersOnly) {
+  EXPECT_EQ(parse_u64("0"), 0u);
+  EXPECT_EQ(parse_u64("8"), 8u);
+  EXPECT_EQ(parse_u64("18446744073709551615"), ~std::uint64_t{0});
+  for (const char* bad : {"", "abc", "-1", "+1", "4x", " 4", "4 ", "1.5",
+                          "18446744073709551616"}) {
+    EXPECT_EQ(parse_u64(bad), std::nullopt) << "'" << bad << "'";
+  }
+  EXPECT_EQ(parse_double("0.1"), 0.1);
+  EXPECT_EQ(parse_double("-2.5e-1"), -0.25);
+  for (const char* bad : {"", "abc", "0.1x", "1e999", " 0.1"}) {
+    EXPECT_EQ(parse_double(bad), std::nullopt) << "'" << bad << "'";
+  }
+}
+
 }  // namespace
 }  // namespace mnemo::util

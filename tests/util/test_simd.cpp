@@ -83,31 +83,6 @@ TEST(Simd, MinDoubleMatchesMinElement) {
   EXPECT_EQ(min_double(head_min.data(), head_min.size()), -3.0);
 }
 
-TEST(Simd, AccumulateLanesIsElementwiseExactAddition) {
-  util::Rng rng(43);
-  for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{4},
-                              std::size_t{5}, std::size_t{8}, std::size_t{16},
-                              std::size_t{31}}) {
-    std::vector<double> acc(n);
-    std::vector<double> x(n);
-    std::vector<double> expected(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      acc[i] = rng.gaussian() * 1e3;
-      x[i] = rng.gaussian() * 1e3;
-      expected[i] = acc[i] + x[i];
-    }
-    // Dead lanes contribute +0.0, which must be bit-exact identity.
-    if (n > 1) {
-      x[n / 2] = 0.0;
-      expected[n / 2] = acc[n / 2] + 0.0;
-    }
-    accumulate_lanes(acc.data(), x.data(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(acc[i], expected[i]) << "n=" << n << " i=" << i;
-    }
-  }
-}
-
 TEST(Simd, PartitionIndexBatchMatchesUpperBound) {
   // Same shape as stats::LogHistogram::bucket_bounds(): ascending, -inf
   // sentinel at 0, +inf padding past the live entries.

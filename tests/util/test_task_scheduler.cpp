@@ -1,8 +1,9 @@
 // Dispatch-law property tests for the TaskScheduler (tentpole): EDF
 // ordering across groups, weighted-round-robin fairness without
 // starvation, run_batch fork-join semantics (exceptions, nesting,
-// cooperative help), cancellation shedding at cell boundaries, and the
-// deadline timer queue that replaced the watchdog thread.
+// cooperative help) and the help_until join, cancellation shedding at
+// cell boundaries, and the deadline timer queue that replaced the
+// watchdog thread.
 //
 // Ordering tests use a single-worker scheduler plus a gate task: while
 // the only worker is parked inside the gate, the test stages a known
@@ -206,6 +207,31 @@ TEST(TaskSchedulerBatch, NestedRunBatchFromAWorkerTaskCompletes) {
     result.set_value(sum.load());
   });
   EXPECT_EQ(result.get_future().get(), 1 + 2 + 3 + 4);
+}
+
+TEST(TaskSchedulerBatch, HelpUntilJoinsTasksThatSpawnMoreTasks) {
+  // A campaign's leaders queue their followers as they settle, so the
+  // join waits on a condition, not a batch count. Driven from a worker
+  // task of a one-worker scheduler: only the caller's own help can run
+  // the spawned cells, so this deadlocks unless help_until drains them.
+  TaskScheduler sched(1);
+  auto driver_group = sched.make_group();
+  std::promise<int> result;
+  driver_group->submit(TaskClass::kRequest, [&] {
+    auto cells = sched.make_group();
+    std::atomic<int> settled{0};
+    for (int leader = 0; leader < 3; ++leader) {
+      cells->submit(TaskClass::kCell, [&] {
+        for (int follower = 0; follower < 2; ++follower) {
+          cells->submit(TaskClass::kCell, [&] { ++settled; });
+        }
+        ++settled;
+      });
+    }
+    sched.help_until([&] { return settled.load() == 9; });
+    result.set_value(settled.load());
+  });
+  EXPECT_EQ(result.get_future().get(), 9);
 }
 
 TEST(TaskSchedulerCancel, CanceledGroupShedsItsWholeBatch) {
