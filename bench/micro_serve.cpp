@@ -52,6 +52,16 @@ namespace {
 
 using namespace mnemo;
 
+/// One request through submit_line, the live request path; returns the
+/// response line.
+std::string ask(serve::Server& server, const serve::Request& req) {
+  return server.submit_line(req.to_json_line()).get();
+}
+
+[[nodiscard]] bool answered_ok(const std::string& line) {
+  return line.find("\"ok\":true") != std::string::npos;
+}
+
 struct PhaseResult {
   double min_s = 0.0;
   double median_s = 0.0;
@@ -225,13 +235,14 @@ int main(int argc, char** argv) {
   for (int r = 0; r < repeats; ++r) {
     const std::size_t before = core::campaign_totals().cells;
     util::WallTimer timer;
-    const serve::Response resp = cold_server.handle(
-        make_request(smoke, "cold-" + std::to_string(r),
-                     0x5eed0000ULL + static_cast<std::uint64_t>(r)));
+    const std::string line =
+        ask(cold_server,
+            make_request(smoke, "cold-" + std::to_string(r),
+                         0x5eed0000ULL + static_cast<std::uint64_t>(r)));
     cold_s.push_back(timer.elapsed_s());
-    if (!resp.ok) {
+    if (!answered_ok(line)) {
       std::fprintf(stderr, "micro_serve: cold request failed: %s\n",
-                   resp.error_message.c_str());
+                   line.c_str());
       return 1;
     }
     cold_cells = core::campaign_totals().cells - before;
@@ -243,10 +254,11 @@ int main(int argc, char** argv) {
   for (int r = 0; r < repeats; ++r) {
     const std::size_t before = core::campaign_totals().cells;
     util::WallTimer timer;
-    const serve::Response resp = cold_server.handle(
+    const std::string line = ask(
+        cold_server,
         make_request(smoke, "warm-" + std::to_string(r), 0x5eed0000ULL));
     warm_s.push_back(timer.elapsed_s());
-    if (!resp.ok) return 1;
+    if (!answered_ok(line)) return 1;
     warm_cells = core::campaign_totals().cells - before;
   }
 
@@ -335,7 +347,7 @@ int main(int argc, char** argv) {
         waiters.emplace_back([&, i] {
           const std::string line = smalls[i].get();
           small_done[i] = timer.elapsed_s();
-          if (line.find("\"ok\":true") == std::string::npos) {
+          if (!answered_ok(line)) {
             std::fprintf(stderr, "micro_serve: mixed small failed: %s\n",
                          line.c_str());
             std::exit(1);
@@ -348,7 +360,8 @@ int main(int argc, char** argv) {
     }
 
     // Whole-request baseline: same request mix and arrival order, but
-    // dispatcher threads own one request each from admission to answer.
+    // dispatcher threads own one request each from admission to answer,
+    // so at most kMixedThreads requests are in service at once.
     {
       serve::ServeOptions options;
       options.threads = kMixedThreads;
@@ -370,12 +383,12 @@ int main(int argc, char** argv) {
           for (;;) {
             const std::size_t i = next.fetch_add(1);
             if (i >= fifo.size()) return;
-            const serve::Response resp = server.handle(fifo[i]);
+            const std::string line = ask(server, fifo[i]);
             done[i] = timer.elapsed_s();
-            if (!resp.ok) {
+            if (!answered_ok(line)) {
               std::fprintf(stderr,
                            "micro_serve: mixed baseline failed: %s\n",
-                           resp.error_message.c_str());
+                           line.c_str());
               std::exit(1);
             }
           }

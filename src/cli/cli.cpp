@@ -30,7 +30,7 @@ int run(const std::vector<std::string>& args, std::ostream& out,
       {"spec", cmd_spec},
       {"inspect", cmd_inspect},
       {"downsample", cmd_downsample},
-      {"profile", cmd_profile},
+      {"profile", cmd_run},  // alias: the same pipeline as `run`
       {"plan", cmd_plan},
       {"compare", cmd_compare},
       {"tails", cmd_tails},

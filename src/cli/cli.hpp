@@ -14,8 +14,8 @@ namespace mnemo::cli {
 ///   workloads            list the built-in Table III workload suite
 ///   generate             materialize a workload trace to CSV
 ///   inspect              characterize a workload (skew, reuse, cache fit)
-///   profile              run Mnemo/MnemoT on a workload, emit the advice
-///   run                  the same flow as explicit pipeline stages
+///   run                  run Mnemo/MnemoT on a workload, emit the advice
+///   profile              alias of run
 ///   characterize         stage 1: access pattern and key ordering
 ///   measure              stage 2: baseline measurement campaign
 ///   advise               stages 1-4: SLO verdict against a warm cache

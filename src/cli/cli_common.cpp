@@ -1,6 +1,7 @@
 #include "cli/cli_common.hpp"
 
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 
 #include "core/campaign.hpp"
@@ -10,6 +11,20 @@
 #include "workload/suite.hpp"
 
 namespace mnemo::cli {
+
+namespace {
+
+/// A well-formed number outside the domain the consultant is defined on
+/// takes the same named-error path as a malformed one.
+void check_domain(const util::ArgParser& parser, const std::string& name,
+                  bool in_domain, const std::string& domain) {
+  if (!in_domain) {
+    throw std::invalid_argument("--" + name + ": must be " + domain +
+                                ", got " + parser.get(name));
+  }
+}
+
+}  // namespace
 
 kvstore::StoreKind parse_store(const std::string& name) {
   for (const kvstore::StoreKind kind : kvstore::kAllStoreKinds) {
@@ -82,8 +97,17 @@ core::MnemoConfig mnemo_config(const util::ArgParser& parser) {
                                            : core::OrderingPolicy::kTouchOrder;
   cfg.estimate_model = parse_model(parser.get("model"));
   cfg.price_factor = parser.get_double("p");
+  check_domain(parser, "p", cfg.price_factor > 0.0 && cfg.price_factor < 1.0,
+               "in (0, 1)");
   cfg.slo_slowdown = parser.get_double("slo");
-  cfg.repeats = static_cast<int>(parser.get_u64("repeats"));
+  check_domain(parser, "slo",
+               cfg.slo_slowdown >= 0.0 && cfg.slo_slowdown < 1.0,
+               "in [0, 1)");
+  const std::uint64_t repeats = parser.get_u64("repeats");
+  check_domain(parser, "repeats",
+               repeats >= 1 && repeats <= std::numeric_limits<int>::max(),
+               "a positive int");
+  cfg.repeats = static_cast<int>(repeats);
   cfg.threads = static_cast<std::size_t>(parser.get_u64("threads"));
   return cfg;
 }

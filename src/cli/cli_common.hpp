@@ -49,7 +49,7 @@ core::SessionConfig session_config(const util::ArgParser& parser);
 void maybe_explain_cache(const util::ArgParser& parser,
                          core::Session& session, std::ostream& out);
 
-/// Shared tail of the report-emitting commands (profile/run): report
+/// Tail of `run` (and its alias `profile`): report
 /// text, optional --out CSV, quarantine ledger, cache/stats diagnostics.
 /// Returns the exit code (honors --fail-policy abort).
 int emit_session_report(const util::ArgParser& parser,

@@ -10,25 +10,6 @@
 
 namespace mnemo::cli {
 
-int cmd_profile(const Args& args, std::ostream& out, std::ostream& err) {
-  util::ArgParser parser("mnemo profile",
-                         "profile a workload and emit sizing advice");
-  add_workload_options(parser);
-  add_mnemo_options(parser);
-  add_fault_options(parser);
-  add_cache_options(parser);
-  parser.add_option("out", "advice CSV path (key id, est throughput, cost)",
-                    "");
-  std::string error;
-  if (!parser.parse(args, &error)) {
-    err << error << "\n" << parser.help();
-    return 2;
-  }
-  core::Session session(load_workload(parser), session_config(parser));
-  print_fault_banner(session.config().mnemo, out);
-  return emit_session_report(parser, session, out, err);
-}
-
 int cmd_plan(const Args& args, std::ostream& out, std::ostream& err) {
   util::ArgParser parser("mnemo plan",
                          "capacity plan for the Table III suite");

@@ -102,8 +102,8 @@ int cmd_help(std::ostream& out) {
          "  workloads    list the built-in Table III workload suite\n"
          "  generate     materialize a workload trace to CSV\n"
          "  inspect      characterize a workload (skew, reuse, cache fit)\n"
-         "  profile      run Mnemo/MnemoT on a workload, emit the advice\n"
-         "  run          the same flow as explicit pipeline stages\n"
+         "  run          run Mnemo/MnemoT on a workload, emit the advice\n"
+         "  profile      alias of run\n"
          "  characterize stage 1: access pattern and key ordering\n"
          "  measure      stage 2: baseline measurement campaign\n"
          "  advise       stages 1-4: SLO verdict (warm cache: no replays)\n"

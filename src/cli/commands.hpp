@@ -20,7 +20,6 @@ int cmd_inspect(const Args& args, std::ostream& out, std::ostream& err);
 int cmd_downsample(const Args& args, std::ostream& out, std::ostream& err);
 
 // cmd_profile.cpp — one-shot consultant commands
-int cmd_profile(const Args& args, std::ostream& out, std::ostream& err);
 int cmd_plan(const Args& args, std::ostream& out, std::ostream& err);
 int cmd_compare(const Args& args, std::ostream& out, std::ostream& err);
 int cmd_tails(const Args& args, std::ostream& out, std::ostream& err);

@@ -12,7 +12,6 @@
 #include "util/arena.hpp"
 #include "util/assert.hpp"
 #include "util/table.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 #include "workload/compiled_trace.hpp"
 
@@ -422,13 +421,9 @@ std::string CampaignStats::render(const std::string& title) const {
 }
 
 CampaignRunner::CampaignRunner(std::size_t threads,
-                               const util::CancelToken* cancel,
-                               util::TaskScheduler* scheduler,
-                               util::TaskScheduler::Group* group)
+                               const util::CancelToken* cancel)
     : threads_(threads == 0 ? util::hardware_threads() : threads),
-      cancel_(cancel),
-      scheduler_(scheduler),
-      group_(group) {}
+      cancel_(cancel) {}
 
 CampaignResult CampaignRunner::execute(const SensitivityEngine& engine,
                                        const workload::Trace& trace,
@@ -444,8 +439,7 @@ CampaignResult CampaignRunner::execute(const SensitivityEngine& engine,
   // mid-run), so an armed plan makes every cell its own task.
   plan_grid(*g,
             mode_ == ReplayMode::kGrouped && engine.config().faults.empty());
-  stats_ = g->plan_stats(scheduler_ != nullptr ? scheduler_->threads()
-                                               : threads_);
+  stats_ = g->plan_stats(threads_);
   if (cells.empty()) return {};
 
   // Compile once per campaign: the per-key hashes/digests/byte streams are
@@ -454,25 +448,17 @@ CampaignResult CampaignRunner::execute(const SensitivityEngine& engine,
   if (mode_ != ReplayMode::kLegacy) g->compiled.emplace(trace);
 
   util::WallTimer wall;
-  // One executor for the whole grid: the injected scheduler, else one
-  // transient scheduler sized by the fan-out, else (fan-out 1) the caller
-  // alone — the serial reference schedule every parallel run matches.
-  std::optional<util::TaskScheduler> local;
-  util::TaskScheduler* sched = scheduler_;
-  if (sched == nullptr && stats_.threads > 1) {
-    sched = &local.emplace(stats_.threads);
-  }
-  std::shared_ptr<util::TaskScheduler::Group> transient;
-  if (sched != nullptr) {
-    if (scheduler_ == nullptr || group_ == nullptr) {
-      transient = sched->make_group();
-    }
-    g->group = transient != nullptr ? transient.get() : group_;
+  // One executor for the whole grid: a transient scheduler sized by the
+  // fan-out, or (fan-out 1) the caller alone — the serial reference
+  // schedule every parallel run matches.
+  std::optional<util::TaskScheduler> sched;
+  std::shared_ptr<util::TaskScheduler::Group> group;
+  if (stats_.threads > 1) {
+    group = sched.emplace(stats_.threads).make_group();
+    g->group = group.get();
   }
   launch(g);
-  if (sched != nullptr) {
-    sched->help_until([&] { return g->remaining == 0; });
-  }
+  if (sched) sched->help_until([&] { return g->remaining == 0; });
   stats_.wall_s = wall.elapsed_s();
   if (cancel_ != nullptr && cancel_->canceled()) {
     throw util::CanceledError(cancel_->reason());

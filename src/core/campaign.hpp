@@ -127,17 +127,11 @@ class CampaignRunner {
   /// and a canceled run throws util::CanceledError instead of returning,
   /// so partial grids can never flow into caches or artifacts.
   ///
-  /// When `scheduler` is set the runner owns no workers at all: cells run
-  /// as tasks of `group` (or of a transient group when `group` is null) on
-  /// the shared scheduler, interleaved with every other campaign's cells
-  /// under its fairness policy, while the calling thread cooperatively
-  /// helps. Without a scheduler the runner builds one transient scheduler
-  /// per grid, sized by the grid's fan-out — or, when that is 1, runs the
-  /// grid as a plain loop on the caller and spawns no threads.
+  /// Each grid runs on one transient scheduler sized by the grid's
+  /// fan-out, the calling thread helping — or, when the fan-out is 1, as a
+  /// plain loop on the caller that spawns no threads.
   explicit CampaignRunner(std::size_t threads = 0,
-                          const util::CancelToken* cancel = nullptr,
-                          util::TaskScheduler* scheduler = nullptr,
-                          util::TaskScheduler::Group* group = nullptr);
+                          const util::CancelToken* cancel = nullptr);
 
   /// Execute every cell and return one measurement per cell, in cell
   /// order regardless of scheduling.
@@ -213,8 +207,8 @@ class CampaignRunner {
 
  private:
   /// The synchronous grid core behind run() and run_checked(): plans the
-  /// placement groups, replays them on the injected scheduler, a transient
-  /// one or the caller alone, and joins. `checked` selects the fault-aware
+  /// placement groups, replays them on a transient scheduler or the
+  /// caller alone, and joins. `checked` selects the fault-aware
   /// attempt rule (see run_checked).
   [[nodiscard]] CampaignResult execute(const SensitivityEngine& engine,
                                        const workload::Trace& trace,
@@ -223,8 +217,6 @@ class CampaignRunner {
 
   std::size_t threads_;
   const util::CancelToken* cancel_;
-  util::TaskScheduler* scheduler_;
-  util::TaskScheduler::Group* group_;
   ReplayMode mode_ = ReplayMode::kGrouped;
   CampaignStats stats_;
 };

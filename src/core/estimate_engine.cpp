@@ -65,15 +65,21 @@ EstimateCurve EstimateEngine::estimate(
   // so they sum exactly to the measured runtime gap. For the uniform
   // model this is an identity (factor 1 up to float error); for the
   // size-aware model it absorbs regression residuals. If the refunds are
-  // degenerate (no size information at all), fall back to uniform deltas.
+  // degenerate (no size information at all), fall back to uniform deltas;
+  // if those carry no signal either, spread the gap evenly over the keys.
   const double gap = baselines.slow.runtime_ns - baselines.fast.runtime_ns;
   if (total_refund <= 0.0 && size_aware) {
+    total_refund = 0.0;
     for (std::size_t i = 0; i < order.size(); ++i) {
       refunds[i] = uniform_refund(order[i]);
       total_refund += refunds[i];
     }
   }
-  const double scale = total_refund > 0.0 ? gap / total_refund : 0.0;
+  if (total_refund == 0.0) {
+    refunds.assign(refunds.size(), 1.0);
+    total_refund = static_cast<double>(refunds.size());
+  }
+  const double scale = total_refund != 0.0 ? gap / total_refund : 0.0;
 
   EstimateCurve curve;
   curve.points.reserve(order.size() + 1);

@@ -56,13 +56,6 @@ struct MnemoConfig {
   /// part of any cache key: a deadline changes whether an answer arrives,
   /// never what it is.
   const util::CancelToken* cancel = nullptr;
-  /// Optional shared executor + task group for the measurement campaigns
-  /// (not owned; must outlive the session's stage calls). The serve layer
-  /// sets these so every request's campaign cells interleave on one
-  /// global scheduler; the CLI leaves them null and gets a transient
-  /// per-campaign fan-out. Never changes results, never hashed into keys.
-  util::TaskScheduler* scheduler = nullptr;
-  util::TaskScheduler::Group* group = nullptr;
 
   MnemoConfig();
 };

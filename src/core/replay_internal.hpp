@@ -14,7 +14,6 @@
 #include "core/baselines.hpp"
 #include "stats/summary.hpp"
 #include "util/assert.hpp"
-#include "util/simd.hpp"
 #include "util/status.hpp"
 #include "workload/compiled_trace.hpp"
 
@@ -66,8 +65,8 @@ enum class PercentileMode : std::uint8_t {
 
 /// percentile_sorted without the sort: nth_element places exactly the
 /// value that would sit at sorted rank `lo`, and the interpolation
-/// partner at rank lo+1 is the minimum of the right partition (found by
-/// util::simd::min_double — exact, order-independent). The interpolation
+/// partner at rank lo+1 is the minimum of the right partition (exact and
+/// order-independent on these NaN-free streams). The interpolation
 /// arithmetic is identical to stats::percentile_sorted, so the result is
 /// the same double to the last bit. Mutates `scratch` (partial
 /// ordering); O(n) per call.
@@ -81,8 +80,7 @@ template <typename Vec>
   const auto nth = scratch.begin() + static_cast<std::ptrdiff_t>(lo);
   std::nth_element(scratch.begin(), nth, scratch.end());
   if (lo + 1 >= scratch.size()) return scratch[scratch.size() - 1];
-  const double next =
-      util::simd::min_double(scratch.data() + lo + 1, scratch.size() - lo - 1);
+  const double next = *std::min_element(nth + 1, scratch.end());
   return *nth * (1.0 - frac) + next * frac;
 }
 

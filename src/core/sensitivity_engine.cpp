@@ -301,15 +301,13 @@ util::Result<RunMeasurement> SensitivityEngine::replay_skeleton(
 RunMeasurement SensitivityEngine::measure(
     const workload::Trace& trace,
     const hybridmem::Placement& placement) const {
-  CampaignRunner runner(config_.threads, config_.cancel, config_.scheduler,
-                        config_.group);
+  CampaignRunner runner(config_.threads, config_.cancel);
   return runner.measure_grid(*this, trace, {placement}).front();
 }
 
 PerfBaselines SensitivityEngine::baselines(
     const workload::Trace& trace) const {
-  CampaignRunner runner(config_.threads, config_.cancel, config_.scheduler,
-                        config_.group);
+  CampaignRunner runner(config_.threads, config_.cancel);
   const std::vector<RunMeasurement> merged = runner.measure_grid(
       *this, trace,
       {hybridmem::Placement(trace.key_count(), hybridmem::NodeId::kFast),

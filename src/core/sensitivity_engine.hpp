@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory_resource>
 #include <vector>
@@ -12,7 +13,6 @@
 #include "kvstore/service_profile.hpp"
 #include "util/cancel.hpp"
 #include "util/status.hpp"
-#include "util/task_scheduler.hpp"
 #include "workload/trace.hpp"
 
 namespace mnemo::util {
@@ -45,13 +45,6 @@ struct SensitivityConfig {
   /// campaign cells; never hashed into cache keys — a request's deadline
   /// does not change what the answer *is*, only whether it finishes.
   const util::CancelToken* cancel = nullptr;
-  /// Optional shared executor for the campaigns (not owned; must outlive
-  /// the engine's calls). When set, cells run as tasks of `group` (or of
-  /// a transient group) instead of on a private pool — the serve layer
-  /// threads its global scheduler through here so every request's cells
-  /// interleave under one fairness policy. Never changes results.
-  util::TaskScheduler* scheduler = nullptr;
-  util::TaskScheduler::Group* group = nullptr;
 
   SensitivityConfig();
 };

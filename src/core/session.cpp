@@ -32,8 +32,6 @@ SensitivityConfig to_sensitivity_config(const MnemoConfig& cfg) {
   s.threads = cfg.threads;
   s.faults = cfg.faults;
   s.cancel = cfg.cancel;
-  s.scheduler = cfg.scheduler;
-  s.group = cfg.group;
   return s;
 }
 
@@ -248,8 +246,7 @@ const MeasureArtifact& Session::measure() {
   // Degraded-mode campaign (DESIGN.md §7): a cell is accepted only when
   // it is bit-identical to the fault-free platform; a lost baseline
   // quarantines the estimates instead of silently skewing them.
-  CampaignRunner runner(config_.mnemo.threads, config_.mnemo.cancel,
-                        config_.mnemo.scheduler, config_.mnemo.group);
+  CampaignRunner runner(config_.mnemo.threads, config_.mnemo.cancel);
   CampaignResult grid = runner.measure_grid_checked(
       sensitivity, trace_,
       {hybridmem::Placement(trace_.key_count(), hybridmem::NodeId::kFast),

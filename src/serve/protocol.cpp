@@ -43,10 +43,15 @@ std::uint64_t read_u64(const JsonValue::Member& m, std::uint64_t max) {
   return v.magnitude;
 }
 
-double read_positive_double(const JsonValue::Member& m) {
+/// A price factor or SLO slowdown: the cost model and the SLO advisor
+/// are defined only strictly between 0 and 1.
+double read_fraction(const JsonValue::Member& m) {
   const JsonValue& v = expect_kind(m, JsonValue::Kind::kNumber);
   if (!(v.number > 0.0)) {
     fail_at(m.pos, "field '" + m.key + "' must be > 0");
+  }
+  if (!(v.number < 1.0)) {
+    fail_at(m.pos, "field '" + m.key + "' must be < 1");
   }
   return v.number;
 }
@@ -140,9 +145,9 @@ Request Request::parse_line(std::string_view line) {
       }
       req.model = name;
     } else if (m.key == "p") {
-      req.p = read_positive_double(m);
+      req.p = read_fraction(m);
     } else if (m.key == "slo") {
-      req.slo = read_positive_double(m);
+      req.slo = read_fraction(m);
     } else if (m.key == "repeats") {
       const std::uint64_t r = read_u64(m, kMaxRepeats);
       if (r == 0) fail_at(m.pos, "field 'repeats' must be >= 1");

@@ -18,7 +18,6 @@
 #include "serve/json.hpp"
 #include "util/assert.hpp"
 #include "util/logging.hpp"
-#include "util/timer.hpp"
 #include "workload/suite.hpp"
 
 namespace mnemo::serve {
@@ -55,8 +54,8 @@ workload::Trace request_trace(const Request& req) {
   return workload::Trace::generate(spec);
 }
 
-/// The one exception -> typed response mapping, shared by the sync and
-/// async paths. Must be called from inside a catch block.
+/// The one exception -> typed response mapping of every request step.
+/// Must be called from inside a catch block.
 Response response_for_exception(const Request& request) {
   try {
     throw;
@@ -152,9 +151,8 @@ Server::~Server() {
   drain_cv_.wait(lock, [this] { return pending_ == 0; });
 }
 
-core::SessionConfig Server::make_session_config(
-    const Request& request, util::CancelToken* cancel,
-    util::TaskScheduler::Group* group) {
+core::SessionConfig Server::make_session_config(const Request& request,
+                                                util::CancelToken* cancel) {
   core::SessionConfig sc;
   sc.mnemo.store = store_kind(request.store);
   sc.mnemo.ordering = request.tiered ? core::OrderingPolicy::kTiered
@@ -168,8 +166,6 @@ core::SessionConfig Server::make_session_config(
   // thread-count-invariant (DESIGN.md §6).
   sc.mnemo.threads = scheduler_.threads();
   sc.mnemo.cancel = cancel;
-  sc.mnemo.scheduler = &scheduler_;
-  sc.mnemo.group = group;
   sc.use_cache = options_.use_cache;
   sc.shared_store = &store_;
   return sc;
@@ -229,68 +225,6 @@ void Server::account(Response& resp, const Request& request, double queue_ms,
   }
 }
 
-Response Server::handle(const Request& request, util::CancelToken* cancel) {
-  if (options_.on_request) options_.on_request(request);
-  util::WallTimer run_timer;
-  Response resp;
-  resp.id = request.id;
-  resp.op = request.op;
-  std::unique_ptr<core::Session> session;
-  try {
-    if (request.op == RequestOp::kStats) {
-      resp.ok = true;
-      resp.output = stats().render();
-    } else {
-      session = std::make_unique<core::Session>(
-          request_trace(request),
-          make_session_config(request, cancel, /*group=*/nullptr));
-      if (request.op != RequestOp::kCharacterize) {
-        resolve_measure(*session, cancel);
-      }
-      render_answer(request, *session, resp);
-    }
-  } catch (...) {
-    resp = response_for_exception(request);
-  }
-  account(resp, request, /*queue_ms=*/0.0, run_timer.elapsed_s() * 1e3,
-          session != nullptr ? session->campaign_cells_run() : 0);
-  return resp;
-}
-
-void Server::resolve_measure(core::Session& session,
-                             util::CancelToken* cancel) {
-  const std::string key = session.measure_key();
-  // Fast path: a prior stage load already materialized it (disk cache).
-  if (session.measured()) return;
-  MeasureCache::Lease lease = measures_.acquire(key, cancel);
-  if (!lease.leader) {
-    session.adopt_measure(*lease.artifact);
-    std::lock_guard lock(mu_);
-    if (lease.joined) {
-      ++stats_.single_flight_joins;
-    } else {
-      ++stats_.measure_memo_hits;
-    }
-    return;
-  }
-  try {
-    const core::MeasureArtifact& m = session.measure();
-    // Degraded grids never enter the memo, matching the artifact store's
-    // rule: a faulted campaign must not be laundered into later requests.
-    if (!m.degraded && m.failures.empty()) {
-      measures_.publish(key,
-                        std::make_shared<const core::MeasureArtifact>(m));
-    } else {
-      measures_.abandon(key);
-    }
-    std::lock_guard lock(mu_);
-    ++stats_.measure_leads;
-  } catch (...) {
-    measures_.abandon(key);
-    throw;
-  }
-}
-
 void Server::start_request(const std::shared_ptr<RequestCtx>& ctx) {
   ctx->started = std::chrono::steady_clock::now();
   try {
@@ -306,7 +240,7 @@ void Server::start_request(const std::shared_ptr<RequestCtx>& ctx) {
     }
     ctx->session = std::make_unique<core::Session>(
         request_trace(ctx->req),
-        make_session_config(ctx->req, ctx->token.get(), ctx->group.get()));
+        make_session_config(ctx->req, ctx->token.get()));
     if (ctx->req.op == RequestOp::kCharacterize) {
       finish(ctx);
       return;
@@ -461,12 +395,11 @@ std::future<std::string> Server::submit_line(std::string line) {
   const std::uint64_t deadline_ms = ctx->req.deadline_ms != 0
                                         ? ctx->req.deadline_ms
                                         : options_.default_deadline_ms;
-  util::TaskScheduler::GroupOptions gopts;
+  util::Deadline deadline;
   if (deadline_ms != 0) {
     ctx->token = std::make_shared<util::CancelToken>(
         util::Deadline::after_ms(deadline_ms));
-    gopts.deadline = ctx->token->deadline();
-    gopts.cancel = ctx->token.get();
+    deadline = ctx->token->deadline();
     ctx->ticket = scheduler_.arm(
         ctx->token->deadline().when(), [token = ctx->token] {
           // Only cancels — never settles. The request produces the one
@@ -474,7 +407,7 @@ std::future<std::string> Server::submit_line(std::string line) {
           token->cancel(util::CancelToken::deadline_error());
         });
   }
-  ctx->group = scheduler_.make_group(gopts);
+  ctx->group = scheduler_.make_group(deadline);
 
   std::future<std::string> fut = ctx->promise.get_future();
   ctx->group->submit(util::TaskScheduler::TaskClass::kRequest,

@@ -81,7 +81,7 @@ struct ServeStats {
 /// The concurrent consultant as a scheduler-driven state machine: every
 /// submitted request becomes a task group on one global TaskScheduler,
 /// its campaign cells interleaving with every other request's under
-/// deadline-aware weighted fair dispatch. No request owns a worker —
+/// deadline-aware round-robin dispatch. No request owns a worker —
 /// drivers run as short scheduler tasks, single-flight joiners park as
 /// continuations (zero threads blocked), and deadlines live in the
 /// scheduler's own timer queue. Every response's answer text is produced
@@ -99,21 +99,13 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Answer one already-parsed request synchronously on this thread.
-  /// The campaign still fans out on the global scheduler (the caller
-  /// helps run cells); `cancel` (optional) makes the work
-  /// cooperative-cancelable: a token canceled (by a deadline ticket, or
-  /// out-of-band) settles the request with a typed
-  /// deadline_exceeded/canceled error at the next cancellation point.
-  /// This is the *only* settle path — timers only cancel, they never
-  /// fabricate a response.
-  [[nodiscard]] Response handle(const Request& request,
-                                util::CancelToken* cancel = nullptr);
-
   /// Parse one line and enqueue it as a scheduler task group. Parse
   /// failures and backpressure refusals yield an immediately ready
   /// future, so every submitted line produces exactly one response
-  /// either way.
+  /// either way. A request whose deadline lapses answers a typed
+  /// deadline_exceeded error at its next cancellation point — the one
+  /// settle path; the deadline timer only cancels, it never fabricates a
+  /// response.
   [[nodiscard]] std::future<std::string> submit_line(std::string line);
 
   /// Run the line protocol over a stream pair until EOF: one JSON object
@@ -146,18 +138,12 @@ class Server {
   void finish(const std::shared_ptr<RequestCtx>& ctx);
   void settle(const std::shared_ptr<RequestCtx>& ctx, Response resp);
 
-  /// Shared sync/async helpers.
   [[nodiscard]] core::SessionConfig make_session_config(
-      const Request& request, util::CancelToken* cancel,
-      util::TaskScheduler::Group* group);
+      const Request& request, util::CancelToken* cancel);
   void render_answer(const Request& request, core::Session& session,
                      Response& resp);
   void account(Response& resp, const Request& request, double queue_ms,
                double run_ms, std::uint64_t cells);
-
-  /// Blocking single-flight resolution for the synchronous handle()
-  /// path: lead, join, or adopt from the memo.
-  void resolve_measure(core::Session& session, util::CancelToken* cancel);
 
   ServeOptions options_;
   core::ArtifactStore store_;

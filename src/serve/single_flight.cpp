@@ -6,67 +6,6 @@
 
 namespace mnemo::serve {
 
-MeasureCache::Lease MeasureCache::acquire(const std::string& key,
-                                          util::CancelToken* cancel) {
-  // Wake-up plumbing: the watchdog's cancel() must rouse a joiner parked
-  // on cv_. The callback takes mu_ before notifying so the wake can never
-  // slip between a joiner's predicate check and its wait. Removal on every
-  // exit path; the RAII guard keeps the throw paths honest.
-  std::size_t callback_id = 0;
-  if (cancel != nullptr) {
-    callback_id = cancel->on_cancel([this] {
-      std::lock_guard lock(mu_);
-      cv_.notify_all();
-    });
-  }
-  struct CallbackGuard {
-    util::CancelToken* token;
-    std::size_t id;
-    ~CallbackGuard() {
-      if (token != nullptr) token->remove_callback(id);
-    }
-  } guard{cancel, callback_id};
-
-  std::unique_lock lock(mu_);
-  for (;;) {
-    if (const auto done = done_.find(key); done != done_.end()) {
-      return Lease{false, done->second, false};
-    }
-    // A canceled caller must not become leader: it would immediately
-    // abandon and thrash the election.
-    if (cancel != nullptr) cancel->check();
-    const auto flight = flights_.find(key);
-    if (flight == flights_.end()) {
-      flights_.emplace(key, std::make_shared<Flight>());
-      return Lease{true, nullptr, false};
-    }
-    // Hold our own reference: publish/abandon erase the map entry while
-    // we sleep, and a fresh flight under the same key is a *different*
-    // Flight object we must not confuse with ours.
-    const std::shared_ptr<Flight> ours = flight->second;
-    const auto woken = [&] {
-      return ours->abandoned || done_.contains(key) ||
-             (cancel != nullptr && cancel->canceled());
-    };
-    while (!woken()) {
-      // A deadline-armed token bounds the sleep directly: expiry is
-      // passive (no one need call cancel()) yet still wakes the joiner.
-      const util::Deadline deadline =
-          cancel != nullptr ? cancel->deadline() : util::Deadline::never();
-      if (deadline.armed()) {
-        cv_.wait_until(lock, deadline.when());
-      } else {
-        cv_.wait(lock);
-      }
-    }
-    if (const auto done = done_.find(key); done != done_.end()) {
-      return Lease{false, done->second, true};
-    }
-    // Leader abandoned or we were canceled: the next loop iteration
-    // either re-elects, joins the replacement leader, or throws.
-  }
-}
-
 std::optional<MeasureCache::Lease> MeasureCache::try_acquire(
     const std::string& key, util::CancelToken* cancel,
     std::function<void()> wake) {
@@ -74,17 +13,19 @@ std::optional<MeasureCache::Lease> MeasureCache::try_acquire(
   {
     std::unique_lock lock(mu_);
     if (const auto done = done_.find(key); done != done_.end()) {
-      return Lease{false, done->second, false};
+      return Lease{false, done->second};
     }
+    // A canceled caller must not become leader: it would immediately
+    // abandon and thrash the election.
     if (cancel != nullptr) cancel->check();
     const auto flight = flights_.find(key);
     if (flight == flights_.end()) {
-      flights_.emplace(key, std::make_shared<Flight>());
-      return Lease{true, nullptr, false};
+      flights_.try_emplace(key);
+      return Lease{true, nullptr};
     }
     waiter = std::make_shared<Waiter>();
     waiter->wake = std::move(wake);
-    flight->second->waiters.push_back(waiter);
+    flight->second.push_back(waiter);
   }
   if (cancel != nullptr) {
     // Registered outside mu_ (on_cancel may invoke the callback inline if
@@ -92,7 +33,7 @@ std::optional<MeasureCache::Lease> MeasureCache::try_acquire(
     // fired, the callback is a no-op holding only the small Waiter shell —
     // the wake itself, with whatever request context it captures, has
     // already been moved out and released.
-    (void)cancel->on_cancel([waiter] { waiter->fire(); });
+    cancel->on_cancel([waiter] { waiter->fire(); });
   }
   return std::nullopt;
 }
@@ -106,10 +47,9 @@ void MeasureCache::publish(
     std::lock_guard lock(mu_);
     done_[key] = std::move(artifact);
     if (const auto flight = flights_.find(key); flight != flights_.end()) {
-      waiters = std::move(flight->second->waiters);
+      waiters = std::move(flight->second);
       flights_.erase(flight);
     }
-    cv_.notify_all();
   }
   // Outside mu_: a wake may re-enter try_acquire immediately.
   for (const std::shared_ptr<Waiter>& w : waiters) w->fire();
@@ -121,14 +61,11 @@ void MeasureCache::abandon(const std::string& key) {
     std::lock_guard lock(mu_);
     const auto flight = flights_.find(key);
     MNEMO_EXPECTS(flight != flights_.end());
-    flight->second->abandoned = true;
-    waiters = std::move(flight->second->waiters);
+    waiters = std::move(flight->second);
     flights_.erase(flight);
-    cv_.notify_all();
   }
   // Woken waiters race back through try_acquire; the first re-entrant
-  // becomes the replacement leader, the rest re-park — the same
-  // promotion the blocking path gets from its cv loop.
+  // becomes the replacement leader, the rest re-park.
   for (const std::shared_ptr<Waiter>& w : waiters) w->fire();
 }
 

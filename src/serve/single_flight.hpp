@@ -1,7 +1,6 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <functional>
 #include <memory>
@@ -19,47 +18,34 @@ namespace mnemo::serve {
 /// Single-flight deduplication of the measure stage, keyed on
 /// Session::measure_key(). The first requester of a key becomes the
 /// *leader* and runs the emulator campaign; concurrent requesters of the
-/// same key block until the leader publishes, then adopt the leader's
-/// artifact (*join*). Published artifacts are memoized for the server's
-/// lifetime, so each distinct measure key is replayed at most once per
-/// server — later requests are memo hits even with the artifact cache
-/// disabled. A leader that fails (exception, degraded grid) abandons the
-/// flight; one waiter is promoted to leader and the rest keep waiting, so
-/// a transient failure never wedges the key.
+/// same key park a wake-up until the leader publishes, then adopt the
+/// leader's artifact (*join*). Published artifacts are memoized for the
+/// server's lifetime, so each distinct measure key is replayed at most
+/// once per server — later requests are memo hits even with the artifact
+/// cache disabled. A leader that fails (exception, degraded grid) abandons
+/// the flight and wakes every waiter; the first to re-enter becomes the
+/// new leader and the rest park again, so a transient failure never
+/// wedges the key.
 class MeasureCache {
  public:
-  /// The outcome of acquire(): either this caller must compute and then
+  /// A claim on a key: either this caller must compute and then
   /// publish()/abandon() (leader), or the artifact is already here.
   struct Lease {
     bool leader = false;
     /// Set iff !leader: the artifact to adopt.
     std::shared_ptr<const core::MeasureArtifact> artifact;
-    /// True when this caller blocked on another request's in-flight
-    /// computation (as opposed to hitting the memo without waiting).
-    bool joined = false;
   };
 
-  /// Claim the key: returns a leader lease, a memo hit, or blocks until
-  /// the in-flight leader publishes. When `cancel` is given, the wait is
-  /// a cancellation point: a canceled joiner wakes (the token's cancel
-  /// callbacks notify this cache's cv) and throws util::CanceledError
-  /// instead of waiting on a leader it no longer cares about — and a
-  /// token whose deadline is armed also bounds the sleep itself, so a
-  /// joiner never outsleeps its deadline even with no watchdog running.
-  /// A memo hit is still returned when available: adopting a finished
-  /// artifact costs nothing. A canceled caller never becomes leader.
-  [[nodiscard]] Lease acquire(const std::string& key,
-                              util::CancelToken* cancel = nullptr);
-
-  /// Non-blocking acquire for continuation-style callers (the serve
-  /// scheduler): a memo hit or leadership returns a Lease immediately;
-  /// an in-flight leader returns nullopt after registering `wake`, which
-  /// runs exactly once when the flight publishes, abandons, or `cancel`
-  /// fires — the caller parks no thread and re-enters try_acquire from
-  /// the wake-up. A canceled caller throws util::CanceledError like
-  /// acquire() (memo hits are still served first). Note the cancel wake
-  /// is driven by cancel() callbacks only: a caller whose token has a
-  /// deadline but no watchdog arming cancel() must bound its own wait.
+  /// Claim the key without blocking: a memo hit or leadership returns a
+  /// Lease immediately; an in-flight leader returns nullopt after
+  /// registering `wake`, which runs exactly once when the flight
+  /// publishes, abandons, or `cancel` fires — the caller parks no thread
+  /// and re-enters try_acquire from the wake-up. A memo hit is served
+  /// even to a canceled caller (adopting a finished artifact costs
+  /// nothing); otherwise a canceled caller throws util::CanceledError and
+  /// never becomes leader. The cancel wake is driven by cancel()
+  /// callbacks only: a caller whose token has a deadline but nothing
+  /// arming cancel() must bound its own wait.
   [[nodiscard]] std::optional<Lease> try_acquire(const std::string& key,
                                                  util::CancelToken* cancel,
                                                  std::function<void()> wake);
@@ -92,14 +78,10 @@ class MeasureCache {
     }
   };
 
-  struct Flight {
-    bool abandoned = false;
-    std::vector<std::shared_ptr<Waiter>> waiters;  ///< guarded by mu_
-  };
-
   mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::unordered_map<std::string, std::shared_ptr<Flight>> flights_;
+  /// In-flight keys, each with the waiters parked on its leader.
+  std::unordered_map<std::string, std::vector<std::shared_ptr<Waiter>>>
+      flights_;
   std::unordered_map<std::string, std::shared_ptr<const core::MeasureArtifact>>
       done_;
 };

@@ -7,7 +7,6 @@
 #include <limits>
 
 #include "util/assert.hpp"
-#include "util/simd.hpp"
 
 namespace mnemo::stats {
 
@@ -76,20 +75,6 @@ std::span<const double, 256> LogHistogram::bucket_bounds() noexcept {
 void LogHistogram::add(double ns) noexcept {
   ++counts_[bucket_index(ns)];
   ++total_;
-}
-
-void LogHistogram::add_batch(std::span<const double> ns) noexcept {
-  const double* bounds = bucket_bounds().data();
-  constexpr std::size_t kChunk = 128;
-  std::uint32_t idx[kChunk];
-  std::size_t i = 0;
-  while (i < ns.size()) {
-    const std::size_t n = std::min(kChunk, ns.size() - i);
-    util::simd::partition_index_batch(bounds, ns.data() + i, idx, n);
-    for (std::size_t j = 0; j < n; ++j) ++counts_[idx[j]];
-    i += n;
-  }
-  total_ += ns.size();
 }
 
 double LogHistogram::bucket_lo_ns(std::size_t i) {

@@ -22,24 +22,15 @@ class LogHistogram {
   void add(double ns) noexcept;
 
   /// The bucket add(ns) increments: floor of the clamped log10 position.
-  /// This is the scalar reference the batch path is held against.
   [[nodiscard]] static std::size_t bucket_index(double ns) noexcept;
 
-  /// Batch add without libm: bucket indices come from a branchless binary
-  /// search of bucket_bounds() (util::simd — vectorized when the CPU
-  /// allows). Counts commute, so add_batch(v) produces exactly the same
-  /// histogram as add()-ing each element in any order; the boundary table
-  /// is exact by construction (see bucket_bounds), so every index matches
-  /// bucket_index() bit for bit. Replay itself calls add() per op, which
-  /// measures faster than this batch path.
-  void add_batch(std::span<const double> ns) noexcept;
-
-  /// Ascending boundary table driving add_batch: bounds[i] is the
-  /// smallest double whose bucket_index is i (bounds[0] = -inf so every
-  /// input has a predecessor), padded with +inf to 256 entries for the
-  /// fixed-depth search. Built once per process by bit-level bisection
-  /// against bucket_index itself — monotonicity of the index function
-  /// makes the table exact, not approximate.
+  /// Ascending boundary table of bucket_index: bounds[i] is the smallest
+  /// double whose bucket_index is i (bounds[0] = -inf so every input has a
+  /// predecessor), padded with +inf to 256 entries for a fixed-depth
+  /// search. Built once per process by bit-level bisection against
+  /// bucket_index itself — monotonicity of the index function makes the
+  /// table exact, not approximate, so "largest i with bounds[i] <= x" is
+  /// bucket_index(x) bit for bit.
   [[nodiscard]] static std::span<const double, 256> bucket_bounds() noexcept;
 
   [[nodiscard]] std::uint64_t count() const noexcept { return total_; }

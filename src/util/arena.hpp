@@ -16,7 +16,7 @@ namespace mnemo::util {
 /// first cell warmed the arena up, subsequent cells on the same worker
 /// allocate without ever touching malloc.
 ///
-/// Single-threaded by design: each ThreadPool worker owns one Arena
+/// Single-threaded by design: each scheduler worker owns one Arena
 /// (thread_local in the campaign runner) and campaign cells are
 /// shared-nothing, so no synchronization is needed or provided.
 ///

@@ -164,20 +164,20 @@ std::optional<double> parse_double(const std::string& text) {
 
 double ArgParser::get_double(const std::string& name) const {
   const std::string& v = get(name);
-  try {
-    return std::stod(v);
-  } catch (const std::exception&) {
+  const std::optional<double> value = parse_double(v);
+  if (!value) {
     throw std::invalid_argument("--" + name + ": not a number: " + v);
   }
+  return *value;
 }
 
 std::uint64_t ArgParser::get_u64(const std::string& name) const {
   const std::string& v = get(name);
-  try {
-    return std::stoull(v);
-  } catch (const std::exception&) {
+  const std::optional<std::uint64_t> value = parse_u64(v);
+  if (!value) {
     throw std::invalid_argument("--" + name + ": not an integer: " + v);
   }
+  return *value;
 }
 
 std::string ArgParser::help() const {

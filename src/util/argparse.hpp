@@ -15,8 +15,9 @@ namespace mnemo::util {
 [[nodiscard]] std::string closest_match(
     const std::string& query, const std::vector<std::string>& candidates);
 
-/// Strict whole-string numbers for the positional arguments of the bench
-/// and example binaries: nullopt on an empty string, a sign on the
+/// Strict whole-string numbers — the one number parser behind
+/// ArgParser::get_u64/get_double and the positional arguments of the
+/// bench and example binaries: nullopt on an empty string, a sign on the
 /// unsigned form, any trailing character, or a value out of range —
 /// never a silent 0.
 [[nodiscard]] std::optional<std::uint64_t> parse_u64(const std::string& text);
@@ -44,6 +45,8 @@ class ArgParser {
 
   [[nodiscard]] bool has_flag(const std::string& name) const;
   [[nodiscard]] const std::string& get(const std::string& name) const;
+  /// The option's value through parse_double/parse_u64; a malformed value
+  /// throws std::invalid_argument naming the option.
   [[nodiscard]] double get_double(const std::string& name) const;
   [[nodiscard]] std::uint64_t get_u64(const std::string& name) const;
   [[nodiscard]] const std::vector<std::string>& positional() const {

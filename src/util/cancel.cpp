@@ -11,7 +11,7 @@ Error CancelToken::deadline_error() {
 
 void CancelToken::cancel(Error reason) {
   MNEMO_EXPECTS(reason.code != ErrorCode::kOk);
-  std::vector<std::pair<std::size_t, std::function<void()>>> run;
+  std::vector<std::function<void()>> run;
   {
     std::lock_guard lock(mu_);
     if (flagged_) return;  // first reason wins
@@ -19,7 +19,7 @@ void CancelToken::cancel(Error reason) {
     reason_ = std::move(reason);
     run.swap(callbacks_);
   }
-  for (auto& [id, fn] : run) fn();
+  for (std::function<void()>& fn : run) fn();
 }
 
 bool CancelToken::canceled() const {
@@ -34,31 +34,15 @@ Error CancelToken::reason() const {
   return Error{};
 }
 
-std::size_t CancelToken::on_cancel(std::function<void()> fn) {
-  bool run_now = false;
-  std::size_t id = 0;
+void CancelToken::on_cancel(std::function<void()> fn) {
   {
     std::lock_guard lock(mu_);
-    if (flagged_) {
-      run_now = true;
-    } else {
-      id = next_id_++;
-      callbacks_.emplace_back(id, std::move(fn));
-    }
-  }
-  if (run_now) fn();
-  return id;
-}
-
-void CancelToken::remove_callback(std::size_t id) {
-  if (id == 0) return;
-  std::lock_guard lock(mu_);
-  for (auto it = callbacks_.begin(); it != callbacks_.end(); ++it) {
-    if (it->first == id) {
-      callbacks_.erase(it);
+    if (!flagged_) {
+      callbacks_.push_back(std::move(fn));
       return;
     }
   }
+  fn();
 }
 
 }  // namespace mnemo::util

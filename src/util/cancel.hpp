@@ -59,13 +59,13 @@ class CanceledError : public std::runtime_error {
   Error error_;
 };
 
-/// Cooperative cancellation, shared between a request's worker and
-/// whoever may cancel it (the deadline watchdog, a disconnect detector).
+/// Cooperative cancellation, shared between a request's tasks and
+/// whoever may cancel it (the scheduler's deadline timer).
 /// Two cancellation sources compose:
 ///
 ///   - an explicit cancel(reason) — sets the flag and runs registered
-///     wake-up callbacks (so a blocked waiter, e.g. a single-flight
-///     joiner, can be notified rather than polled);
+///     wake-up callbacks (so a parked waiter, e.g. a single-flight
+///     joiner, is woken rather than polled);
 ///   - an armed Deadline — canceled() starts answering true the moment it
 ///     expires even if nobody called cancel(), so purely cooperative
 ///     consumers (the campaign runner checking between cells) observe the
@@ -110,15 +110,10 @@ class CancelToken {
 
   /// Register a wake-up to run when cancel() fires (runs immediately,
   /// in the caller's thread, if the token is already flag-canceled).
-  /// Returns an id for remove_callback. A callback registered for a
-  /// deadline-armed token only runs if something (the watchdog) calls
-  /// cancel() — expiry alone is passive.
-  std::size_t on_cancel(std::function<void()> fn);
-
-  /// Best-effort removal: a cancel() racing with removal may still run
-  /// the callback once, so callbacks must only touch state that outlives
-  /// the token's users (e.g. notify a longer-lived condition variable).
-  void remove_callback(std::size_t id);
+  /// A callback registered for a deadline-armed token only runs if
+  /// something (the scheduler's deadline timer) calls cancel() — expiry
+  /// alone is passive.
+  void on_cancel(std::function<void()> fn);
 
   /// The typed error a deadline produces.
   [[nodiscard]] static Error deadline_error();
@@ -128,8 +123,7 @@ class CancelToken {
   bool flagged_ = false;
   Error reason_;
   Deadline deadline_;
-  std::size_t next_id_ = 1;
-  std::vector<std::pair<std::size_t, std::function<void()>>> callbacks_;
+  std::vector<std::function<void()>> callbacks_;
 };
 
 }  // namespace mnemo::util

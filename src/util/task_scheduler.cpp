@@ -1,6 +1,7 @@
 #include "util/task_scheduler.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <utility>
 
 #include "util/assert.hpp"
@@ -10,30 +11,41 @@ namespace mnemo::util {
 
 using Clock = std::chrono::steady_clock;
 
-/// Join state for one run_batch() call. Guarded by the scheduler mutex;
-/// waiters observe remaining == 0 under the same lock that published the
-/// cells' writes, so batch results need no separate synchronization.
-struct TaskScheduler::Group::BatchState {
-  std::size_t remaining = 0;
-  std::exception_ptr error;  ///< first cell failure wins
-};
+std::size_t hardware_threads() {
+  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
+}
 
 void TaskScheduler::Group::submit(TaskClass cls, std::function<void()> fn) {
   {
     std::lock_guard lock(sched_->mu_);
-    sched_->submit_locked(*this, cls, std::move(fn), nullptr);
+    queue_.push_back(Task{std::move(fn), cls});
+    ++sched_->outstanding_;
+    if (!in_run_queue_) {
+      in_run_queue_ = true;
+      // A group (re-)entering the run queue joins the current round with a
+      // fresh credit.
+      credit_ = true;
+      sched_->run_queue_.push_back(shared_from_this());
+    }
   }
   sched_->cv_.notify_all();
 }
 
-std::size_t TaskScheduler::Group::inflight() const {
-  std::lock_guard lock(sched_->mu_);
-  return queue_.size() + running_;
-}
-
-TaskScheduler::TaskScheduler(std::size_t threads) : pool_(threads) {
-  for (std::size_t i = 0; i < pool_.size(); ++i) {
-    pool_.submit([this] { worker_loop(); });
+TaskScheduler::TaskScheduler(std::size_t threads) {
+  if (threads == 0) threads = hardware_threads();
+  workers_.reserve(threads);
+  try {
+    for (std::size_t i = 0; i < threads; ++i) {
+      workers_.emplace_back([this] { worker_loop(); });
+    }
+  } catch (...) {
+    {
+      std::lock_guard lock(mu_);
+      stop_ = true;
+    }
+    cv_.notify_all();
+    for (std::thread& w : workers_) w.join();
+    throw;
   }
 }
 
@@ -44,33 +56,15 @@ TaskScheduler::~TaskScheduler() {
     stop_ = true;
   }
   cv_.notify_all();
-  // pool_'s destructor joins the workers.
-}
-
-std::shared_ptr<TaskScheduler::Group> TaskScheduler::make_group() {
-  return make_group(GroupOptions{});
+  for (std::thread& w : workers_) w.join();
 }
 
 std::shared_ptr<TaskScheduler::Group> TaskScheduler::make_group(
-    GroupOptions opts) {
-  opts.weight = std::max<std::uint32_t>(1, opts.weight);
+    Deadline deadline) {
   std::lock_guard lock(mu_);
   // Group's constructor is private; make_shared can't reach it.
-  return std::shared_ptr<Group>(new Group(this, opts, next_group_seq_++));
-}
-
-void TaskScheduler::submit_locked(Group& group, TaskClass cls,
-                                  std::function<void()> fn,
-                                  std::shared_ptr<BatchState> batch) {
-  group.queue_.push_back(Task{std::move(fn), cls, std::move(batch)});
-  ++outstanding_;
-  if (!group.in_run_queue_) {
-    group.in_run_queue_ = true;
-    // A group (re-)entering the run queue joins the current round with a
-    // fresh credit grant.
-    group.credits_ = group.opts_.weight;
-    run_queue_.push_back(group.shared_from_this());
-  }
+  return std::shared_ptr<Group>(
+      new Group(this, deadline, next_group_seq_++));
 }
 
 namespace {
@@ -81,7 +75,7 @@ namespace {
 
 }  // namespace
 
-std::optional<TaskScheduler::Popped> TaskScheduler::pop_locked(
+std::optional<TaskScheduler::Task> TaskScheduler::pop_locked(
     bool cells_only) {
   for (int pass = 0; pass < 2; ++pass) {
     std::size_t best = run_queue_.size();
@@ -89,7 +83,7 @@ std::optional<TaskScheduler::Popped> TaskScheduler::pop_locked(
     for (std::size_t i = 0; i < run_queue_.size(); ++i) {
       const Group& g = *run_queue_[i];
       if (cells_only && g.queue_.front().cls != TaskClass::kCell) continue;
-      if (g.credits_ == 0) {
+      if (!g.credit_) {
         spent_group_waiting = true;
         continue;
       }
@@ -98,27 +92,26 @@ std::optional<TaskScheduler::Popped> TaskScheduler::pop_locked(
         continue;
       }
       const Group& b = *run_queue_[best];
-      const auto kg = deadline_key(g.opts_.deadline);
-      const auto kb = deadline_key(b.opts_.deadline);
+      const auto kg = deadline_key(g.deadline_);
+      const auto kb = deadline_key(b.deadline_);
       if (kg < kb || (kg == kb && g.seq_ < b.seq_)) best = i;
     }
     if (best != run_queue_.size()) {
-      std::shared_ptr<Group> group = run_queue_[best];
-      Popped popped{std::move(group->queue_.front()), group};
-      group->queue_.pop_front();
-      --group->credits_;
-      ++group->running_;
-      if (group->queue_.empty()) {
+      Group& group = *run_queue_[best];
+      Task task = std::move(group.queue_.front());
+      group.queue_.pop_front();
+      group.credit_ = false;
+      if (group.queue_.empty()) {
+        group.in_run_queue_ = false;
         run_queue_.erase(run_queue_.begin() +
                          static_cast<std::ptrdiff_t>(best));
-        group->in_run_queue_ = false;
       }
-      return popped;
+      return task;
     }
     // Nothing dispatchable. If some eligible group was only held back by
-    // an empty credit balance, the round is over: refill and retry once.
+    // a spent credit, the round is over: refill and retry once.
     if (!spent_group_waiting) return std::nullopt;
-    for (auto& g : run_queue_) g->credits_ = g->opts_.weight;
+    for (auto& g : run_queue_) g->credit_ = true;
   }
   return std::nullopt;
 }
@@ -129,86 +122,35 @@ bool TaskScheduler::cell_ready_locked() const {
   });
 }
 
-void TaskScheduler::execute(Popped popped) {
-  std::exception_ptr err;
-  // Cell shedding: batch cells of a canceled group skip their body but
-  // still settle, so the batch drains at a cell boundary. Detached cells
-  // carry their own accounting inside fn and must always run.
-  const CancelToken* cancel = popped.group->opts_.cancel;
-  const bool shed = popped.task.batch != nullptr &&
-                    popped.task.cls == TaskClass::kCell &&
-                    cancel != nullptr && cancel->canceled();
-  if (!shed) {
-    try {
-      popped.task.fn();
-    } catch (...) {
-      err = std::current_exception();
-    }
+void TaskScheduler::execute(Task task) {
+  try {
+    task.fn();
+  } catch (const std::exception& e) {
+    // A detached task has no waiter to deliver its exception to; request
+    // drivers and grid tasks settle their failures themselves.
+    MNEMO_LOG_WARN("task scheduler: detached task threw: %s", e.what());
+  } catch (...) {
+    MNEMO_LOG_WARN("task scheduler: detached task threw");
   }
   {
     std::lock_guard lock(mu_);
-    --popped.group->running_;
-    if (popped.task.batch != nullptr) {
-      if (err != nullptr && popped.task.batch->error == nullptr) {
-        popped.task.batch->error = err;
-      }
-      err = nullptr;
-      --popped.task.batch->remaining;
-    }
     MNEMO_ASSERT(outstanding_ > 0);
     --outstanding_;
   }
   cv_.notify_all();
-  if (err != nullptr) {
-    // A detached task has no waiter to deliver its exception to; request
-    // drivers are expected to settle failures themselves.
-    try {
-      std::rethrow_exception(err);
-    } catch (const std::exception& e) {
-      MNEMO_LOG_WARN("task scheduler: detached task threw: %s", e.what());
-    } catch (...) {
-      MNEMO_LOG_WARN("task scheduler: detached task threw");
-    }
-  }
-}
-
-void TaskScheduler::run_batch(Group& group, std::size_t n,
-                              const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  auto batch = std::make_shared<BatchState>();
-  batch->remaining = n;
-  {
-    std::lock_guard lock(mu_);
-    for (std::size_t i = 0; i < n; ++i) {
-      submit_locked(
-          group, TaskClass::kCell, [&fn, i] { fn(i); }, batch);
-    }
-  }
-  cv_.notify_all();
-
-  std::unique_lock lock(mu_);
-  help_locked(lock, [&] { return batch->remaining == 0; });
-  const std::exception_ptr err = batch->error;
-  lock.unlock();
-  if (err != nullptr) std::rethrow_exception(err);
 }
 
 void TaskScheduler::help_until(const std::function<bool()>& done) {
-  std::unique_lock lock(mu_);
-  help_locked(lock, done);
-}
-
-void TaskScheduler::help_locked(std::unique_lock<std::mutex>& lock,
-                                const std::function<bool()>& done) {
   // Cooperative join: run queued cells (any group's — work conservation)
   // until `done`. Restricting help to kCell keeps the stack free of
   // foreign request drivers. Every settle takes the lock and then
   // notifies, so a condition a task flipped before settling is never
   // missed here.
+  std::unique_lock lock(mu_);
   while (!done()) {
-    if (auto popped = pop_locked(/*cells_only=*/true)) {
+    if (std::optional<Task> task = pop_locked(/*cells_only=*/true)) {
       lock.unlock();
-      execute(std::move(*popped));
+      execute(std::move(*task));
       lock.lock();
       continue;
     }
@@ -272,9 +214,9 @@ void TaskScheduler::worker_loop() {
   std::unique_lock lock(mu_);
   for (;;) {
     fire_due_locked(lock);
-    if (auto popped = pop_locked(/*cells_only=*/false)) {
+    if (std::optional<Task> task = pop_locked(/*cells_only=*/false)) {
       lock.unlock();
-      execute(std::move(*popped));
+      execute(std::move(*task));
       lock.lock();
       continue;
     }

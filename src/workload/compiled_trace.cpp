@@ -1,7 +1,6 @@
 #include "workload/compiled_trace.hpp"
 
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 
 namespace mnemo::workload {
 
@@ -18,19 +17,14 @@ CompiledTrace::CompiledTrace(const Trace& trace) : trace_(&trace) {
 
   key_sizes_ = std::span<const std::uint64_t>(trace.key_sizes());
   const std::size_t num_keys = key_sizes_.size();
-  // Batch the hash/digest table build (util::simd): key_hashes_ is
-  // mix64 over the key iota, key_digests_ is mix64 over key ^ size·φ —
-  // the exact scalar avalanche, four keys per vector.
   key_hashes_.resize(num_keys);
-  util::simd::mix64_iota_batch(0, key_hashes_.data(), num_keys);
   key_digests_.resize(num_keys);
   for (std::size_t key = 0; key < num_keys; ++key) {
     const std::uint64_t size = key_sizes_[key];
-    key_digests_[key] = key ^ (size * 0x9e3779b97f4a7c15ULL);
+    key_hashes_[key] = util::mix64(key);
+    key_digests_[key] = util::record_digest(key, size);
     dataset_bytes_ += size;
   }
-  util::simd::mix64_batch(key_digests_.data(), key_digests_.data(),
-                          num_keys);
 
   // The byte streams the service-vs-bytes fit consumes, split by request
   // class exactly as the per-cell loop used to build them.

@@ -1,6 +1,8 @@
 #include "workload/key_distribution.hpp"
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "util/assert.hpp"
 
@@ -109,7 +111,13 @@ HotspotDistribution::HotspotDistribution(std::uint64_t key_count,
   MNEMO_EXPECTS(key_count > 0);
   MNEMO_EXPECTS(hot_key_fraction > 0.0 && hot_key_fraction < 1.0);
   MNEMO_EXPECTS(hot_op_fraction > 0.0 && hot_op_fraction <= 1.0);
-  MNEMO_EXPECTS(hot_keys_ >= 1 && hot_keys_ < n_);
+  MNEMO_EXPECTS(hot_keys_ >= 1);
+  // Reachable from a key count a client chose (`--keys 1`), so typed.
+  if (hot_keys_ >= n_) {
+    throw std::invalid_argument("hotspot distribution over " +
+                                std::to_string(n_) +
+                                " keys leaves no cold key");
+  }
 }
 
 std::uint64_t HotspotDistribution::next(util::Rng& rng) {

@@ -111,7 +111,9 @@ class LatestDistribution final : public KeyDistribution {
 
 /// YCSB's HotspotIntegerGenerator: `hot_op_fraction` of requests go
 /// uniformly to the first `hot_key_fraction` of the key space, the rest
-/// uniformly to the cold remainder. Models "Trending".
+/// uniformly to the cold remainder. Models "Trending". Throws
+/// std::invalid_argument when the hot set would cover every key (a
+/// one-key space).
 class HotspotDistribution final : public KeyDistribution {
  public:
   HotspotDistribution(std::uint64_t key_count, double hot_key_fraction = 0.2,

@@ -5,6 +5,9 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/campaign.hpp"
 #include "util/csv.hpp"
@@ -160,6 +163,53 @@ TEST(Cli, ProfileRejectsBadStore) {
   const CliResult r = run_cli({"profile", "--store", "redis"});
   EXPECT_EQ(r.code, 1);
   EXPECT_NE(r.err.find("vermilion"), std::string::npos);
+}
+
+TEST(Cli, BadNumbersAreNamedErrors) {
+  // Malformed numbers and values outside the consultant's domain exit 1
+  // naming the option — never an abort, never a silently different value.
+  const std::vector<std::string> base = {
+      "run", "--workload", "trending", "--keys", "100", "--requests", "1000"};
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"--repeats", "0"},    {"--p", "0"},         {"--p", "1.5"},
+      {"--slo", "-5"},       {"--slo", "1"},       {"--threads", "-1"},
+      {"--threads", "4x"},   {"--seed", "-1"},     {"--p", "0.3abc"},
+  };
+  for (const auto& [flag, value] : bad) {
+    std::vector<std::string> args = base;
+    args.insert(args.end(), {flag, value});
+    const CliResult r = run_cli(args);
+    EXPECT_EQ(r.code, 1) << flag << " " << value;
+    EXPECT_NE(r.err.find("error: " + flag + ":"), std::string::npos)
+        << flag << " " << value << ": " << r.err;
+  }
+  const CliResult keys = run_cli({"run", "--keys", "1e3"});
+  EXPECT_EQ(keys.code, 1);
+  EXPECT_NE(keys.err.find("error: --keys:"), std::string::npos) << keys.err;
+  const CliResult serve = run_cli({"serve", "--threads", "-1"});
+  EXPECT_EQ(serve.code, 1);
+  EXPECT_NE(serve.err.find("error: --threads:"), std::string::npos)
+      << serve.err;
+  // A one-key hotspot has no cold key: a typed error, not an abort.
+  const CliResult hotspot = run_cli({"run", "--workload", "trending",
+                                     "--keys", "1", "--requests", "100"});
+  EXPECT_EQ(hotspot.code, 1);
+  EXPECT_NE(hotspot.err.find("hotspot"), std::string::npos) << hotspot.err;
+}
+
+TEST(Cli, ProfileIsAnAliasOfRun) {
+  const std::vector<std::string> flags = {
+      "--workload", "timeline", "--keys",   "200",
+      "--requests", "2000",     "--repeats", "1"};
+  std::vector<std::string> run_args = {"run"};
+  run_args.insert(run_args.end(), flags.begin(), flags.end());
+  std::vector<std::string> profile_args = {"profile"};
+  profile_args.insert(profile_args.end(), flags.begin(), flags.end());
+  const CliResult via_run = run_cli(run_args);
+  const CliResult via_profile = run_cli(profile_args);
+  ASSERT_EQ(via_run.code, 0) << via_run.err;
+  ASSERT_EQ(via_profile.code, 0) << via_profile.err;
+  EXPECT_EQ(via_profile.out, via_run.out);
 }
 
 TEST(Cli, BadOptionShowsUsage) {

@@ -13,7 +13,6 @@
 
 #include "core/estimate_engine.hpp"
 #include "core/pattern_engine.hpp"
-#include "util/thread_pool.hpp"
 #include "workload/workload_spec.hpp"
 
 namespace mnemo::core {

@@ -1,10 +1,13 @@
 // Byte-identity goldens for the replay path (labelled `concurrency` +
 // `faults`): fig5-style validation sweeps across all three store
-// architectures plus a faulted degraded campaign, serialized with exact
-// (hexfloat) formatting and pinned to fixture files generated before the
-// flat-table refactor of the hot path. Any change to simulated results —
-// an RNG stream, an eviction order, an accounting rule — shows up here as
-// a fixture mismatch, at every thread count in {1, 2, 8}.
+// architectures, faulted degraded campaigns (poison, transient and
+// bandwidth-window plans on every store) and the dynamic tierer's
+// request loop, serialized with exact (hexfloat) formatting and pinned to
+// fixture files. Any change to simulated results — an RNG stream, an
+// eviction order, an accounting rule — shows up here as a fixture
+// mismatch. Campaign snapshots are checked at every thread count in
+// {1, 2, 8} under both the default replay and ReplayMode::kLegacy, so the
+// fixtures stand in for the legacy replay as the equivalence oracle.
 //
 // Regenerate (only for an *intentional* semantics change, and say so in
 // the commit):  MNEMO_WRITE_GOLDEN=1 ./tests_golden
@@ -20,6 +23,7 @@
 #include <vector>
 
 #include "core/campaign.hpp"
+#include "core/migration.hpp"
 #include "core/sensitivity_engine.hpp"
 #include "workload/workload_spec.hpp"
 
@@ -72,7 +76,7 @@ void serialize(std::ostringstream& out, const RunMeasurement& m) {
 /// the identity key order, for every store architecture, repeats averaged
 /// by the campaign grid.
 std::string sweep_snapshot(const workload::Trace& trace,
-                           std::size_t threads) {
+                           std::size_t threads, ReplayMode mode) {
   std::vector<std::uint64_t> order(trace.key_count());
   for (std::uint64_t k = 0; k < trace.key_count(); ++k) order[k] = k;
   const double fractions[] = {0.0, 0.25, 0.5, 0.75, 1.0};
@@ -93,6 +97,7 @@ std::string sweep_snapshot(const workload::Trace& trace,
                      f * static_cast<double>(trace.key_count()))));
     }
     CampaignRunner runner(threads);
+    runner.set_replay_mode(mode);
     const std::vector<RunMeasurement> grid =
         runner.measure_grid(engine, trace, placements);
     for (std::size_t i = 0; i < grid.size(); ++i) {
@@ -105,14 +110,15 @@ std::string sweep_snapshot(const workload::Trace& trace,
   return out.str();
 }
 
-/// Degraded campaign: a poison plan that quarantines every all-SlowMem
-/// cell while all-FastMem cells stay clean — measurements and the failure
-/// ledger both go into the golden.
-std::string degraded_snapshot(const workload::Trace& trace,
-                              std::size_t threads) {
-  faultinject::FaultPlan plan;
-  plan.poison_rate = 0.2;
+/// Degraded campaign on `store` under `plan`: all-FastMem and
+/// all-SlowMem cells, two repeats each, run checked — measurements and the
+/// failure ledger both go into the snapshot.
+void degraded_campaign(std::ostringstream& out, const workload::Trace& trace,
+                       kvstore::StoreKind store,
+                       const faultinject::FaultPlan& plan,
+                       std::size_t threads, ReplayMode mode) {
   SensitivityConfig cfg;
+  cfg.store = store;
   cfg.repeats = 2;
   cfg.faults = plan;
   const SensitivityEngine engine(cfg);
@@ -125,9 +131,9 @@ std::string degraded_snapshot(const workload::Trace& trace,
       {all_fast, 0}, {all_slow, 0}, {all_fast, 1}, {all_slow, 1}};
 
   CampaignRunner runner(threads);
+  runner.set_replay_mode(mode);
   const CampaignResult result = runner.run_checked(engine, trace, cells);
 
-  std::ostringstream out;
   for (std::size_t i = 0; i < result.measurements.size(); ++i) {
     out << "cell " << i << " ";
     if (result.measurements[i].has_value()) {
@@ -146,6 +152,92 @@ std::string degraded_snapshot(const workload::Trace& trace,
         << "," << f.faults.poison_hits << "," << f.faults.degraded_accesses
         << "\n";
   }
+}
+
+faultinject::FaultPlan poison_plan() {
+  faultinject::FaultPlan plan;
+  plan.poison_rate = 0.2;
+  return plan;
+}
+
+/// A poison plan that quarantines every all-SlowMem cell while
+/// all-FastMem cells stay clean, on Vermilion.
+std::string degraded_snapshot(const workload::Trace& trace,
+                              std::size_t threads, ReplayMode mode) {
+  std::ostringstream out;
+  degraded_campaign(out, trace, kvstore::StoreKind::kVermilion,
+                    poison_plan(), threads, mode);
+  return out.str();
+}
+
+/// Every store under each fault class: poison, transient read faults that
+/// quarantine some all-SlowMem cells and leave others clean, and
+/// bandwidth-degradation windows.
+std::string degraded_plans_snapshot(const workload::Trace& trace,
+                                    std::size_t threads, ReplayMode mode) {
+  faultinject::FaultPlan transient;
+  transient.transient_read_rate = 2e-3;
+  faultinject::FaultPlan bandwidth;
+  bandwidth.bw_period_accesses = 1'000;
+  bandwidth.bw_window_accesses = 100;
+  std::ostringstream out;
+  for (const kvstore::StoreKind store :
+       {kvstore::StoreKind::kVermilion, kvstore::StoreKind::kCachet,
+        kvstore::StoreKind::kDynaStore}) {
+    for (const faultinject::FaultPlan& plan :
+         {poison_plan(), transient, bandwidth}) {
+      out << "== " << kvstore::to_string(store) << " " << plan.summary()
+          << "\n";
+      degraded_campaign(out, trace, store, plan, threads, mode);
+    }
+  }
+  return out.str();
+}
+
+/// DynamicTierer::run on every store: a predictive foreground run, a
+/// reactive background run under a per-epoch migration cap, and a run
+/// whose transient fault plan drops requests.
+std::string tiering_snapshot(const workload::Trace& trace) {
+  MigrationConfig predictive;
+  predictive.fast_budget_bytes = trace.dataset_bytes() / 3;
+  predictive.epoch_requests = 500;
+  MigrationConfig capped = predictive;
+  capped.predictive = false;
+  capped.foreground = false;
+  capped.migration_bytes_per_epoch = trace.dataset_bytes() / 50;
+  faultinject::FaultPlan faults;
+  faults.transient_read_rate = 0.05;
+  faults.transient_recover_prob = 0.1;
+
+  std::ostringstream out;
+  for (const kvstore::StoreKind store :
+       {kvstore::StoreKind::kVermilion, kvstore::StoreKind::kCachet,
+        kvstore::StoreKind::kDynaStore}) {
+    SensitivityConfig healthy;
+    healthy.store = store;
+    healthy.repeats = 1;
+    SensitivityConfig faulted = healthy;
+    faulted.faults = faults;
+    const struct {
+      const char* name;
+      SensitivityConfig sensitivity;
+      MigrationConfig migration;
+    } runs[] = {{"predictive", healthy, predictive},
+                {"capped", healthy, capped},
+                {"faulted", faulted, predictive}};
+    for (const auto& run : runs) {
+      const MigrationResult r =
+          DynamicTierer(run.sensitivity, run.migration).run(trace);
+      out << kvstore::to_string(store) << " " << run.name
+          << " epochs=" << r.epochs << " migrations=" << r.migrations
+          << " bytes=" << r.bytes_migrated
+          << " migration_ns=" << hex(r.migration_ns)
+          << " rejected=" << r.rejected_moves
+          << " failed=" << r.failed_requests << " ";
+      serialize(out, r.measurement);
+      out << "\n";
+    }
+  }
   return out.str();
 }
 
@@ -160,21 +252,12 @@ std::string read_fixture(const std::string& name) {
   return ss.str();
 }
 
-/// Computes the snapshot at every thread count, requires thread-count
-/// invariance, then pins against (or, in write mode, regenerates) the
-/// fixture.
-void check_golden(const std::string& name,
-                  const std::function<std::string(std::size_t)>& snapshot) {
-  const std::string serial = snapshot(1);
-  ASSERT_FALSE(serial.empty());
-  for (const std::size_t threads : kThreadCounts) {
-    if (threads == 1) continue;
-    EXPECT_EQ(serial, snapshot(threads))
-        << name << ": result depends on thread count " << threads;
-  }
+/// Pins `snapshot` against (or, in write mode, regenerates) the fixture.
+void pin(const std::string& name, const std::string& snapshot) {
+  ASSERT_FALSE(snapshot.empty());
   if (std::getenv("MNEMO_WRITE_GOLDEN") != nullptr) {
     std::ofstream file(fixture_path(name));
-    file << serial;
+    file << snapshot;
     ASSERT_TRUE(file.good()) << "cannot write " << fixture_path(name);
     GTEST_SKIP() << "regenerated " << fixture_path(name);
   }
@@ -182,23 +265,55 @@ void check_golden(const std::string& name,
   ASSERT_FALSE(golden.empty())
       << "missing fixture " << fixture_path(name)
       << " — generate with MNEMO_WRITE_GOLDEN=1";
-  EXPECT_EQ(golden, serial) << name
-                            << ": simulated results diverged from the "
-                               "pre-refactor golden";
+  EXPECT_EQ(golden, snapshot) << name
+                              << ": simulated results diverged from the "
+                                 "golden";
+}
+
+/// Computes a campaign snapshot at every thread count under both the
+/// default replay (kGrouped) and kLegacy, requires all of them to agree,
+/// then pins the result to the fixture.
+void check_golden(
+    const std::string& name,
+    const std::function<std::string(std::size_t, ReplayMode)>& snapshot) {
+  const std::string serial = snapshot(1, ReplayMode::kGrouped);
+  for (const std::size_t threads : kThreadCounts) {
+    for (const ReplayMode mode : {ReplayMode::kGrouped, ReplayMode::kLegacy}) {
+      if (threads == 1 && mode == ReplayMode::kGrouped) continue;
+      EXPECT_EQ(serial, snapshot(threads, mode))
+          << name << ": result depends on the executor (threads " << threads
+          << (mode == ReplayMode::kLegacy ? ", legacy replay)" : ")");
+    }
+  }
+  pin(name, serial);
 }
 
 TEST(GoldenReplay, SweepByteIdenticalAcrossThreadCountsAndRefactors) {
   const workload::Trace trace = golden_trace();
-  check_golden("golden_sweep.txt", [&](std::size_t threads) {
-    return sweep_snapshot(trace, threads);
+  check_golden("golden_sweep.txt", [&](std::size_t threads, ReplayMode mode) {
+    return sweep_snapshot(trace, threads, mode);
   });
 }
 
 TEST(GoldenReplay, DegradedCampaignByteIdenticalWithLedger) {
   const workload::Trace trace = golden_trace();
-  check_golden("golden_degraded.txt", [&](std::size_t threads) {
-    return degraded_snapshot(trace, threads);
-  });
+  check_golden("golden_degraded.txt",
+               [&](std::size_t threads, ReplayMode mode) {
+                 return degraded_snapshot(trace, threads, mode);
+               });
+}
+
+TEST(GoldenReplay, DegradedCampaignsOnEveryStoreAndFaultClass) {
+  const workload::Trace trace = golden_trace();
+  check_golden("golden_degraded_plans.txt",
+               [&](std::size_t threads, ReplayMode mode) {
+                 return degraded_plans_snapshot(trace, threads, mode);
+               });
+}
+
+TEST(GoldenReplay, DynamicTiererRunByteIdentical) {
+  const workload::Trace trace = golden_trace();
+  pin("golden_tiering.txt", tiering_snapshot(trace));
 }
 
 }  // namespace

@@ -43,6 +43,12 @@ Request small_advise(std::string id) {
   return req;
 }
 
+/// One request through submit_line, the live request path; the answer is
+/// its parsed response line.
+JsonValue ask(Server& server, const Request& req) {
+  return json_parse(server.submit_line(req.to_json_line()).get());
+}
+
 fs::path fresh_dir(const std::string& name) {
   const fs::path dir = fs::path(testing::TempDir()) / name;
   fs::remove_all(dir);
@@ -70,11 +76,12 @@ TEST(ServeChaos, InjectedWriteFailuresNeverChangeTheAnswer) {
   // Every artifact save fails (ENOSPC-style); the cache is best-effort,
   // so the response must still be the exact uncached answer.
   const fs::path dir = fresh_dir("mnemo_chaos_write_fail");
-  Response clean;
+  std::string clean_output;
   {
     Server reference(ServeOptions{});
-    clean = reference.handle(small_advise("ref"));
-    ASSERT_TRUE(clean.ok);
+    const JsonValue clean = ask(reference, small_advise("ref"));
+    ASSERT_TRUE(clean.find("ok")->value.boolean);
+    clean_output = clean.find("output")->value.string;
   }
 
   faultinject::IoFaultPlan plan;
@@ -83,9 +90,9 @@ TEST(ServeChaos, InjectedWriteFailuresNeverChangeTheAnswer) {
   ServeOptions options;
   options.cache_dir = dir.string();
   Server server(std::move(options));
-  const Response under_chaos = server.handle(small_advise("chaos"));
-  ASSERT_TRUE(under_chaos.ok) << under_chaos.error_message;
-  EXPECT_EQ(under_chaos.output, clean.output);
+  const JsonValue under_chaos = ask(server, small_advise("chaos"));
+  ASSERT_TRUE(under_chaos.find("ok")->value.boolean);
+  EXPECT_EQ(under_chaos.find("output")->value.string, clean_output);
   EXPECT_GT(chaos.injector().stats().write_failures, 0u);
 
   // Nothing valid was persisted: the directory holds no artifacts.
@@ -108,9 +115,9 @@ TEST(ServeChaos, TornWritesLeaveOnlyLitterAndAWarmRunRecomputes) {
     ServeOptions options;
     options.cache_dir = dir.string();
     Server server(std::move(options));
-    const Response resp = server.handle(small_advise("cold"));
-    ASSERT_TRUE(resp.ok) << resp.error_message;
-    cold_output = resp.output;
+    const JsonValue resp = ask(server, small_advise("cold"));
+    ASSERT_TRUE(resp.find("ok")->value.boolean);
+    cold_output = resp.find("output")->value.string;
     EXPECT_GT(chaos.injector().stats().torn_writes, 0u);
   }
   // The atomic-write discipline held even under chaos: torn temps, but
@@ -130,9 +137,9 @@ TEST(ServeChaos, TornWritesLeaveOnlyLitterAndAWarmRunRecomputes) {
   ServeOptions options;
   options.cache_dir = dir.string();
   Server warm(std::move(options));
-  const Response resp = warm.handle(small_advise("warm"));
-  ASSERT_TRUE(resp.ok);
-  EXPECT_EQ(resp.output, cold_output);
+  const JsonValue resp = ask(warm, small_advise("warm"));
+  ASSERT_TRUE(resp.find("ok")->value.boolean);
+  EXPECT_EQ(resp.find("output")->value.string, cold_output);
   EXPECT_GT(core::campaign_totals().cells, before);
   fs::remove_all(dir);
 }
@@ -146,7 +153,7 @@ TEST(ServeChaos, CliFsckQuarantinesChaosDamageExactlyOnce) {
     ServeOptions options;
     options.cache_dir = dir.string();
     Server server(std::move(options));
-    ASSERT_TRUE(server.handle(small_advise("seed")).ok);
+    ASSERT_TRUE(ask(server, small_advise("seed")).find("ok")->value.boolean);
   }
   std::vector<fs::path> artifacts;
   for (const auto& e : fs::directory_iterator(dir)) {
@@ -195,9 +202,9 @@ TEST(ServeChaos, ServerStartupFsckHealsADamagedCache) {
     ServeOptions options;
     options.cache_dir = dir.string();
     Server server(std::move(options));
-    const Response resp = server.handle(small_advise("seed"));
-    ASSERT_TRUE(resp.ok);
-    clean_output = resp.output;
+    const JsonValue resp = ask(server, small_advise("seed"));
+    ASSERT_TRUE(resp.find("ok")->value.boolean);
+    clean_output = resp.find("output")->value.string;
   }
   for (const auto& e : fs::directory_iterator(dir)) {
     if (e.path().extension() == ".mna") {
@@ -207,9 +214,9 @@ TEST(ServeChaos, ServerStartupFsckHealsADamagedCache) {
   ServeOptions options;
   options.cache_dir = dir.string();
   Server healed(std::move(options));  // fsck_on_start quarantines the damage
-  const Response resp = healed.handle(small_advise("after"));
-  ASSERT_TRUE(resp.ok) << resp.error_message;
-  EXPECT_EQ(resp.output, clean_output);
+  const JsonValue resp = ask(healed, small_advise("after"));
+  ASSERT_TRUE(resp.find("ok")->value.boolean);
+  EXPECT_EQ(resp.find("output")->value.string, clean_output);
   EXPECT_TRUE(fs::exists(dir / "quarantine"));
   fs::remove_all(dir);
 }
@@ -234,8 +241,7 @@ TEST(ServeChaos, ClientDisconnectIsCountedAndServiceContinues) {
   // The server object is still healthy for the next client. One lead paid
   // for the campaign; everyone else got a free answer (with two workers a
   // duplicate may join the in-flight lease rather than memo-hit later).
-  const Response resp = server.handle(small_advise("next"));
-  EXPECT_TRUE(resp.ok);
+  EXPECT_TRUE(ask(server, small_advise("next")).find("ok")->value.boolean);
   EXPECT_EQ(server.stats().measure_leads, 1u);
   EXPECT_EQ(server.stats().single_flight_joins +
                 server.stats().measure_memo_hits,

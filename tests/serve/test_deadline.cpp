@@ -8,10 +8,9 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <filesystem>
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -39,6 +38,30 @@ Request small_advise(std::string id) {
   return req;
 }
 
+/// One request through submit_line, the live request path; the answer is
+/// its parsed response line.
+JsonValue ask(Server& server, const Request& req) {
+  return json_parse(server.submit_line(req.to_json_line()).get());
+}
+
+std::string error_code(const JsonValue& response) {
+  return response.find("error")->value.find("code")->value.string;
+}
+
+/// small_advise with a 1 ms deadline; paired with hold_past_deadline it
+/// has always lapsed before the request's first cancellation point.
+Request late_advise(std::string id) {
+  Request req = small_advise(std::move(id));
+  req.deadline_ms = 1;
+  return req;
+}
+
+/// on_request seam: holds each request on its worker well past a 1 ms
+/// deadline before the request does any work.
+void hold_past_deadline(const Request&) {
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+}
+
 std::string cli_answer(const std::vector<std::string>& args) {
   std::ostringstream out;
   std::ostringstream err;
@@ -54,25 +77,15 @@ std::string cli_answer(const std::vector<std::string>& args) {
 }
 
 TEST(ServeDeadline, ExpiredTokenAnswersTypedDeadlineExceeded) {
-  Server server(ServeOptions{});
-  util::CancelToken token{util::Deadline::after_ms(0)};
-  const Response resp = server.handle(small_advise("late"), &token);
-  EXPECT_FALSE(resp.ok);
-  EXPECT_EQ(resp.error_code, "deadline_exceeded");
-  EXPECT_EQ(resp.id, "late");
+  ServeOptions options;
+  options.on_request = hold_past_deadline;
+  Server server(std::move(options));
+  const JsonValue v = ask(server, late_advise("late"));
+  EXPECT_FALSE(v.find("ok")->value.boolean);
+  EXPECT_EQ(error_code(v), "deadline_exceeded");
+  EXPECT_EQ(v.find("id")->value.string, "late");
   EXPECT_EQ(server.stats().deadline_hits, 1u);
   EXPECT_EQ(server.stats().canceled, 0u);
-}
-
-TEST(ServeDeadline, ExplicitCancelAnswersTypedCanceled) {
-  Server server(ServeOptions{});
-  util::CancelToken token;
-  token.cancel({util::ErrorCode::kCanceled, "client went away"});
-  const Response resp = server.handle(small_advise("gone"), &token);
-  EXPECT_FALSE(resp.ok);
-  EXPECT_EQ(resp.error_code, "canceled");
-  EXPECT_EQ(server.stats().canceled, 1u);
-  EXPECT_EQ(server.stats().deadline_hits, 0u);
 }
 
 TEST(ServeDeadline, CanceledRequestPublishesNothingAndOthersStayIdentical) {
@@ -81,10 +94,10 @@ TEST(ServeDeadline, CanceledRequestPublishesNothingAndOthersStayIdentical) {
   fs::remove_all(dir);
   ServeOptions options;
   options.cache_dir = dir.string();
+  options.on_request = hold_past_deadline;
   Server server(std::move(options));
 
-  util::CancelToken token{util::Deadline::after_ms(0)};
-  EXPECT_EQ(server.handle(small_advise("late"), &token).error_code,
+  EXPECT_EQ(error_code(ask(server, late_advise("late"))),
             "deadline_exceeded");
   // Zero partial artifacts: the canceled request reached no save point.
   EXPECT_FALSE(fs::exists(dir) &&
@@ -92,9 +105,9 @@ TEST(ServeDeadline, CanceledRequestPublishesNothingAndOthersStayIdentical) {
 
   // The same server still answers an undeadlined request with the exact
   // CLI bytes — the canceled flight poisoned no shared state.
-  const Response good = server.handle(small_advise("fine"));
-  ASSERT_TRUE(good.ok) << good.error_message;
-  EXPECT_EQ(good.output,
+  const JsonValue good = ask(server, small_advise("fine"));
+  ASSERT_TRUE(good.find("ok")->value.boolean);
+  EXPECT_EQ(good.find("output")->value.string,
             cli_answer({"advise", "--workload", "trending", "--keys", "150",
                         "--requests", "1500", "--repeats", "1"}));
   fs::remove_all(dir);
@@ -103,7 +116,7 @@ TEST(ServeDeadline, CanceledRequestPublishesNothingAndOthersStayIdentical) {
 TEST(ServeDeadline, RequestDeadlineFieldCutsASlowCampaignShort) {
   // Chaos stalls make every campaign cell take >= 30ms; a 1ms request
   // deadline therefore always lapses mid-campaign. The scheduler's
-  // deadline timer cancels the token, the campaign sheds its remaining
+  // deadline timer cancels the token, the campaign starts no further
   // cells, and the request answers typed — skipped, never killed.
   faultinject::IoFaultPlan plan;
   plan.slow_cell_rate = 1.0;
@@ -113,11 +126,9 @@ TEST(ServeDeadline, RequestDeadlineFieldCutsASlowCampaignShort) {
   Server server(ServeOptions{});
   Request req = small_advise("rushed");
   req.deadline_ms = 1;
-  const std::string line = server.submit_line(req.to_json_line()).get();
-  const JsonValue v = json_parse(line);
+  const JsonValue v = ask(server, req);
   EXPECT_FALSE(v.find("ok")->value.boolean);
-  EXPECT_EQ(v.find("error")->value.find("code")->value.string,
-            "deadline_exceeded");
+  EXPECT_EQ(error_code(v), "deadline_exceeded");
   EXPECT_EQ(v.find("id")->value.string, "rushed");
   EXPECT_EQ(server.stats().deadline_hits, 1u);
 }
@@ -131,9 +142,7 @@ TEST(ServeDeadline, ServerDefaultDeadlineAppliesWhenRequestCarriesNone) {
   ServeOptions options;
   options.default_deadline_ms = 1;
   Server server(std::move(options));
-  const std::string line =
-      server.submit_line(small_advise("default").to_json_line()).get();
-  EXPECT_EQ(json_parse(line).find("error")->value.find("code")->value.string,
+  EXPECT_EQ(error_code(ask(server, small_advise("default"))),
             "deadline_exceeded");
 }
 
@@ -153,89 +162,154 @@ TEST(ServeDeadline, RequestDeadlineOverridesTheServerDefault) {
 }
 
 TEST(ServeDeadline, StatsLedgerRendersTheDeadlineRows) {
-  Server server(ServeOptions{});
-  util::CancelToken token{util::Deadline::after_ms(0)};
-  (void)server.handle(small_advise("late"), &token);
+  ServeOptions options;
+  options.on_request = hold_past_deadline;
+  Server server(std::move(options));
+  (void)ask(server, late_advise("late"));
   const std::string ledger = server.stats().render();
   EXPECT_NE(ledger.find("deadline exceeded"), std::string::npos);
   EXPECT_NE(ledger.find("canceled"), std::string::npos);
   EXPECT_NE(ledger.find("dropped connections"), std::string::npos);
 }
 
+/// A fresh artifact for a leader to publish.
+std::shared_ptr<const core::MeasureArtifact> artifact() {
+  return std::make_shared<const core::MeasureArtifact>();
+}
+
 TEST(SingleFlightCancel, CanceledCallerNeverBecomesLeader) {
   MeasureCache cache;
   util::CancelToken token;
   token.cancel({util::ErrorCode::kCanceled, "too late"});
-  EXPECT_THROW((void)cache.acquire("key", &token), util::CanceledError);
+  EXPECT_THROW((void)cache.try_acquire("key", &token, [] {}),
+               util::CanceledError);
+  // The refusal claimed nothing: the next caller leads.
+  const std::optional<MeasureCache::Lease> lease =
+      cache.try_acquire("key", nullptr, {});
+  ASSERT_TRUE(lease.has_value());
+  EXPECT_TRUE(lease->leader);
 }
 
 TEST(SingleFlightCancel, MemoHitIsServedEvenWhenCanceled) {
   // Adopting a finished artifact costs nothing, so a canceled caller
   // still gets it — cancellation stops new work, not free answers.
   MeasureCache cache;
-  const MeasureCache::Lease leader = cache.acquire("key");
-  ASSERT_TRUE(leader.leader);
-  cache.publish("key", std::make_shared<core::MeasureArtifact>());
+  ASSERT_TRUE(cache.try_acquire("key", nullptr, {})->leader);
+  cache.publish("key", artifact());
 
   util::CancelToken token{util::Deadline::after_ms(0)};
-  const MeasureCache::Lease hit = cache.acquire("key", &token);
-  EXPECT_FALSE(hit.leader);
-  EXPECT_FALSE(hit.joined);
-  EXPECT_NE(hit.artifact, nullptr);
+  const std::optional<MeasureCache::Lease> hit =
+      cache.try_acquire("key", &token, [] {});
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_FALSE(hit->leader);
+  EXPECT_NE(hit->artifact, nullptr);
 }
 
 TEST(SingleFlightCancel, CanceledJoinerWakesAndThrowsWhileLeaderFinishes) {
-  // The active wake-up path: a joiner blocked on an in-flight leader is
-  // notified by the token's cancel callback, throws the typed error, and
-  // the leader's flight is untouched — later callers adopt its artifact.
+  // A joiner parked on an in-flight leader is woken by its token's cancel
+  // (the scheduler's deadline timer does exactly this), throws the typed
+  // error when it re-enters, and the leader's flight is untouched — later
+  // callers adopt its artifact.
   MeasureCache cache;
-  const MeasureCache::Lease leader = cache.acquire("key");
-  ASSERT_TRUE(leader.leader);
+  ASSERT_TRUE(cache.try_acquire("key", nullptr, {})->leader);
 
   util::CancelToken token;
-  std::atomic<bool> joined{false};
-  std::thread joiner([&] {
-    try {
-      (void)cache.acquire("key", &token);
-      FAIL() << "canceled joiner must throw, not adopt";
-    } catch (const util::CanceledError& e) {
-      EXPECT_EQ(e.error().code, util::ErrorCode::kCanceled);
-    }
-    joined = true;
-  });
-  // Let the joiner reach its wait, then cancel out-of-band (the
-  // scheduler's deadline timer does exactly this).
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  int wakes = 0;
+  ASSERT_FALSE(cache.try_acquire("key", &token, [&] { ++wakes; }).has_value());
   token.cancel({util::ErrorCode::kCanceled, "timer"});
-  joiner.join();
-  ASSERT_TRUE(joined.load());
+  EXPECT_EQ(wakes, 1);
+  try {
+    (void)cache.try_acquire("key", &token, [&] { ++wakes; });
+    FAIL() << "canceled joiner must throw, not park or lead";
+  } catch (const util::CanceledError& e) {
+    EXPECT_EQ(e.error().code, util::ErrorCode::kCanceled);
+  }
 
-  cache.publish("key", std::make_shared<core::MeasureArtifact>());
-  const MeasureCache::Lease after = cache.acquire("key");
-  EXPECT_FALSE(after.leader);
-  EXPECT_NE(after.artifact, nullptr);
+  cache.publish("key", artifact());
+  EXPECT_EQ(wakes, 1);
+  const std::optional<MeasureCache::Lease> after =
+      cache.try_acquire("key", nullptr, {});
+  ASSERT_TRUE(after.has_value());
+  EXPECT_FALSE(after->leader);
+  EXPECT_NE(after->artifact, nullptr);
 }
 
-TEST(SingleFlightCancel, DeadlineArmedJoinerWakesWithNoTimerAtAll) {
-  // The passive path: the joiner bounds its own sleep with the token's
-  // deadline (wait_until), so even with nobody calling cancel() it wakes
-  // and throws deadline_exceeded instead of sleeping forever.
-  MeasureCache cache;
-  const MeasureCache::Lease leader = cache.acquire("key");
-  ASSERT_TRUE(leader.leader);
-
-  util::CancelToken token{util::Deadline::after_ms(30)};
-  const auto start = std::chrono::steady_clock::now();
-  try {
-    (void)cache.acquire("key", &token);
-    FAIL() << "joiner outlived its deadline";
-  } catch (const util::CanceledError& e) {
-    EXPECT_EQ(e.error().code, util::ErrorCode::kDeadlineExceeded);
+TEST(SingleFlightCancel, ParkedWakeRunsExactlyOnceWhicheverFiresFirst) {
+  // A parked waiter is released by its leader (publish or abandon) and by
+  // its own token's cancel. Leader first, cancel first, or both racing on
+  // two threads: the wake runs exactly once.
+  enum class Order { kLeaderFirst, kCancelFirst, kRace };
+  for (const bool publish : {true, false}) {
+    for (const Order order :
+         {Order::kLeaderFirst, Order::kCancelFirst, Order::kRace}) {
+      MeasureCache cache;
+      ASSERT_TRUE(cache.try_acquire("key", nullptr, {})->leader);
+      util::CancelToken token;
+      std::atomic<int> wakes{0};
+      ASSERT_FALSE(
+          cache.try_acquire("key", &token, [&] { ++wakes; }).has_value());
+      const auto leader_settles = [&] {
+        if (publish) {
+          cache.publish("key", artifact());
+        } else {
+          cache.abandon("key");
+        }
+      };
+      const auto cancel = [&] {
+        token.cancel({util::ErrorCode::kCanceled, "timer"});
+      };
+      switch (order) {
+        case Order::kLeaderFirst:
+          leader_settles();
+          cancel();
+          break;
+        case Order::kCancelFirst:
+          cancel();
+          leader_settles();
+          break;
+        case Order::kRace: {
+          std::thread canceler(cancel);
+          leader_settles();
+          canceler.join();
+          break;
+        }
+      }
+      EXPECT_EQ(wakes.load(), 1)
+          << (publish ? "publish" : "abandon") << " order "
+          << static_cast<int>(order);
+    }
   }
-  const auto waited = std::chrono::steady_clock::now() - start;
-  EXPECT_LT(std::chrono::duration_cast<std::chrono::seconds>(waited).count(),
-            30);  // woke via its own wait_until, not a test timeout
+}
+
+TEST(SingleFlightCancel, AfterAnAbandonTheFirstWaiterToReEnterLeads) {
+  // An abandon wakes every waiter; the first to re-enter becomes the
+  // replacement leader and the next parks behind it, so a failed leader
+  // never wedges the key.
+  MeasureCache cache;
+  ASSERT_TRUE(cache.try_acquire("key", nullptr, {})->leader);
+  int first_wakes = 0;
+  int second_wakes = 0;
+  ASSERT_FALSE(
+      cache.try_acquire("key", nullptr, [&] { ++first_wakes; }).has_value());
+  ASSERT_FALSE(
+      cache.try_acquire("key", nullptr, [&] { ++second_wakes; }).has_value());
   cache.abandon("key");
+  EXPECT_EQ(first_wakes, 1);
+  EXPECT_EQ(second_wakes, 1);
+
+  const std::optional<MeasureCache::Lease> first =
+      cache.try_acquire("key", nullptr, {});
+  ASSERT_TRUE(first.has_value());
+  EXPECT_TRUE(first->leader);
+  ASSERT_FALSE(
+      cache.try_acquire("key", nullptr, [&] { ++second_wakes; }).has_value());
+  cache.publish("key", artifact());
+  EXPECT_EQ(second_wakes, 2);
+  const std::optional<MeasureCache::Lease> second =
+      cache.try_acquire("key", nullptr, {});
+  ASSERT_TRUE(second.has_value());
+  EXPECT_FALSE(second->leader);
+  EXPECT_NE(second->artifact, nullptr);
 }
 
 }  // namespace

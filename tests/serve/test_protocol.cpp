@@ -88,6 +88,10 @@ TEST(ServeProtocol, WrongTypesAreRejected) {
   EXPECT_NE(fail_pos(R"({"id":"r1","op":"advise","tiered":"yes"})"), 0u);
   EXPECT_NE(fail_pos(R"({"id":"r1","op":"advise","p":0})"), 0u);
   EXPECT_NE(fail_pos(R"({"id":"r1","op":"advise","slo":-0.1})"), 0u);
+  EXPECT_NE(fail_pos(R"({"id":"r1","op":"advise","p":1.5})"), 0u);
+  EXPECT_NE(fail_pos(R"({"id":"r1","op":"advise","p":1})"), 0u);
+  EXPECT_NE(fail_pos(R"({"id":"r1","op":"advise","slo":2})"), 0u);
+  EXPECT_NE(fail_pos(R"({"id":"r1","op":"advise","slo":1})"), 0u);
 }
 
 TEST(ServeProtocol, OutOfRangeSizesAreRejected) {

@@ -58,9 +58,9 @@ std::vector<Request> stress_requests() {
 TEST(ServeStress, EightClientsOneReplayPerDistinctKeyBitIdentical) {
   const std::vector<Request> requests = stress_requests();
 
-  // Sequential reference: one worker, requests in order. Records the
-  // expected response line per id and the campaign cost of covering every
-  // distinct measure key exactly once.
+  // Sequential reference: a one-worker server answering one line at a
+  // time, in order. Records the expected response line per id and the
+  // campaign cost of covering every distinct measure key exactly once.
   std::map<std::string, std::string> expected;
   const std::size_t before_seq = core::campaign_totals().cells;
   {
@@ -69,7 +69,7 @@ TEST(ServeStress, EightClientsOneReplayPerDistinctKeyBitIdentical) {
     options.queue_capacity = requests.size();
     Server sequential(std::move(options));
     for (const Request& req : requests) {
-      expected[req.id] = sequential.handle(req).to_json_line();
+      expected[req.id] = sequential.submit_line(req.to_json_line()).get();
     }
     EXPECT_EQ(sequential.stats().measure_leads, 3u);
   }

@@ -8,6 +8,7 @@
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cli/cli.hpp"
@@ -31,6 +32,12 @@ Request small_advise(std::string id) {
   return req;
 }
 
+/// One request through submit_line, the live request path; the answer is
+/// its parsed response line.
+JsonValue ask(Server& server, const Request& req) {
+  return json_parse(server.submit_line(req.to_json_line()).get());
+}
+
 /// The CLI's answer for the same configuration, minus the presentation
 /// lines serve deliberately omits ("campaign cells executed: N" depends
 /// on how the run was satisfied, not on the answer).
@@ -50,9 +57,9 @@ std::string cli_answer(const std::vector<std::string>& args) {
 
 TEST(ServeServer, AdviseResponseIsBitIdenticalToTheCliAnswer) {
   Server server(ServeOptions{});
-  const Response resp = server.handle(small_advise("r1"));
-  ASSERT_TRUE(resp.ok) << resp.error_message;
-  EXPECT_EQ(resp.output,
+  const JsonValue v = ask(server, small_advise("r1"));
+  ASSERT_TRUE(v.find("ok")->value.boolean);
+  EXPECT_EQ(v.find("output")->value.string,
             cli_answer({"advise", "--workload", "trending", "--keys", "150",
                         "--requests", "1500", "--repeats", "1"}));
 }
@@ -67,11 +74,12 @@ TEST(ServeServer, EveryOpAnswersLikeTheCli) {
     Request req = small_advise(std::string("op-") +
                                std::string(to_string(op)));
     req.op = op;
-    const Response resp = server.handle(req);
-    ASSERT_TRUE(resp.ok) << resp.error_message;
+    const JsonValue v = ask(server, req);
+    ASSERT_TRUE(v.find("ok")->value.boolean) << to_string(op);
     std::vector<std::string> args = {std::string(to_string(op))};
     args.insert(args.end(), base.begin(), base.end());
-    EXPECT_EQ(resp.output, cli_answer(args)) << to_string(op);
+    EXPECT_EQ(v.find("output")->value.string, cli_answer(args))
+        << to_string(op);
   }
 }
 
@@ -79,20 +87,54 @@ TEST(ServeServer, ReportResponseCarriesTheCsvArtifact) {
   Server server(ServeOptions{});
   Request req = small_advise("csv");
   req.op = RequestOp::kReport;
-  const Response resp = server.handle(req);
-  ASSERT_TRUE(resp.ok);
-  EXPECT_NE(resp.csv.find("key_id"), std::string::npos);
+  const JsonValue v = ask(server, req);
+  ASSERT_TRUE(v.find("ok")->value.boolean);
+  EXPECT_NE(v.find("csv")->value.string.find("key_id"), std::string::npos);
 }
 
 TEST(ServeServer, InvalidWorkloadIsATypedErrorResponse) {
   Server server(ServeOptions{});
   Request req = small_advise("bad");
   req.workload = "no-such-workload";
-  const Response resp = server.handle(req);
-  EXPECT_FALSE(resp.ok);
-  EXPECT_EQ(resp.error_code, "invalid_argument");
-  EXPECT_EQ(resp.id, "bad");
+  const JsonValue v = ask(server, req);
+  EXPECT_FALSE(v.find("ok")->value.boolean);
+  EXPECT_EQ(v.find("error")->value.find("code")->value.string,
+            "invalid_argument");
+  EXPECT_EQ(v.find("id")->value.string, "bad");
   EXPECT_EQ(server.stats().errors, 1u);
+}
+
+TEST(ServeServer, LinesThatOnceAbortedTheServerAnswerTyped) {
+  // Each of these lines used to trip an assertion and take the whole
+  // server (and every in-flight answer) down. One server answers them all
+  // typed, then still answers a normal request.
+  Server server(ServeOptions{});
+  const std::vector<std::pair<std::string, std::string>> refused = {
+      {R"({"id":"p","op":"advise","p":1.5})", "parse_error"},
+      {R"({"id":"slo","op":"advise","slo":2})", "parse_error"},
+      {R"({"id":"hot","op":"advise","workload":"trending","keys":1})",
+       "invalid_argument"},
+      {R"({"id":"hot","op":"advise","workload":"trending_preview","keys":1})",
+       "invalid_argument"},
+  };
+  for (const auto& [line, code] : refused) {
+    const JsonValue v = json_parse(server.submit_line(line).get());
+    EXPECT_FALSE(v.find("ok")->value.boolean) << line;
+    EXPECT_EQ(v.find("error")->value.find("code")->value.string, code)
+        << line;
+  }
+  // A grid so small its per-key refunds carry no signal: the estimate
+  // still lands on the FastMem baseline and the answer is ordinary.
+  for (const RequestOp op : {RequestOp::kAdvise, RequestOp::kReport}) {
+    Request tiny = small_advise("tiny");
+    tiny.op = op;
+    tiny.workload = "news_feed";
+    tiny.keys = 2;
+    tiny.requests = 2;
+    EXPECT_TRUE(ask(server, tiny).find("ok")->value.boolean)
+        << to_string(op);
+  }
+  EXPECT_TRUE(ask(server, small_advise("after")).find("ok")->value.boolean);
 }
 
 TEST(ServeServer, IdenticalRequestsReplayTheCampaignOnce) {
@@ -100,10 +142,10 @@ TEST(ServeServer, IdenticalRequestsReplayTheCampaignOnce) {
   options.threads = 1;
   Server server(std::move(options));
   const std::size_t before = core::campaign_totals().cells;
-  ASSERT_TRUE(server.handle(small_advise("a")).ok);
+  ASSERT_TRUE(ask(server, small_advise("a")).find("ok")->value.boolean);
   const std::size_t once = core::campaign_totals().cells - before;
   ASSERT_GT(once, 0u);
-  ASSERT_TRUE(server.handle(small_advise("b")).ok);
+  ASSERT_TRUE(ask(server, small_advise("b")).find("ok")->value.boolean);
   EXPECT_EQ(core::campaign_totals().cells - before, once);
   EXPECT_EQ(server.stats().measure_leads, 1u);
   EXPECT_EQ(server.stats().measure_memo_hits, 1u);
@@ -193,13 +235,14 @@ TEST(ServeServer, ServeStreamAnswersInArrivalOrderAndDrains) {
 
 TEST(ServeServer, StatsOpReportsTheLedger) {
   Server server(ServeOptions{});
-  ASSERT_TRUE(server.handle(small_advise("a")).ok);
+  ASSERT_TRUE(ask(server, small_advise("a")).find("ok")->value.boolean);
   Request stats;
   stats.id = "st";
   stats.op = RequestOp::kStats;
-  const Response resp = server.handle(stats);
-  ASSERT_TRUE(resp.ok);
-  EXPECT_NE(resp.output.find("measure leads       1"), std::string::npos);
+  const JsonValue v = ask(server, stats);
+  ASSERT_TRUE(v.find("ok")->value.boolean);
+  EXPECT_NE(v.find("output")->value.string.find("measure leads       1"),
+            std::string::npos);
 }
 
 TEST(ServeServer, TimingBlockIsOptInAndCountsTheCampaignCells) {
@@ -248,13 +291,12 @@ TEST(ServeServer, SharedCacheDirWarmsAcrossServerInstances) {
   options.cache_dir = dir.string();
   {
     Server cold(options);
-    ASSERT_TRUE(cold.handle(small_advise("cold")).ok);
+    ASSERT_TRUE(ask(cold, small_advise("cold")).find("ok")->value.boolean);
   }
   const std::size_t before = core::campaign_totals().cells;
   {
     Server warm(options);
-    const Response resp = warm.handle(small_advise("warm"));
-    ASSERT_TRUE(resp.ok);
+    ASSERT_TRUE(ask(warm, small_advise("warm")).find("ok")->value.boolean);
     // The disk cache satisfied the measure stage: the "lead" replayed
     // nothing.
     EXPECT_EQ(core::campaign_totals().cells, before);

@@ -104,11 +104,10 @@ TEST(MixtureQuantile, WeightsShiftTheTail) {
 }
 
 TEST(LogHistogram, BucketBoundsTableIsExactAtEveryBoundary) {
-  // bucket_bounds() is the 256-entry partition table add_batch feeds to
-  // util::simd::partition_index_batch: bounds[i] must be
-  // the smallest double classified into bucket i, so batch bucketing by
-  // "largest i with bounds[i] <= x" reproduces bucket_index() bit for
-  // bit. Probe every boundary and its one-ulp neighbour.
+  // bucket_bounds() is the 256-entry partition table of bucket_index():
+  // bounds[i] must be the smallest double classified into bucket i, so a
+  // lookup by "largest i with bounds[i] <= x" reproduces bucket_index()
+  // bit for bit. Probe every boundary and its one-ulp neighbour.
   const std::span<const double, 256> bounds = LogHistogram::bucket_bounds();
   EXPECT_EQ(bounds[0], -std::numeric_limits<double>::infinity());
   for (std::size_t i = 1; i < LogHistogram::kBuckets; ++i) {
@@ -124,37 +123,6 @@ TEST(LogHistogram, BucketBoundsTableIsExactAtEveryBoundary) {
     ASSERT_EQ(bounds[i], std::numeric_limits<double>::infinity())
         << "i=" << i;
   }
-}
-
-TEST(LogHistogram, AddBatchMatchesPerOpAdd) {
-  util::Rng rng(6);
-  std::vector<double> samples;
-  for (int i = 0; i < 10'000; ++i) {
-    // Log-uniform across the full range plus both saturation ends.
-    samples.push_back(std::pow(10.0, rng.next_double() * 14.0 - 2.0));
-  }
-  const std::span<const double, 256> bounds = LogHistogram::bucket_bounds();
-  for (std::size_t i = 1; i < LogHistogram::kBuckets; ++i) {
-    samples.push_back(bounds[i]);
-    samples.push_back(std::nextafter(bounds[i], 0.0));
-  }
-
-  LogHistogram scalar;
-  for (const double s : samples) scalar.add(s);
-  LogHistogram batched;
-  batched.add_batch(samples);
-  EXPECT_EQ(batched, scalar);
-
-  // Batch appends compose with prior per-op contents, and an empty batch
-  // is a no-op.
-  LogHistogram mixed;
-  mixed.add(100.0);
-  mixed.add_batch(std::span<const double>(samples.data(), samples.size()));
-  mixed.add_batch(std::span<const double>{});
-  LogHistogram mixed_scalar;
-  mixed_scalar.add(100.0);
-  for (const double s : samples) mixed_scalar.add(s);
-  EXPECT_EQ(mixed, mixed_scalar);
 }
 
 TEST(MixtureQuantile, UnnormalizedWeightsAreEquivalent) {

@@ -61,11 +61,20 @@ TEST(ArgParser, FlagWithValueFails) {
 }
 
 TEST(ArgParser, NumericConversionErrorsThrow) {
-  ArgParser p = make_parser();
-  std::string error;
-  ASSERT_TRUE(p.parse({"--count", "abc"}, &error));
-  EXPECT_THROW((void)p.get_u64("count"), std::invalid_argument);
-  EXPECT_THROW((void)p.get_double("count"), std::invalid_argument);
+  // Whole-string numbers only: no silent wrap of a sign, no stop at the
+  // first non-digit (`1e3` is not 1).
+  for (const char* bad : {"abc", "-1", "4x", "1e3"}) {
+    ArgParser p = make_parser();
+    std::string error;
+    ASSERT_TRUE(p.parse({"--count", bad}, &error));
+    EXPECT_THROW((void)p.get_u64("count"), std::invalid_argument) << bad;
+  }
+  for (const char* bad : {"abc", "0.3abc", " 0.3"}) {
+    ArgParser p = make_parser();
+    std::string error;
+    ASSERT_TRUE(p.parse({"--count", bad}, &error));
+    EXPECT_THROW((void)p.get_double("count"), std::invalid_argument) << bad;
+  }
 }
 
 TEST(ArgParser, GetDoubleParses) {

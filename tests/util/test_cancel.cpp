@@ -83,7 +83,7 @@ TEST(CancelToken, DeadlineErrorIsTyped) {
 TEST(CancelToken, CallbacksFireExactlyOnceOnCancel) {
   CancelToken token;
   std::atomic<int> fired{0};
-  (void)token.on_cancel([&] { ++fired; });
+  token.on_cancel([&] { ++fired; });
   EXPECT_EQ(fired.load(), 0);
   token.cancel({ErrorCode::kCanceled, "x"});
   EXPECT_EQ(fired.load(), 1);
@@ -95,29 +95,20 @@ TEST(CancelToken, CallbackRegisteredAfterCancelRunsImmediately) {
   CancelToken token;
   token.cancel({ErrorCode::kCanceled, "x"});
   bool ran = false;
-  (void)token.on_cancel([&] { ran = true; });
+  token.on_cancel([&] { ran = true; });
   EXPECT_TRUE(ran);
-}
-
-TEST(CancelToken, RemovedCallbackDoesNotFire) {
-  CancelToken token;
-  std::atomic<int> fired{0};
-  const std::size_t id = token.on_cancel([&] { ++fired; });
-  token.remove_callback(id);
-  token.cancel({ErrorCode::kCanceled, "x"});
-  EXPECT_EQ(fired.load(), 0);
 }
 
 TEST(CancelToken, PassiveExpiryDoesNotRunCallbacks) {
   // Callbacks are the *active* wake-up path; expiry is observed, not
-  // pushed. A deadline-armed waiter must bound its own sleep (wait_until)
-  // rather than expect a callback.
+  // pushed. A waiter parked on a deadline-armed token needs something
+  // (the scheduler's deadline timer) to call cancel().
   CancelToken token{Deadline::after_ms(0)};
   std::atomic<int> fired{0};
-  (void)token.on_cancel([&] { ++fired; });
+  token.on_cancel([&] { ++fired; });
   EXPECT_TRUE(token.canceled());
   EXPECT_EQ(fired.load(), 0);
-  token.cancel(CancelToken::deadline_error());  // the watchdog's push
+  token.cancel(CancelToken::deadline_error());  // the timer's push
   EXPECT_EQ(fired.load(), 1);
 }
 
@@ -125,7 +116,7 @@ TEST(CancelToken, ConcurrentCancelRunsCallbacksOnce) {
   for (int round = 0; round < 50; ++round) {
     CancelToken token;
     std::atomic<int> fired{0};
-    (void)token.on_cancel([&] { ++fired; });
+    token.on_cancel([&] { ++fired; });
     std::thread a([&] { token.cancel({ErrorCode::kCanceled, "a"}); });
     std::thread b([&] {
       token.cancel({ErrorCode::kDeadlineExceeded, "b"});

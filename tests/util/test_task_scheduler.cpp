@@ -1,9 +1,6 @@
-// Dispatch-law property tests for the TaskScheduler (tentpole): EDF
-// ordering across groups, weighted-round-robin fairness without
-// starvation, run_batch fork-join semantics (exceptions, nesting,
-// cooperative help) and the help_until join, cancellation shedding at
-// cell boundaries, and the deadline timer queue that replaced the
-// watchdog thread.
+// Dispatch-law property tests for the TaskScheduler: EDF ordering
+// across groups, round-robin fairness without starvation, the
+// cooperative help_until join, and the deadline timer queue.
 //
 // Ordering tests use a single-worker scheduler plus a gate task: while
 // the only worker is parked inside the gate, the test stages a known
@@ -18,8 +15,6 @@
 #include <future>
 #include <memory>
 #include <mutex>
-#include <optional>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -31,7 +26,6 @@ namespace mnemo::util {
 namespace {
 
 using Group = TaskScheduler::Group;
-using GroupOptions = TaskScheduler::GroupOptions;
 using TaskClass = TaskScheduler::TaskClass;
 
 /// Blocks the scheduler's (single) worker inside a task until release()
@@ -77,9 +71,11 @@ class OrderLog {
 
 std::shared_ptr<Group> deadline_group(TaskScheduler& sched,
                                       std::uint64_t deadline_ms) {
-  GroupOptions opts;
-  opts.deadline = Deadline::after_ms(deadline_ms);
-  return sched.make_group(opts);
+  return sched.make_group(Deadline::after_ms(deadline_ms));
+}
+
+TEST(HardwareThreads, IsAtLeastOne) {
+  EXPECT_GE(hardware_threads(), 1u);
 }
 
 TEST(TaskSchedulerDispatch, EarliestDeadlineGroupDispatchesFirst) {
@@ -117,9 +113,9 @@ TEST(TaskSchedulerDispatch, DeadlineFreeGroupsDispatchInCreationOrder) {
 
 TEST(TaskSchedulerDispatch, SmallDeadlinedGroupOvertakesABigBacklog) {
   // A big deadline-free group has 6 cells queued before a small
-  // deadline-armed group arrives with 2. EDF-within-WRR interleaves the
-  // small group's cells at the head of each round instead of making it
-  // wait out the backlog: S B S B B B B B.
+  // deadline-armed group arrives with 2. EDF within round-robin rounds
+  // interleaves the small group's cells at the head of each round instead
+  // of making it wait out the backlog: S B S B B B B B.
   OrderLog log;
   {
     TaskScheduler sched(1);
@@ -135,78 +131,6 @@ TEST(TaskSchedulerDispatch, SmallDeadlinedGroupOvertakesABigBacklog) {
     gate.release();
   }
   EXPECT_EQ(log.str(), "SBSBBBBB");
-}
-
-TEST(TaskSchedulerDispatch, WeightedRoundRobinGrantsWeightPerRound) {
-  // Weight 2 vs weight 1: each round dispatches AAB, and the refill
-  // happens only once every runnable group is credit-spent — so B is
-  // never starved no matter how deep A's backlog is.
-  OrderLog log;
-  {
-    TaskScheduler sched(1);
-    Gate gate(sched);
-    GroupOptions heavy;
-    heavy.weight = 2;
-    auto a = sched.make_group(heavy);
-    auto b = sched.make_group();
-    for (int i = 0; i < 4; ++i) {
-      a->submit(TaskClass::kCell, [&] { log.push('A'); });
-    }
-    for (int i = 0; i < 2; ++i) {
-      b->submit(TaskClass::kCell, [&] { log.push('B'); });
-    }
-    gate.release();
-  }
-  EXPECT_EQ(log.str(), "AABAAB");
-}
-
-TEST(TaskSchedulerBatch, RunBatchRunsEveryIndexExactlyOnce) {
-  constexpr std::size_t kN = 64;
-  TaskScheduler sched(4);
-  auto group = sched.make_group();
-  std::vector<std::atomic<int>> hits(kN);
-  sched.run_batch(*group, kN, [&](std::size_t i) { ++hits[i]; });
-  for (std::size_t i = 0; i < kN; ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(TaskSchedulerBatch, FirstCellExceptionIsRethrownAfterTheBatchDrains) {
-  TaskScheduler sched(2);
-  auto group = sched.make_group();
-  std::atomic<int> executed{0};
-  try {
-    sched.run_batch(*group, 8, [&](std::size_t i) {
-      ++executed;
-      if (i == 3) throw std::runtime_error("cell 3 boom");
-    });
-    FAIL() << "run_batch must rethrow the cell's exception";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "cell 3 boom");
-  }
-  // The batch drained fully before rethrowing (fork-join, not abort).
-  EXPECT_EQ(executed.load(), 8);
-  // The scheduler is unharmed: the next batch completes normally.
-  std::atomic<int> after{0};
-  sched.run_batch(*group, 4, [&](std::size_t) { ++after; });
-  EXPECT_EQ(after.load(), 4);
-}
-
-TEST(TaskSchedulerBatch, NestedRunBatchFromAWorkerTaskCompletes) {
-  // A request driver running *on* the scheduler forks its own batch; the
-  // cooperative join (the caller helps run cells) keeps even a
-  // single-worker scheduler deadlock-free.
-  TaskScheduler sched(1);
-  auto driver_group = sched.make_group();
-  std::promise<int> result;
-  driver_group->submit(TaskClass::kRequest, [&] {
-    auto batch_group = sched.make_group();
-    std::atomic<int> sum{0};
-    sched.run_batch(*batch_group, 4,
-                    [&](std::size_t i) { sum += static_cast<int>(i) + 1; });
-    result.set_value(sum.load());
-  });
-  EXPECT_EQ(result.get_future().get(), 1 + 2 + 3 + 4);
 }
 
 TEST(TaskSchedulerBatch, HelpUntilJoinsTasksThatSpawnMoreTasks) {
@@ -232,39 +156,6 @@ TEST(TaskSchedulerBatch, HelpUntilJoinsTasksThatSpawnMoreTasks) {
     result.set_value(settled.load());
   });
   EXPECT_EQ(result.get_future().get(), 9);
-}
-
-TEST(TaskSchedulerCancel, CanceledGroupShedsItsWholeBatch) {
-  TaskScheduler sched(2);
-  CancelToken token;
-  token.cancel({ErrorCode::kCanceled, "shed it all"});
-  GroupOptions opts;
-  opts.cancel = &token;
-  auto group = sched.make_group(opts);
-  std::atomic<int> executed{0};
-  // Shed cells still settle, so the batch drains and returns — the
-  // bodies just never run.
-  sched.run_batch(*group, 16, [&](std::size_t) { ++executed; });
-  EXPECT_EQ(executed.load(), 0);
-}
-
-TEST(TaskSchedulerCancel, MidBatchCancelStopsAtACellBoundary) {
-  // The first executed cell cancels the token; every cell dispatched
-  // after the flag is visible is shed. At most the caller's and the
-  // worker's in-flight cells slip through — the long tail never runs.
-  constexpr std::size_t kN = 64;
-  TaskScheduler sched(1);
-  CancelToken token;
-  GroupOptions opts;
-  opts.cancel = &token;
-  auto group = sched.make_group(opts);
-  std::atomic<int> executed{0};
-  sched.run_batch(*group, kN, [&](std::size_t) {
-    ++executed;
-    token.cancel({ErrorCode::kCanceled, "first cell pulls the plug"});
-  });
-  EXPECT_GE(executed.load(), 1);
-  EXPECT_LT(executed.load(), static_cast<int>(kN) / 2);
 }
 
 TEST(TaskSchedulerTimer, FiresItsCallbackAfterTheDeadline) {
@@ -328,9 +219,14 @@ TEST(TaskSchedulerTimer, TimersFireEvenWhileCellsKeepWorkersBusy) {
   const auto give_up =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (!fired.load() && std::chrono::steady_clock::now() < give_up) {
-    sched.run_batch(*group, 4, [](std::size_t) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    });
+    std::atomic<int> settled{0};
+    for (int i = 0; i < 4; ++i) {
+      group->submit(TaskClass::kCell, [&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        ++settled;
+      });
+    }
+    sched.help_until([&] { return settled.load() == 4; });
   }
   EXPECT_TRUE(fired.load());
 }

@@ -1,10 +1,6 @@
 #!/bin/sh
 # Sanitizer ctest gate: the label set DESIGN.md §13 promises stays clean
-# under TSan and ASan+UBSan, built twice per sanitizer — once with the
-# util::simd kernels on (default) and once with -DMNEMO_SIMD=OFF — so the
-# vector and scalar replay paths are both race- and UB-checked. Results are
-# bit-identical either way (§14); this gate is about keeping the fallback
-# path green, not about comparing outputs.
+# under TSan and under ASan+UBSan, one build tree per sanitizer.
 #
 # Usage: tools/sanitizer_gate.sh [jobs]
 set -eu
@@ -20,8 +16,6 @@ run_leg() {
   (cd "$tree" && ctest -L "$LABELS" --output-on-failure -j "$JOBS")
 }
 
-run_leg build-tsan -DMNEMO_TSAN=ON -DMNEMO_SIMD=ON
-run_leg build-tsan-scalar -DMNEMO_TSAN=ON -DMNEMO_SIMD=OFF
-run_leg build-asan -DMNEMO_ASAN=ON -DMNEMO_UBSAN=ON -DMNEMO_SIMD=ON
-run_leg build-asan-scalar -DMNEMO_ASAN=ON -DMNEMO_UBSAN=ON -DMNEMO_SIMD=OFF
+run_leg build-tsan -DMNEMO_TSAN=ON
+run_leg build-asan -DMNEMO_ASAN=ON -DMNEMO_UBSAN=ON
 echo "sanitizer gate: all legs green"
