@@ -15,6 +15,7 @@
 #include "stats/summary.hpp"
 #include "util/bytes.hpp"
 #include "util/table.hpp"
+#include "workload/compiled_trace.hpp"
 #include "workload/suite.hpp"
 
 namespace {
@@ -163,9 +164,11 @@ int main() {
     const core::SensitivityEngine synth(synth_cfg);
     const hybridmem::Placement all_fast(trace.key_count(),
                                         hybridmem::NodeId::kFast);
+    const workload::CompiledTrace compiled(trace);
     const double stored_runtime =
-        stored.run_once(trace, all_fast).runtime_ns;
-    const double synth_runtime = synth.run_once(trace, all_fast).runtime_ns;
+        stored.run_once(compiled, all_fast).runtime_ns;
+    const double synth_runtime =
+        synth.run_once(compiled, all_fast).runtime_ns;
     std::printf("-- stored vs synthetic payloads --\n");
     std::printf("simulated runtime stored:    %s\n",
                 util::format_ns(stored_runtime).c_str());

@@ -1,32 +1,36 @@
 // Wall-clock campaign microbenchmark for the replay paths (DESIGN.md §12,
-// §14): times the same measure_grid — the engine behind every sweep,
-// baseline and session — at the library's default repeats under
-// ReplayMode::kLegacy (per-cell rehash/redigest on the heap),
-// ReplayMode::kCompiled (every cell a full try_run_once on the shared
-// CompiledTrace with a per-worker arena, no sharing) and
-// ReplayMode::kGrouped (the default: one leader per placement, its repeat
-// siblings replaying the leader's skeleton as tasks of their own). All
-// arms return measurements that are asserted bit-identical here — the
-// bench refuses to report on any divergence — so every speedup is
-// provably a pure implementation win. Results go to BENCH_campaign.json
-// ("mnemo.bench.campaign/v3") for bench_diff.
+// §14): times the {placement × repeat} grid behind every sweep, baseline
+// and session, at the library's default repeats, two ways. The per-cell
+// arm replays every cell fully and serially — try_run_once on the shared
+// CompiledTrace, one arena reset per cell, each placement's repeats folded
+// with average_runs — the oracle test_grouped_replay builds, timed at
+// threads 1. The grouped arm runs the same grid through
+// CampaignRunner::measure_grid at threads {1, 2, 8}: one leader per
+// placement, its repeat siblings replaying the leader's skeleton as tasks
+// of their own. The arms must return bit-identical grids — the bench
+// exits 1 on any divergence — so every speedup is provably a pure
+// implementation win. Results go to BENCH_campaign.json
+// ("mnemo.bench.campaign/v4") for bench_diff.
 //
 //   ./micro_campaign                full run, writes BENCH_campaign.json
 //   ./micro_campaign --smoke        tiny workload + schema self-check (CI)
 //   ./micro_campaign --out FILE     alternate output path
-//   ./micro_campaign --repeats N    timing repeats per (store, threads) cell
+//   ./micro_campaign --repeats N    timing repeats per arm
 
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/campaign.hpp"
 #include "core/sensitivity_engine.hpp"
+#include "util/arena.hpp"
 #include "util/argparse.hpp"
 #include "util/timer.hpp"
+#include "workload/compiled_trace.hpp"
 #include "workload/trace.hpp"
 #include "workload/workload_spec.hpp"
 
@@ -34,26 +38,29 @@ namespace {
 
 using namespace mnemo;
 
-struct CellResult {
-  kvstore::StoreKind store = kvstore::StoreKind::kVermilion;
-  std::size_t threads = 0;
-  std::size_t grid_cells = 0;  ///< placements × repeats replayed per timing
-  double legacy_median_s = 0.0;
-  double legacy_min_s = 0.0;
-  double compiled_median_s = 0.0;
-  double compiled_min_s = 0.0;
-  double grouped_median_s = 0.0;
-  double grouped_min_s = 0.0;
+constexpr std::size_t kThreadCounts[] = {1, 2, 8};
 
-  [[nodiscard]] double speedup() const {
-    return compiled_median_s > 0.0 ? legacy_median_s / compiled_median_s
+struct Timing {
+  double median_s = 0.0;
+  double min_s = 0.0;
+};
+
+struct GroupedResult {
+  std::size_t threads = 0;
+  Timing timing;
+};
+
+struct StoreResult {
+  kvstore::StoreKind store = kvstore::StoreKind::kVermilion;
+  std::size_t grid_cells = 0;  ///< placements × repeats replayed per timing
+  Timing per_cell;             ///< the serial per-cell arm, threads 1
+  std::vector<GroupedResult> grouped;  ///< one per thread count
+
+  /// Paired-median win of grouped replay at `g.threads` over replaying
+  /// every cell fully and serially.
+  [[nodiscard]] double speedup(const GroupedResult& g) const {
+    return g.timing.median_s > 0.0 ? per_cell.median_s / g.timing.median_s
                                    : 0.0;
-  }
-  /// Paired-median win of grouped skeleton replay over replaying every
-  /// cell fully.
-  [[nodiscard]] double grouped_speedup() const {
-    return grouped_median_s > 0.0 ? compiled_median_s / grouped_median_s
-                                  : 0.0;
   }
 };
 
@@ -89,86 +96,85 @@ std::vector<hybridmem::Placement> make_placements(
   return placements;
 }
 
-CellResult run_cell(const workload::Trace& trace,
-                    const std::vector<hybridmem::Placement>& placements,
-                    kvstore::StoreKind store, std::size_t threads,
-                    int repeats) {
+Timing reduce(const std::vector<double>& seconds) {
+  return {median(seconds), *std::min_element(seconds.begin(), seconds.end())};
+}
+
+/// The per-cell arm: every cell a full replay on the caller's thread, no
+/// skeleton sharing, each placement's repeats averaged in repeat order.
+std::vector<core::RunMeasurement> per_cell_grid(
+    const core::SensitivityEngine& engine, const workload::Trace& trace,
+    const std::vector<hybridmem::Placement>& placements) {
+  const workload::CompiledTrace compiled(trace);
+  util::Arena arena;
+  std::vector<core::RunMeasurement> grid;
+  std::vector<core::RunMeasurement> runs;
+  for (const hybridmem::Placement& placement : placements) {
+    runs.clear();
+    for (int r = 0; r < engine.config().repeats; ++r) {
+      arena.reset();
+      runs.push_back(
+          engine.try_run_once(compiled, placement, r, 0, &arena).value());
+    }
+    grid.push_back(core::average_runs(runs));
+  }
+  return grid;
+}
+
+StoreResult run_store(const workload::Trace& trace,
+                      const std::vector<hybridmem::Placement>& placements,
+                      kvstore::StoreKind store, int repeats) {
   core::SensitivityConfig cfg;  // the library's default repeats
   cfg.store = store;
-  cfg.threads = threads;
   const core::SensitivityEngine engine(cfg);
 
-  std::vector<double> legacy_s;
-  std::vector<double> compiled_s;
-  std::vector<double> grouped_s;
-  std::vector<core::RunMeasurement> legacy_grid;
-  std::vector<core::RunMeasurement> compiled_grid;
-  std::vector<core::RunMeasurement> grouped_grid;
+  std::vector<double> per_cell_s;
+  std::vector<std::vector<double>> grouped_s(std::size(kThreadCounts));
   for (int r = 0; r < repeats; ++r) {
-    {
-      core::CampaignRunner runner(threads);
-      runner.set_replay_mode(core::ReplayMode::kLegacy);
-      util::WallTimer timer;
-      legacy_grid = runner.measure_grid(engine, trace, placements);
-      legacy_s.push_back(timer.elapsed_s());
-    }
-    {
-      core::CampaignRunner runner(threads);
-      runner.set_replay_mode(core::ReplayMode::kCompiled);
-      util::WallTimer timer;
-      compiled_grid = runner.measure_grid(engine, trace, placements);
-      compiled_s.push_back(timer.elapsed_s());
-    }
-    {
-      core::CampaignRunner runner(threads);  // default: ReplayMode::kGrouped
-      util::WallTimer timer;
-      grouped_grid = runner.measure_grid(engine, trace, placements);
-      grouped_s.push_back(timer.elapsed_s());
-    }
-    // The arms must agree bit for bit or the comparison is meaningless —
-    // refuse to report anything on divergence.
-    if (legacy_grid != compiled_grid) {
-      std::fprintf(stderr,
-                   "micro_campaign: compiled grid diverged from legacy\n");
-      std::exit(1);
-    }
-    if (grouped_grid != compiled_grid) {
-      std::fprintf(stderr,
-                   "micro_campaign: grouped grid diverged from compiled\n");
-      std::exit(1);
+    util::WallTimer timer;
+    const std::vector<core::RunMeasurement> reference =
+        per_cell_grid(engine, trace, placements);
+    per_cell_s.push_back(timer.elapsed_s());
+    for (std::size_t t = 0; t < std::size(kThreadCounts); ++t) {
+      core::CampaignRunner runner(kThreadCounts[t]);
+      timer.reset();
+      const std::vector<core::RunMeasurement> grid =
+          runner.measure_grid(engine, trace, placements);
+      grouped_s[t].push_back(timer.elapsed_s());
+      // The arms must agree bit for bit or the comparison is meaningless —
+      // refuse to report anything on divergence.
+      if (grid != reference) {
+        std::fprintf(stderr,
+                     "micro_campaign: grouped grid at %zu threads diverged "
+                     "from per-cell replay\n",
+                     kThreadCounts[t]);
+        std::exit(1);
+      }
     }
   }
 
-  CellResult cell;
-  cell.store = store;
-  cell.threads = threads;
-  cell.grid_cells =
+  StoreResult result;
+  result.store = store;
+  result.grid_cells =
       placements.size() * static_cast<std::size_t>(cfg.repeats);
-  cell.legacy_median_s = median(legacy_s);
-  cell.legacy_min_s = *std::min_element(legacy_s.begin(), legacy_s.end());
-  cell.compiled_median_s = median(compiled_s);
-  cell.compiled_min_s =
-      *std::min_element(compiled_s.begin(), compiled_s.end());
-  cell.grouped_median_s = median(grouped_s);
-  cell.grouped_min_s = *std::min_element(grouped_s.begin(), grouped_s.end());
-  return cell;
+  result.per_cell = reduce(per_cell_s);
+  for (std::size_t t = 0; t < std::size(kThreadCounts); ++t) {
+    result.grouped.push_back({kThreadCounts[t], reduce(grouped_s[t])});
+  }
+  return result;
 }
 
 void write_json(const std::string& path, const workload::Trace& trace,
                 bool smoke, int repeats,
-                const std::vector<CellResult>& cells) {
-  double legacy_total = 0.0;
-  double compiled_total = 0.0;
-  double grouped_total = 0.0;
-  for (const CellResult& c : cells) {
-    legacy_total += c.legacy_median_s;
-    compiled_total += c.compiled_median_s;
-    grouped_total += c.grouped_median_s;
+                const std::vector<StoreResult>& stores) {
+  double per_cell_total = 0.0;
+  double grouped_total = 0.0;  ///< threads 1, like for like
+  for (const StoreResult& s : stores) {
+    per_cell_total += s.per_cell.median_s;
+    grouped_total += s.grouped.front().timing.median_s;
   }
   const double aggregate =
-      compiled_total > 0.0 ? legacy_total / compiled_total : 0.0;
-  const double grouped_aggregate =
-      grouped_total > 0.0 ? compiled_total / grouped_total : 0.0;
+      grouped_total > 0.0 ? per_cell_total / grouped_total : 0.0;
 
   std::ostringstream out;
   char buf[64];
@@ -176,35 +182,44 @@ void write_json(const std::string& path, const workload::Trace& trace,
     std::snprintf(buf, sizeof buf, "%.6f", v);
     return std::string(buf);
   };
+  const auto timing = [&](const Timing& t) {
+    return "\"median_s\": " + num(t.median_s) +
+           ", \"min_s\": " + num(t.min_s);
+  };
   out << "{\n";
-  out << "  \"schema\": \"mnemo.bench.campaign/v3\",\n";
+  out << "  \"schema\": \"mnemo.bench.campaign/v4\",\n";
   out << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n";
   out << "  \"repeats\": " << repeats << ",\n";
   out << "  \"workload\": {\"name\": \"" << trace.name()
       << "\", \"key_count\": " << trace.key_count()
       << ", \"request_count\": " << trace.requests().size() << "},\n";
+  // One row per (store, threads) of the grouped arm; grouped_speedup is
+  // the serial per-cell median over this row's median.
   out << "  \"results\": [\n";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const CellResult& c = cells[i];
-    out << "    {\"store\": \"" << kvstore::to_string(c.store)
-        << "\", \"threads\": " << c.threads
-        << ", \"grid_cells\": " << c.grid_cells << ",\n";
-    out << "     \"legacy\": {\"median_s\": " << num(c.legacy_median_s)
-        << ", \"min_s\": " << num(c.legacy_min_s) << "},\n";
-    out << "     \"compiled\": {\"median_s\": " << num(c.compiled_median_s)
-        << ", \"min_s\": " << num(c.compiled_min_s) << "},\n";
-    out << "     \"grouped\": {\"median_s\": " << num(c.grouped_median_s)
-        << ", \"min_s\": " << num(c.grouped_min_s) << "},\n";
-    out << "     \"speedup\": " << num(c.speedup())
-        << ", \"grouped_speedup\": " << num(c.grouped_speedup()) << "}"
-        << (i + 1 < cells.size() ? "," : "") << "\n";
+  std::size_t rows = stores.size() * std::size(kThreadCounts);
+  for (const StoreResult& s : stores) {
+    for (const GroupedResult& g : s.grouped) {
+      out << "    {\"store\": \"" << kvstore::to_string(s.store)
+          << "\", \"threads\": " << g.threads
+          << ", \"grid_cells\": " << s.grid_cells << ",\n";
+      out << "     \"grouped\": {" << timing(g.timing) << "},\n";
+      out << "     \"grouped_speedup\": " << num(s.speedup(g)) << "}"
+          << (--rows > 0 ? "," : "") << "\n";
+    }
   }
   out << "  ],\n";
-  out << "  \"aggregate\": {\"legacy_s\": " << num(legacy_total)
-      << ", \"compiled_s\": " << num(compiled_total)
-      << ", \"grouped_s\": " << num(grouped_total)
-      << ", \"speedup\": " << num(aggregate)
-      << ", \"grouped_speedup\": " << num(grouped_aggregate) << "}\n";
+  out << "  \"per_cell\": [\n";
+  for (std::size_t i = 0; i < stores.size(); ++i) {
+    const StoreResult& s = stores[i];
+    out << "    {\"store\": \"" << kvstore::to_string(s.store)
+        << "\", \"threads\": 1, \"grid_cells\": " << s.grid_cells << ", "
+        << timing(s.per_cell) << "}" << (i + 1 < stores.size() ? "," : "")
+        << "\n";
+  }
+  out << "  ],\n";
+  out << "  \"aggregate\": {\"per_cell_s\": " << num(per_cell_total)
+      << ", \"grouped_t1_s\": " << num(grouped_total)
+      << ", \"grouped_speedup\": " << num(aggregate) << "}\n";
   out << "}\n";
 
   std::ofstream file(path);
@@ -216,7 +231,8 @@ void write_json(const std::string& path, const workload::Trace& trace,
 }
 
 /// Schema self-check for --smoke: stable keys present, braces balanced,
-/// one result object per (store, threads) cell.
+/// one result object per (store, threads) cell of the grouped arm plus one
+/// per store of the per-cell arm.
 bool validate_json(const std::string& path, std::size_t expected_results) {
   std::ifstream file(path);
   std::stringstream ss;
@@ -224,10 +240,10 @@ bool validate_json(const std::string& path, std::size_t expected_results) {
   const std::string text = ss.str();
   if (text.empty()) return false;
   for (const char* key :
-       {"\"schema\": \"mnemo.bench.campaign/v3\"", "\"repeats\"",
-        "\"workload\"", "\"results\"", "\"legacy\"", "\"compiled\"",
-        "\"grouped\"", "\"median_s\"", "\"speedup\"",
-        "\"grouped_speedup\"", "\"aggregate\""}) {
+       {"\"schema\": \"mnemo.bench.campaign/v4\"", "\"repeats\"",
+        "\"workload\"", "\"results\"", "\"per_cell\"", "\"grouped\"",
+        "\"median_s\"", "\"min_s\"", "\"grouped_speedup\"",
+        "\"aggregate\""}) {
     if (text.find(key) == std::string::npos) {
       std::fprintf(stderr, "micro_campaign: missing key %s\n", key);
       return false;
@@ -253,11 +269,10 @@ bool validate_json(const std::string& path, std::size_t expected_results) {
 int main(int argc, char** argv) {
   util::ArgParser parser(
       "micro_campaign",
-      "legacy vs per-cell compiled vs grouped campaign wall-clock "
-      "benchmark");
+      "serial per-cell vs grouped campaign wall-clock benchmark");
   parser.add_flag("smoke", "tiny workload + schema self-check (CI)");
   parser.add_option("out", "output JSON path", "BENCH_campaign.json");
-  parser.add_option("repeats", "timing repeats per cell", "");
+  parser.add_option("repeats", "timing repeats per arm", "");
   std::vector<std::string> args(argv + 1, argv + argc);
   std::string error;
   if (!parser.parse(args, &error)) {
@@ -276,7 +291,6 @@ int main(int argc, char** argv) {
   const std::vector<kvstore::StoreKind> stores = {
       kvstore::StoreKind::kVermilion, kvstore::StoreKind::kCachet,
       kvstore::StoreKind::kDynaStore};
-  const std::vector<std::size_t> thread_counts = {1, 2, 8};
 
   std::printf(
       "== micro_campaign: %s, %llu keys, %zu requests, %d repeats ==\n",
@@ -284,25 +298,24 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(trace.key_count()),
       trace.requests().size(), repeats);
 
-  std::vector<CellResult> cells;
+  std::vector<StoreResult> results;
   for (const kvstore::StoreKind store : stores) {
-    for (const std::size_t threads : thread_counts) {
-      const CellResult cell =
-          run_cell(trace, placements, store, threads, repeats);
-      std::printf(
-          "%-10s threads %zu  legacy %8.1f ms  compiled %8.1f ms  "
-          "grouped %8.1f ms  speedup %.2fx  grouped %.2fx\n",
-          std::string(kvstore::to_string(store)).c_str(), threads,
-          cell.legacy_median_s * 1e3, cell.compiled_median_s * 1e3,
-          cell.grouped_median_s * 1e3, cell.speedup(),
-          cell.grouped_speedup());
-      cells.push_back(cell);
+    const StoreResult result = run_store(trace, placements, store, repeats);
+    const std::string name(kvstore::to_string(store));
+    std::printf("%-10s per-cell   threads 1  %8.1f ms\n", name.c_str(),
+                result.per_cell.median_s * 1e3);
+    for (const GroupedResult& g : result.grouped) {
+      std::printf("%-10s grouped    threads %zu  %8.1f ms  speedup %.2fx\n",
+                  name.c_str(), g.threads, g.timing.median_s * 1e3,
+                  result.speedup(g));
     }
+    results.push_back(result);
   }
 
-  write_json(out, trace, smoke, repeats, cells);
+  write_json(out, trace, smoke, repeats, results);
   std::printf("wrote %s\n", out.c_str());
-  if (smoke && !validate_json(out, cells.size())) {
+  if (smoke && !validate_json(out, results.size() *
+                                       (std::size(kThreadCounts) + 1))) {
     std::fprintf(stderr, "micro_campaign: schema validation FAILED\n");
     return 1;
   }

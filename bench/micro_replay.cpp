@@ -1,10 +1,11 @@
 // Wall-clock replay microbenchmark: the tool's own speed, not the
-// simulated system's. Every sweep cell the campaign runner fans out is one
-// full trace replay (populate + execute) through DualServer → HybridMemory
-// → LlcModel, so ops/sec here is the multiplier on everything the repo
+// simulated system's. Every campaign cell a leader replays fully is one
+// populate(compiled) plus one hinted execute loop over the CompiledTrace's
+// flat streams, through DualServer → HybridMemory → LlcModel — exactly the
+// path timed here (the trace compiles once, outside the timers, as it does
+// once per grid). Ops/sec here is the multiplier on everything the repo
 // reproduces. Results go to BENCH_replay.json in a stable schema
-// ("mnemo.bench.replay/v1") that future PRs diff against to prove
-// regressions or speedups.
+// ("mnemo.bench.replay/v2") to diff against with bench_diff.
 //
 //   ./micro_replay                 full run, writes BENCH_replay.json
 //   ./micro_replay --smoke         few iterations + schema self-check (CI)
@@ -14,6 +15,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -23,6 +25,7 @@
 #include "kvstore/dual_server.hpp"
 #include "util/argparse.hpp"
 #include "util/timer.hpp"
+#include "workload/compiled_trace.hpp"
 #include "workload/trace.hpp"
 #include "workload/workload_spec.hpp"
 
@@ -75,8 +78,10 @@ workload::Trace make_trace(bool smoke) {
   return workload::Trace::generate(spec);
 }
 
-CellResult run_cell(const workload::Trace& trace, kvstore::StoreKind store,
-                    double fast_fraction, int repeats) {
+CellResult run_cell(const workload::CompiledTrace& compiled,
+                    kvstore::StoreKind store, double fast_fraction,
+                    int repeats) {
+  const workload::Trace& trace = compiled.trace();
   std::vector<std::uint64_t> order(trace.key_count());
   for (std::uint64_t k = 0; k < trace.key_count(); ++k) order[k] = k;
   const auto prefix = static_cast<std::size_t>(
@@ -97,16 +102,22 @@ CellResult run_cell(const workload::Trace& trace, kvstore::StoreKind store,
     kvstore::DualServer servers(memory, store, cfg);
 
     util::WallTimer timer;
-    if (!servers.populate(trace, placement).ok()) {
+    if (!servers.populate(compiled, placement).ok()) {
       std::fprintf(stderr, "micro_replay: populate failed\n");
       std::exit(1);
     }
     load_s.push_back(timer.elapsed_s());
 
     memory.drop_caches();
+    const std::span<const workload::OpType> ops = compiled.ops();
+    const std::span<const std::uint32_t> keys = compiled.keys();
+    const std::span<const std::uint64_t> hashes = compiled.key_hashes();
+    const std::span<const std::uint64_t> digests = compiled.key_digests();
     timer.reset();
-    for (const workload::Request& req : trace.requests()) {
-      const util::Result<kvstore::OpResult> served = servers.execute(req);
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      const std::uint32_t key = keys[i];
+      const util::Result<kvstore::OpResult> served =
+          servers.execute(ops[i], key, {hashes[key], digests[key]});
       if (!served.ok() || !served.value().ok) {
         std::fprintf(stderr, "micro_replay: execute failed\n");
         std::exit(1);
@@ -129,7 +140,7 @@ void write_json(const std::string& path, const workload::Trace& trace,
   std::ostringstream out;
   char buf[64];
   out << "{\n";
-  out << "  \"schema\": \"mnemo.bench.replay/v1\",\n";
+  out << "  \"schema\": \"mnemo.bench.replay/v2\",\n";
   out << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n";
   out << "  \"repeats\": " << repeats << ",\n";
   out << "  \"workload\": {\"name\": \"" << trace.name()
@@ -174,7 +185,7 @@ bool validate_json(const std::string& path, std::size_t expected_results) {
   const std::string text = ss.str();
   if (text.empty()) return false;
   for (const char* key :
-       {"\"schema\": \"mnemo.bench.replay/v1\"", "\"repeats\"",
+       {"\"schema\": \"mnemo.bench.replay/v2\"", "\"repeats\"",
         "\"workload\"", "\"results\"", "\"load\"", "\"execute\"",
         "\"min_ops_per_s\"", "\"median_ops_per_s\""}) {
     if (text.find(key) == std::string::npos) {
@@ -218,6 +229,7 @@ int main(int argc, char** argv) {
   const std::string out = parser.get("out");
 
   const workload::Trace trace = make_trace(smoke);
+  const workload::CompiledTrace compiled(trace);
   const std::vector<kvstore::StoreKind> stores = {
       kvstore::StoreKind::kVermilion, kvstore::StoreKind::kCachet,
       kvstore::StoreKind::kDynaStore};
@@ -231,7 +243,7 @@ int main(int argc, char** argv) {
   std::vector<CellResult> cells;
   for (const kvstore::StoreKind store : stores) {
     for (const double split : splits) {
-      const CellResult cell = run_cell(trace, store, split, repeats);
+      const CellResult cell = run_cell(compiled, store, split, repeats);
       std::printf(
           "%-10s split %.2f  load %12.0f ops/s (min %12.0f)  "
           "execute %12.0f ops/s (min %12.0f)\n",

@@ -122,6 +122,11 @@ int cmd_downsample(const Args& args, std::ostream& out, std::ostream& err) {
   }
   const workload::Trace down =
       workload::downsample(trace, keep, trace.key_count() ^ 0xd5);
+  if (down.requests().empty()) {
+    err << "--keep " << parser.get("keep") << " keeps none of "
+        << trace.requests().size() << " requests\n";
+    return 2;
+  }
   down.save_csv(parser.get("out"));
   char line[160];
   std::snprintf(line, sizeof line,

@@ -108,6 +108,17 @@ void raise_peak(std::atomic<std::size_t>& peak, std::size_t candidate) {
   return merged;
 }
 
+/// The slots of an unchecked grid: run_cell fills every one (a failed
+/// cell aborts), so none is empty.
+[[nodiscard]] std::vector<RunMeasurement> unwrap(CampaignResult grid) {
+  std::vector<RunMeasurement> out;
+  out.reserve(grid.measurements.size());
+  for (std::optional<RunMeasurement>& slot : grid.measurements) {
+    out.push_back(std::move(*slot));
+  }
+  return out;
+}
+
 /// Order statistics + totals fill shared by the sync and async paths.
 void finalize_stats(CampaignStats& accounting,
                     const std::vector<double>& cell_s) {
@@ -126,8 +137,7 @@ struct Grid {
   // The plan, fixed before the first task starts.
   std::shared_ptr<const SensitivityEngine> engine_owner;  ///< async only
   const SensitivityEngine* engine = nullptr;
-  const workload::Trace* trace = nullptr;
-  std::optional<workload::CompiledTrace> compiled;  ///< empty under kLegacy
+  std::optional<workload::CompiledTrace> compiled;  ///< empty for no cells
   std::vector<CampaignCell> owned_cells;            ///< async only
   const std::vector<CampaignCell>* cells = nullptr;
   /// Placement groups, each in cell order with its leader first; all
@@ -213,10 +223,6 @@ util::Result<RunMeasurement> replay_cell(Grid& g, const CampaignCell& cell,
                                          int attempt,
                                          const ReplaySkeleton* follow,
                                          ReplaySkeleton* record) {
-  if (!g.compiled) {
-    return g.engine->try_run_once(*g.trace, cell.placement, cell.repeat,
-                                  attempt);
-  }
   // An attempt's state is fully torn down before the next starts, so the
   // rewind is safe between attempts too.
   util::Arena& arena = worker_arena();
@@ -431,21 +437,19 @@ CampaignResult CampaignRunner::execute(const SensitivityEngine& engine,
                                        bool checked) {
   const auto g = std::make_shared<Grid>();
   g->engine = &engine;
-  g->trace = &trace;
   g->cells = &cells;
   g->checked = checked;
   g->cancel = cancel_;
   // Fault plans are placement-crossing (a poisoned read remaps its key
   // mid-run), so an armed plan makes every cell its own task.
-  plan_grid(*g,
-            mode_ == ReplayMode::kGrouped && engine.config().faults.empty());
+  plan_grid(*g, engine.config().faults.empty());
   stats_ = g->plan_stats(threads_);
   if (cells.empty()) return {};
 
   // Compile once per campaign: the per-key hashes/digests/byte streams are
   // placement- and repeat-invariant, so every cell shares one read-only
   // artifact instead of re-deriving them (DESIGN.md §12).
-  if (mode_ != ReplayMode::kLegacy) g->compiled.emplace(trace);
+  g->compiled.emplace(trace);
 
   util::WallTimer wall;
   // One executor for the whole grid: a transient scheduler sized by the
@@ -473,13 +477,7 @@ CampaignResult CampaignRunner::execute(const SensitivityEngine& engine,
 std::vector<RunMeasurement> CampaignRunner::run(
     const SensitivityEngine& engine, const workload::Trace& trace,
     const std::vector<CampaignCell>& cells) {
-  CampaignResult grid = execute(engine, trace, cells, /*checked=*/false);
-  std::vector<RunMeasurement> merged;
-  merged.reserve(grid.measurements.size());
-  for (std::optional<RunMeasurement>& slot : grid.measurements) {
-    merged.push_back(std::move(*slot));
-  }
-  return merged;
+  return unwrap(execute(engine, trace, cells, /*checked=*/false));
 }
 
 CampaignResult CampaignRunner::run_checked(
@@ -511,7 +509,6 @@ void CampaignRunner::measure_grid_checked_async(
   g->cells = &g->owned_cells;
   g->engine = engine.get();
   g->engine_owner = std::move(engine);
-  g->trace = &trace;
   g->checked = true;
   g->cancel = cancel;
   g->group_owner = std::move(group);
@@ -544,20 +541,9 @@ std::vector<RunMeasurement> CampaignRunner::measure_grid(
     const std::vector<hybridmem::Placement>& placements) {
   const int repeats = engine.config().repeats;
   const std::vector<CampaignCell> cells = build_grid_cells(placements, repeats);
-  const std::vector<RunMeasurement> runs = run(engine, trace, cells);
-
-  std::vector<RunMeasurement> merged;
-  merged.reserve(placements.size());
-  std::vector<RunMeasurement> group(static_cast<std::size_t>(repeats));
-  for (std::size_t p = 0; p < placements.size(); ++p) {
-    for (int r = 0; r < repeats; ++r) {
-      group[static_cast<std::size_t>(r)] =
-          runs[p * static_cast<std::size_t>(repeats) +
-               static_cast<std::size_t>(r)];
-    }
-    merged.push_back(average_runs(group));
-  }
-  return merged;
+  return unwrap(merge_placement_grid(
+      execute(engine, trace, cells, /*checked=*/false), placements.size(),
+      repeats));
 }
 
 CampaignStats campaign_totals() {

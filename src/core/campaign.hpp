@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <exception>
 #include <functional>
 #include <memory>
@@ -24,22 +23,6 @@ namespace mnemo::core {
 struct CampaignCell {
   hybridmem::Placement placement;
   int repeat = 0;
-};
-
-/// How the runner replays a grid (DESIGN.md §12, §14). kGrouped — the
-/// default — makes the placement group the unit of dispatch: the first
-/// cell of each placement leads, replaying fully on the shared
-/// CompiledTrace with the skeleton tap armed, and each of its repeat
-/// siblings then runs as a task of its own that replays the published
-/// skeleton through its own noise streams. kCompiled replays every cell
-/// fully on the CompiledTrace with no sharing (the per-cell oracle).
-/// kLegacy replays the raw Trace per cell on the heap. All three produce
-/// bit-identical measurements — the slower modes exist as equivalence
-/// oracles for tests and as the "before" arms of micro_campaign.
-enum class ReplayMode : std::uint8_t {
-  kGrouped = 0,
-  kCompiled = 1,
-  kLegacy = 2,
 };
 
 /// Ledger entry for a campaign cell quarantined by the fault-injection
@@ -88,7 +71,7 @@ struct CampaignStats {
   double cell_p95_s = 0.0;  ///< p95 cell duration
   /// High-water mark of any single cell arena's bytes_allocated() across
   /// the campaign — the grow-once footprint one cell of replay needs.
-  /// Max-merged; 0 when no arena was used (kLegacy).
+  /// Max-merged; 0 when no cell ran.
   std::size_t arena_peak_bytes = 0;
 
   /// cpu / wall: average number of cells in flight — the wall-clock
@@ -108,9 +91,11 @@ struct CampaignStats {
 
 /// The campaign runner: takes a set of (placement, repeat) cells and
 /// submits them to a util::TaskScheduler as shared-nothing tasks, one
-/// placement group at a time (ReplayMode::kGrouped): a group's leader is
-/// one task, and each of its followers becomes a task of its own as soon
-/// as the leader publishes its skeleton. Every cell builds its own
+/// placement group at a time (DESIGN.md §12, §14): the grid's trace is
+/// compiled once and shared read-only, a group's leader is one task that
+/// replays fully with the skeleton tap armed, and each of its repeat
+/// siblings becomes a task of its own that replays the published skeleton
+/// through its own noise streams. Every cell builds its own
 /// deployment (or noise streams) from its own seed, and results are merged
 /// in the fixed cell order — so aggregates are bit-identical to the serial
 /// path at any thread count. Every sweep-shaped feature (baselines,
@@ -197,11 +182,6 @@ class CampaignRunner {
 
   [[nodiscard]] std::size_t threads() const noexcept { return threads_; }
 
-  /// Replay strategy for subsequent run()/measure_grid() calls; results
-  /// are bit-identical either way (see ReplayMode).
-  void set_replay_mode(ReplayMode mode) noexcept { mode_ = mode; }
-  [[nodiscard]] ReplayMode replay_mode() const noexcept { return mode_; }
-
   /// Accounting of the most recent run()/measure_grid() on this runner.
   [[nodiscard]] const CampaignStats& stats() const noexcept { return stats_; }
 
@@ -217,7 +197,6 @@ class CampaignRunner {
 
   std::size_t threads_;
   const util::CancelToken* cancel_;
-  ReplayMode mode_ = ReplayMode::kGrouped;
   CampaignStats stats_;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "core/pattern_engine.hpp"
@@ -11,6 +12,7 @@
 #include "kvstore/dual_server.hpp"
 #include "stats/summary.hpp"
 #include "util/assert.hpp"
+#include "workload/compiled_trace.hpp"
 
 namespace mnemo::core {
 
@@ -79,6 +81,7 @@ RunMeasurement summarize(std::vector<double>& latencies,
 }  // namespace
 
 MigrationResult DynamicTierer::run(const workload::Trace& trace) const {
+  const workload::CompiledTrace compiled(trace);
   hybridmem::HybridMemory memory(
       sized_platform(sensitivity_.platform, trace));
   kvstore::StoreConfig store_cfg;
@@ -92,7 +95,7 @@ MigrationResult DynamicTierer::run(const workload::Trace& trace) const {
   const auto initial = hybridmem::Placement::from_order_with_budget(
       id_order, trace.key_sizes(), migration_.fast_budget_bytes);
   {
-    const util::Status loaded = servers.populate(trace, initial);
+    const util::Status loaded = servers.populate(compiled, initial);
     MNEMO_ASSERT(loaded.ok() && "budgeted initial placement must fit");
   }
   memory.drop_caches();
@@ -236,21 +239,26 @@ MigrationResult DynamicTierer::run(const workload::Trace& trace) const {
   };
 
   std::size_t since_epoch = 0;
-  for (const workload::Request& req : trace.requests()) {
-    if (req.op == workload::OpType::kInsert) live_keys = req.key + 1;
-    const util::Result<kvstore::OpResult> served = servers.execute(req);
+  const std::span<const workload::OpType> ops = compiled.ops();
+  const std::span<const std::uint32_t> keys = compiled.keys();
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const workload::OpType op = ops[i];
+    const std::uint32_t key = keys[i];
+    if (op == workload::OpType::kInsert) live_keys = key + 1;
+    const util::Result<kvstore::OpResult> served = servers.execute(
+        op, key, {compiled.key_hash(key), compiled.key_digest(key)});
     if (!served.ok()) {
       // Transient retries exhausted: the request is dropped, but the
       // access still informs the tiering scores — the client did ask.
       ++result.failed_requests;
-      ++epoch_counts[req.key];
+      ++epoch_counts[key];
     } else {
       const kvstore::OpResult r = served.value();
       MNEMO_ASSERT(r.ok);
       runtime += r.service_ns;
       latencies.push_back(r.service_ns);
-      ++epoch_counts[req.key];
-      if (req.op == workload::OpType::kRead) {
+      ++epoch_counts[key];
+      if (op == workload::OpType::kRead) {
         ++reads;
       } else {
         ++writes;
@@ -277,7 +285,7 @@ RunMeasurement DynamicTierer::run_static_oracle(
   SensitivityConfig healthy = sensitivity_;
   healthy.faults = faultinject::FaultPlan{};
   const SensitivityEngine engine(healthy);
-  return engine.run_once(trace, placement);
+  return engine.run_once(workload::CompiledTrace(trace), placement);
 }
 
 }  // namespace mnemo::core

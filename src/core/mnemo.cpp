@@ -21,8 +21,6 @@ std::string_view to_string(OrderingPolicy policy) {
 
 MnemoConfig::MnemoConfig() : platform(hybridmem::paper_testbed()) {}
 
-namespace {
-
 SensitivityConfig to_sensitivity_config(const MnemoConfig& cfg) {
   SensitivityConfig s;
   s.store = cfg.store;
@@ -34,8 +32,6 @@ SensitivityConfig to_sensitivity_config(const MnemoConfig& cfg) {
   s.faults = cfg.faults;
   return s;
 }
-
-}  // namespace
 
 Mnemo::Mnemo(MnemoConfig config)
     : config_(std::move(config)),

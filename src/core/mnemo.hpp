@@ -60,6 +60,11 @@ struct MnemoConfig {
   MnemoConfig();
 };
 
+/// The Sensitivity Engine configuration behind `cfg`'s measurements. The
+/// cancel token is not part of it: callers hand `cfg.cancel` to the
+/// CampaignRunner that runs the grid.
+[[nodiscard]] SensitivityConfig to_sensitivity_config(const MnemoConfig& cfg);
+
 /// Everything a profiling session produces: the measured baselines, the
 /// key ordering, the full estimate curve, and the SLO sweet spot.
 struct MnemoReport {

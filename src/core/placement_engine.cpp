@@ -1,6 +1,7 @@
 #include "core/placement_engine.hpp"
 
 #include "util/assert.hpp"
+#include "workload/compiled_trace.hpp"
 
 namespace mnemo::core {
 
@@ -20,7 +21,8 @@ hybridmem::Placement PlacementEngine::placement_for_budget(
 void PlacementEngine::populate(kvstore::DualServer& servers,
                                const workload::Trace& trace,
                                const hybridmem::Placement& placement) {
-  const util::Status loaded = servers.populate(trace, placement);
+  const util::Status loaded =
+      servers.populate(workload::CompiledTrace(trace), placement);
   MNEMO_ASSERT(loaded.ok() && "engine-produced placements must fit");
 }
 

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "core/campaign.hpp"
-#include "core/replay_internal.hpp"
 #include "hybridmem/hybrid_memory.hpp"
 #include "kvstore/dual_server.hpp"
 #include "stats/summary.hpp"
@@ -18,13 +17,6 @@ namespace mnemo::core {
 
 SensitivityConfig::SensitivityConfig()
     : platform(hybridmem::paper_testbed()) {}
-
-// The statistics tail (fit_service_line, percentile selection,
-// derive_measurement) lives in replay_internal.hpp, shared verbatim by
-// every replay path so the replay modes cannot drift apart.
-using replay_detail::derive_measurement;
-using replay_detail::empty_trace_error;
-using replay_detail::PercentileMode;
 
 SensitivityEngine::SensitivityEngine(SensitivityConfig config)
     : config_(std::move(config)) {
@@ -54,77 +46,6 @@ kvstore::StoreConfig SensitivityEngine::store_config(
 }
 
 RunMeasurement SensitivityEngine::run_once(
-    const workload::Trace& trace, const hybridmem::Placement& placement,
-    int repeat) const {
-  util::Result<RunMeasurement> run = try_run_once(trace, placement, repeat);
-  MNEMO_ASSERT(run.ok() && "run_once requires a run that cannot fail");
-  return run.value();
-}
-
-util::Result<RunMeasurement> SensitivityEngine::try_run_once(
-    const workload::Trace& trace, const hybridmem::Placement& placement,
-    int repeat, int attempt) const {
-  if (trace.requests().empty()) return empty_trace_error();
-  hybridmem::HybridMemory memory(sized_platform(trace.dataset_bytes()));
-  kvstore::DualServer servers(memory, config_.store,
-                              store_config(repeat, nullptr));
-  {
-    util::Status loaded = servers.populate(trace, placement);
-    if (!loaded.ok()) return loaded.error();
-  }
-  // The load phase should not pollute the measurement's cache state.
-  memory.drop_caches();
-  // Faults model degradation of the production serving window; the load
-  // phase runs healthy, so a populate failure is always a genuine capacity
-  // error. The stream folds in `attempt` so a quarantine retry redraws the
-  // fault sequence while the store's service-jitter seed stays fixed.
-  if (!config_.faults.empty()) {
-    memory.arm_faults(config_.faults,
-                      (static_cast<std::uint64_t>(repeat) << 16) +
-                          static_cast<std::uint64_t>(attempt));
-  }
-
-  std::vector<double> read_lat;
-  std::vector<double> write_lat;
-  std::vector<double> read_bytes;
-  std::vector<double> write_bytes;
-  // The read/write split is unknown until the loop runs; full-length
-  // reserves trade a little address space for zero growth reallocations.
-  read_lat.reserve(trace.requests().size());
-  write_lat.reserve(trace.requests().size());
-  read_bytes.reserve(trace.requests().size());
-  write_bytes.reserve(trace.requests().size());
-
-  RunMeasurement m;
-  m.requests = trace.requests().size();
-  for (const workload::Request& req : trace.requests()) {
-    const util::Result<kvstore::OpResult> served = servers.execute(req);
-    if (!served.ok()) return served.error();
-    const kvstore::OpResult r = served.value();
-    MNEMO_ASSERT(r.ok && "all requested keys were populated");
-    m.runtime_ns += r.service_ns;
-    const auto bytes = static_cast<double>(trace.size_of(req.key));
-    m.latency_hist.add(r.service_ns);
-    if (req.op == workload::OpType::kRead) {
-      read_lat.push_back(r.service_ns);
-      read_bytes.push_back(bytes);
-    } else {
-      // Updates and inserts are both writes to the store.
-      write_lat.push_back(r.service_ns);
-      write_bytes.push_back(bytes);
-    }
-  }
-  std::vector<double> merged;
-  const util::Status derived =
-      derive_measurement(m, read_bytes, write_bytes, read_lat, write_lat,
-                         merged, PercentileMode::kSortMerge);
-  if (!derived.ok()) return derived.error();
-  m.llc_hit_rate = memory.llc().hit_rate();
-  m.faults = memory.fault_stats();
-  return m;
-}
-
-RunMeasurement SensitivityEngine::run_once(
     const workload::CompiledTrace& compiled,
     const hybridmem::Placement& placement, int repeat,
     util::Arena* arena) const {
@@ -136,9 +57,53 @@ RunMeasurement SensitivityEngine::run_once(
 
 namespace {
 
-/// The per-cell latency streams of a compiled replay: the per-op sink both
-/// full replay and skeleton replay feed, and the statistics tail they
-/// share — so the two paths cannot drift apart.
+/// Fit service ≈ a + b·bytes with the campaign-invariant x-side work
+/// (distinct scan + normal-equation moments) precomputed by CompiledTrace;
+/// the byte stream is only re-read for the y-side products. Degenerate
+/// samples (empty, or a single record size) collapse to a flat line at the
+/// mean, which makes the size-aware estimate model coincide with the
+/// uniform-delta one.
+stats::Line fit_service_line(const workload::ServiceFitMoments& moments,
+                             std::span<const double> bytes,
+                             std::span<const double> latency) {
+  if (latency.empty()) return stats::Line{};
+  if (!moments.distinct || latency.size() < 2) {
+    return stats::Line{stats::mean(latency), 0.0};
+  }
+  return stats::fit_line_moments(moments.n, moments.sum_x, moments.sum_xx,
+                                 bytes, latency);
+}
+
+/// stats::percentile_sorted without the sort: nth_element places exactly
+/// the value that would sit at sorted rank `lo`, and the interpolation
+/// partner at rank lo+1 is the minimum of the right partition (exact and
+/// order-independent on these NaN-free streams). The interpolation
+/// arithmetic is identical to stats::percentile_sorted, so the result is
+/// the same double to the last bit. Mutates `scratch` (partial ordering);
+/// O(n) per call.
+double percentile_select(std::pmr::vector<double>& scratch, double q) {
+  MNEMO_EXPECTS(!scratch.empty());
+  if (scratch.size() == 1) return scratch[0];
+  const double pos = q * static_cast<double>(scratch.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const double frac = pos - static_cast<double>(lo);
+  const auto nth = scratch.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(scratch.begin(), nth, scratch.end());
+  if (lo + 1 >= scratch.size()) return scratch[scratch.size() - 1];
+  const double next = *std::min_element(nth + 1, scratch.end());
+  return *nth * (1.0 - frac) + next * frac;
+}
+
+util::Error empty_trace_error() {
+  util::Error e;
+  e.code = util::ErrorCode::kInvalidArgument;
+  e.message = "trace has no requests to replay; measurement is undefined";
+  return e;
+}
+
+/// The per-cell latency streams of a replay: the per-op sink both full
+/// replay and skeleton replay feed, and the statistics tail they share —
+/// so the two paths cannot drift apart.
 struct CompiledSamples {
   std::pmr::vector<double> read_lat;
   std::pmr::vector<double> write_lat;
@@ -159,15 +124,44 @@ struct CompiledSamples {
         .push_back(service_ns);
   }
 
-  /// The per-request byte streams are placement-invariant: the compiled
-  /// trace carries them pre-split, in the same order add() pushed.
+  /// Derive every per-run statistic from the latency streams. Means and
+  /// fits read the streams in request order before any reordering; the
+  /// per-request byte streams are placement-invariant, so the compiled
+  /// trace carries them pre-split, in the same order add() pushed. The two
+  /// tail ranks are then extracted by selection over the concatenated
+  /// streams — the same doubles a sort would index, pinned by the golden
+  /// fixtures.
   [[nodiscard]] util::Status derive(RunMeasurement& m,
                                     const workload::CompiledTrace& compiled) {
-    std::pmr::vector<double> merged(read_lat.get_allocator());
-    return derive_measurement(m, compiled.read_bytes(), compiled.write_bytes(),
-                              read_lat, write_lat, merged,
-                              PercentileMode::kSelect, &compiled.read_fit(),
-                              &compiled.write_fit());
+    m.reads = read_lat.size();
+    m.writes = write_lat.size();
+    m.avg_read_ns = read_lat.empty() ? 0.0 : stats::mean(read_lat);
+    m.avg_write_ns = write_lat.empty() ? 0.0 : stats::mean(write_lat);
+    m.read_vs_bytes =
+        fit_service_line(compiled.read_fit(), compiled.read_bytes(), read_lat);
+    m.write_vs_bytes = fit_service_line(compiled.write_fit(),
+                                        compiled.write_bytes(), write_lat);
+    if (!(m.runtime_ns > 0.0)) {
+      // Every request cost 0ns (a degenerate profile): division would turn
+      // avg_latency_ns/throughput_ops into NaN/inf and quietly poison every
+      // downstream mean. Refuse with a typed error instead.
+      util::Error e;
+      e.code = util::ErrorCode::kFailedPrecondition;
+      e.message = "run accumulated zero simulated runtime; "
+                  "throughput and average latency are undefined";
+      return e;
+    }
+    m.avg_latency_ns = m.runtime_ns / static_cast<double>(m.requests);
+    m.throughput_ops =
+        static_cast<double>(m.requests) / (m.runtime_ns / 1e9);
+    std::pmr::vector<double> merged(read_lat.size() + write_lat.size(),
+                                    read_lat.get_allocator());
+    const auto split =
+        std::copy(read_lat.begin(), read_lat.end(), merged.begin());
+    std::copy(write_lat.begin(), write_lat.end(), split);
+    m.p95_ns = percentile_select(merged, 0.95);
+    m.p99_ns = percentile_select(merged, 0.99);
+    return {};
   }
 };
 
@@ -188,7 +182,7 @@ util::Result<RunMeasurement> SensitivityEngine::try_run_once(
   // One resource backs every per-cell allocation below — the platform's
   // flat tables, both stores' slot pools, and the latency streams. With an
   // arena those become grow-once bump allocations the worker reuses across
-  // cells; without one this is exactly the heap the Trace overload uses.
+  // cells; without one they come from the default heap.
   std::pmr::memory_resource* cell_memory = cell_memory_of(arena);
 
   hybridmem::HybridMemory memory(sized_platform(compiled.dataset_bytes()),
@@ -199,7 +193,12 @@ util::Result<RunMeasurement> SensitivityEngine::try_run_once(
     util::Status loaded = servers.populate(compiled, placement);
     if (!loaded.ok()) return loaded.error();
   }
+  // The load phase should not pollute the measurement's cache state.
   memory.drop_caches();
+  // Faults model degradation of the production serving window; the load
+  // phase runs healthy, so a populate failure is always a genuine capacity
+  // error. The stream folds in `attempt` so a quarantine retry redraws the
+  // fault sequence while the store's service-jitter seed stays fixed.
   if (!config_.faults.empty()) {
     memory.arm_faults(config_.faults,
                       (static_cast<std::uint64_t>(repeat) << 16) +
@@ -223,7 +222,7 @@ util::Result<RunMeasurement> SensitivityEngine::try_run_once(
   const std::span<const std::uint64_t> digests = compiled.key_digests();
   // Replay off the compiled flat streams (1-byte ops + 4-byte keys) rather
   // than the Trace's Request structs, through the unchecked execute form —
-  // every key was bounds-validated once when the trace compiled.
+  // every key was bounds-validated once when the Trace was built.
   const std::span<const workload::OpType> ops = compiled.ops();
   const std::span<const std::uint32_t> keys = compiled.keys();
   for (std::size_t i = 0; i < ops.size(); ++i) {
@@ -301,13 +300,13 @@ util::Result<RunMeasurement> SensitivityEngine::replay_skeleton(
 RunMeasurement SensitivityEngine::measure(
     const workload::Trace& trace,
     const hybridmem::Placement& placement) const {
-  CampaignRunner runner(config_.threads, config_.cancel);
+  CampaignRunner runner(config_.threads);
   return runner.measure_grid(*this, trace, {placement}).front();
 }
 
 PerfBaselines SensitivityEngine::baselines(
     const workload::Trace& trace) const {
-  CampaignRunner runner(config_.threads, config_.cancel);
+  CampaignRunner runner(config_.threads);
   const std::vector<RunMeasurement> merged = runner.measure_grid(
       *this, trace,
       {hybridmem::Placement(trace.key_count(), hybridmem::NodeId::kFast),

@@ -11,7 +11,6 @@
 #include "hybridmem/placement.hpp"
 #include "kvstore/kvstore.hpp"
 #include "kvstore/service_profile.hpp"
-#include "util/cancel.hpp"
 #include "util/status.hpp"
 #include "workload/trace.hpp"
 
@@ -40,11 +39,6 @@ struct SensitivityConfig {
   /// Deterministic fault plan armed on every deployment the engine builds
   /// (DESIGN.md §7). Empty = healthy platform; the default.
   faultinject::FaultPlan faults;
-  /// Optional cooperative cancellation for the campaigns the engine fans
-  /// out (not owned; must outlive the engine's calls). Checked between
-  /// campaign cells; never hashed into cache keys — a request's deadline
-  /// does not change what the answer *is*, only whether it finishes.
-  const util::CancelToken* cancel = nullptr;
 
   SensitivityConfig();
 };
@@ -85,37 +79,28 @@ class SensitivityEngine {
  public:
   explicit SensitivityEngine(SensitivityConfig config);
 
-  /// Execute the trace once against a fresh deployment with the given
-  /// placement (seed-shifted by `repeat`), returning the client view.
-  /// Asserting wrapper over try_run_once for healthy-platform callers.
-  [[nodiscard]] RunMeasurement run_once(
-      const workload::Trace& trace, const hybridmem::Placement& placement,
-      int repeat = 0) const;
-
-  /// Fault-aware variant: arms config().faults on the deployment (fault
-  /// stream derived from repeat and `attempt`, store seeds untouched — a
-  /// retry redraws the fault sequence, never the workload service noise)
-  /// and returns a typed error instead of aborting when the run fails.
-  /// The measurement's `faults` counters report every event absorbed.
-  [[nodiscard]] util::Result<RunMeasurement> try_run_once(
-      const workload::Trace& trace, const hybridmem::Placement& placement,
-      int repeat = 0, int attempt = 0) const;
-
-  /// Compiled-campaign variants (DESIGN.md §12): replay a CompiledTrace,
-  /// passing each request's precomputed hash/digest through to the stores
-  /// and (optionally) backing every per-cell allocation — platform tables,
-  /// store slot pools, latency vectors — with `arena`. Results are
-  /// bit-identical to the Trace overloads; the arena is an allocation
-  /// strategy, never a behaviour change. The caller owns the arena's
-  /// reset cycle (reset between cells, after the cell's state is gone).
+  /// Execute the compiled trace once against a fresh deployment with the
+  /// given placement (seed-shifted by `repeat`), returning the client
+  /// view. Each request's precomputed hash/digest passes through to the
+  /// stores (DESIGN.md §12), and `arena` (optional) backs every per-cell
+  /// allocation — platform tables, store slot pools, latency vectors. The
+  /// arena is an allocation strategy, never a behaviour change; the caller
+  /// owns its reset cycle (reset between cells, after the cell's state is
+  /// gone). Asserting wrapper over try_run_once for healthy-platform
+  /// callers.
   [[nodiscard]] RunMeasurement run_once(
       const workload::CompiledTrace& compiled,
       const hybridmem::Placement& placement, int repeat = 0,
       util::Arena* arena = nullptr) const;
 
-  ///
-  /// With `record` set (fault-free engines only) the run also arms the
-  /// skeleton tap and leaves its skeleton there for repeat siblings.
+  /// Fault-aware variant: arms config().faults on the deployment (fault
+  /// stream derived from repeat and `attempt`, store seeds untouched — a
+  /// retry redraws the fault sequence, never the workload service noise)
+  /// and returns a typed error instead of aborting when the run fails (an
+  /// empty trace is kInvalidArgument). The measurement's `faults`
+  /// counters report every event absorbed. With `record` set (fault-free
+  /// engines only) the run also arms the skeleton tap and leaves its
+  /// skeleton there for repeat siblings.
   [[nodiscard]] util::Result<RunMeasurement> try_run_once(
       const workload::CompiledTrace& compiled,
       const hybridmem::Placement& placement, int repeat = 0, int attempt = 0,

@@ -22,19 +22,6 @@ namespace mnemo::core {
 
 namespace {
 
-SensitivityConfig to_sensitivity_config(const MnemoConfig& cfg) {
-  SensitivityConfig s;
-  s.store = cfg.store;
-  s.platform = cfg.platform;
-  s.payload_mode = cfg.payload_mode;
-  s.repeats = cfg.repeats;
-  s.seed = cfg.seed;
-  s.threads = cfg.threads;
-  s.faults = cfg.faults;
-  s.cancel = cfg.cancel;
-  return s;
-}
-
 /// Stage-entry cancellation point. Placed *after* the in-memory memo
 /// check in each accessor: an answer this session already computed is
 /// returned even past the deadline (it costs nothing), but no new work —
@@ -229,23 +216,11 @@ const MeasureArtifact& Session::measure() {
     }
   }
 
-  MeasureArtifact a;
-  const SensitivityEngine sensitivity(to_sensitivity_config(config_.mnemo));
-  if (config_.mnemo.faults.empty()) {
-    a.baselines = sensitivity.baselines(trace_);
-    // The grid the campaign just ran: {Fast, Slow} × repeats. Counted from
-    // the grid shape, not the process-wide totals delta, so concurrent
-    // sessions on a shared scheduler never bleed into each other's count.
-    cells_run_ += grid_cells();
-    bool saved = false;
-    if (cache_on()) saved = store().save(key, a).ok();
-    measure_ = std::move(a);
-    trace_stage(MeasureArtifact::kStage, key, false, saved);
-    return *measure_;
-  }
-  // Degraded-mode campaign (DESIGN.md §7): a cell is accepted only when
-  // it is bit-identical to the fault-free platform; a lost baseline
+  // The checked campaign (DESIGN.md §7): a cell is accepted only when it
+  // is bit-identical to the fault-free platform — with an empty plan,
+  // every successful cell on its first attempt — and a lost baseline
   // quarantines the estimates instead of silently skewing them.
+  const SensitivityEngine sensitivity(to_sensitivity_config(config_.mnemo));
   CampaignRunner runner(config_.mnemo.threads, config_.mnemo.cancel);
   CampaignResult grid = runner.measure_grid_checked(
       sensitivity, trace_,
@@ -268,6 +243,9 @@ void Session::install_measured_grid(CampaignResult grid) {
     a.baselines.fast = *grid.measurements[0];
     a.baselines.slow = *grid.measurements[1];
   }
+  // The grid the campaign just ran: {Fast, Slow} × repeats. Counted from
+  // the grid shape, not the process-wide totals delta, so concurrent
+  // sessions on a shared scheduler never bleed into each other's count.
   cells_run_ += grid_cells();
 
   // Never cache a degraded grid as if it were clean: only an artifact

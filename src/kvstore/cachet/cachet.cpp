@@ -61,17 +61,9 @@ Record* Cachet::mutable_record(std::uint64_t key) {
   return found.item != nullptr ? &found.item->value : nullptr;
 }
 
-OpResult Cachet::get(std::uint64_t key) {
-  return get_impl(key, util::mix64(key));
-}
-
 OpResult Cachet::get(std::uint64_t key, const KeyHints& hints) {
-  return get_impl(key, hints.hash);
-}
-
-OpResult Cachet::get_impl(std::uint64_t key, std::uint64_t hash) {
   ++stats_.gets;
-  const auto found = assoc_.find(key, hash);
+  const auto found = assoc_.find(key, hints.hash);
   double ns = profile().cpu_read_ns + index_walk_ns(1, found.probes);
   if (found.item == nullptr) {
     ++stats_.misses;
@@ -96,23 +88,13 @@ OpResult Cachet::get_impl(std::uint64_t key, std::uint64_t hash) {
   return finalize(true, ns, access.llc_hit);
 }
 
-OpResult Cachet::put(std::uint64_t key, std::uint64_t value_size) {
-  return put_impl(key, value_size, util::mix64(key),
-                  util::record_digest(key, value_size));
-}
-
 OpResult Cachet::put(std::uint64_t key, std::uint64_t value_size,
                      const KeyHints& hints) {
-  return put_impl(key, value_size, hints.hash, hints.digest);
-}
-
-OpResult Cachet::put_impl(std::uint64_t key, std::uint64_t value_size,
-                          std::uint64_t hash, std::uint64_t digest) {
   ++stats_.puts;
   double ns = profile().cpu_write_ns;
 
   // Update in place if present (memcached `set` on an existing key).
-  auto found = assoc_.find(key, hash);
+  auto found = assoc_.find(key, hints.hash);
   ns += index_walk_ns(1, found.probes);
   if (found.item != nullptr) {
     const std::size_t new_cls = slabs_.class_for(value_size);
@@ -127,7 +109,7 @@ OpResult Cachet::put_impl(std::uint64_t key, std::uint64_t value_size,
     if (!memory().resize(key, slabs_.chunk_bytes(new_cls, value_size))) {
       return finalize(false, ns, false);
     }
-    found.item->value = make_record(key, value_size, payload_mode(), digest);
+    found.item->value = make_record(key, value_size, payload_mode(), hints.digest);
     lru_touch(*found.item);
     const auto access = payload_access(key, value_size, MemOp::kWrite);
     ns += access.ns;
@@ -145,11 +127,11 @@ OpResult Cachet::put_impl(std::uint64_t key, std::uint64_t value_size,
   slabs_.take(cls, value_size);
   Item item;
   item.key = key;
-  item.value = make_record(key, value_size, payload_mode(), digest);
+  item.value = make_record(key, value_size, payload_mode(), hints.digest);
   item.slab_class = cls;
   lru_[cls].push_front(key, {});
   std::uint32_t probes = 0;
-  assoc_.insert(std::move(item), &probes, hash);
+  assoc_.insert(std::move(item), &probes, hints.hash);
   ns += index_walk_ns(0, probes);
   sync_overhead_accounting(overhead_bytes());
   const auto access = payload_access(key, value_size, MemOp::kWrite);

@@ -23,8 +23,8 @@ class Cachet final : public KeyValueStore {
   Cachet(hybridmem::HybridMemory& memory, const StoreConfig& config);
   ~Cachet() override;
 
-  OpResult get(std::uint64_t key) override;
-  OpResult put(std::uint64_t key, std::uint64_t value_size) override;
+  using KeyValueStore::get;
+  using KeyValueStore::put;
   OpResult get(std::uint64_t key, const KeyHints& hints) override;
   OpResult put(std::uint64_t key, std::uint64_t value_size,
                const KeyHints& hints) override;
@@ -46,13 +46,6 @@ class Cachet final : public KeyValueStore {
   Record* mutable_record(std::uint64_t key) override;
 
  private:
-  /// Shared bodies of the hinted/unhinted entry points. `hash` must equal
-  /// util::mix64(key) and `digest` util::record_digest(key, value_size)
-  /// (the KeyHints contract) — both paths are then bit-identical.
-  OpResult get_impl(std::uint64_t key, std::uint64_t hash);
-  OpResult put_impl(std::uint64_t key, std::uint64_t value_size,
-                    std::uint64_t hash, std::uint64_t digest);
-
   void lru_touch(cachet::Item& item);
   void drop_item(std::uint64_t key);
   /// Evict the LRU item of `cls`; returns false if the class is empty.

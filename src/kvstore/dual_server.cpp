@@ -19,41 +19,14 @@ DualServer::DualServer(hybridmem::HybridMemory& memory, StoreKind kind,
   slow_ = make_store(kind, memory, slow_cfg);
 }
 
-util::Status DualServer::populate(const workload::Trace& trace,
-                                  const hybridmem::Placement& placement) {
-  MNEMO_EXPECTS(placement.key_count() == trace.key_count());
-  placement_ = placement;
-  key_sizes_ = std::span<const std::uint64_t>(trace.key_sizes());
-  // Pre-size the platform's flat tables for the dense key range so the
-  // replay loop runs allocation-free (DESIGN.md §8).
-  fast_->memory().reserve_objects(
-      static_cast<std::size_t>(placement.key_count()));
-  // Only keys that exist before the run are loaded; keys beyond
-  // initial_key_count() arrive via kInsert requests during execution.
-  for (std::uint64_t key = 0; key < trace.initial_key_count(); ++key) {
-    KeyValueStore& server = route(key);
-    const OpResult r = server.put(key, key_sizes_[key]);
-    if (!r.ok) {
-      util::Error e;
-      e.code = util::ErrorCode::kCapacityExhausted;
-      e.message = std::string("populate: ") +
-                  std::string(hybridmem::to_string(server.node())) +
-                  " cannot fit key";
-      e.key = key;
-      e.requested_bytes = key_sizes_[key];
-      e.available_bytes = server.memory().node(server.node()).free_bytes();
-      return e;
-    }
-  }
-  return {};
-}
-
 util::Status DualServer::populate(const workload::CompiledTrace& compiled,
                                   const hybridmem::Placement& placement) {
   const workload::Trace& trace = compiled.trace();
   MNEMO_EXPECTS(placement.key_count() == trace.key_count());
   placement_ = placement;
   key_sizes_ = compiled.key_sizes();
+  // Pre-size the platform's flat tables for the dense key range so the
+  // replay loop runs allocation-free (DESIGN.md §8).
   fast_->memory().reserve_objects(
       static_cast<std::size_t>(placement.key_count()));
   // Allocation hint only: slot pools sized for the dense key range (a key
@@ -64,6 +37,8 @@ util::Status DualServer::populate(const workload::CompiledTrace& compiled,
   slow_->reserve_keys(static_cast<std::size_t>(placement.key_count()));
   const std::span<const std::uint64_t> hashes = compiled.key_hashes();
   const std::span<const std::uint64_t> digests = compiled.key_digests();
+  // Only keys that exist before the run are loaded; keys beyond
+  // initial_key_count() arrive via kInsert requests during execution.
   for (std::uint64_t key = 0; key < trace.initial_key_count(); ++key) {
     KeyValueStore& server = route(key);
     const KeyHints hints{hashes[key], digests[key]};
@@ -83,14 +58,14 @@ util::Status DualServer::populate(const workload::CompiledTrace& compiled,
   return {};
 }
 
-util::Result<OpResult> DualServer::recover_faulted_read(
-    const workload::Request& request, OpResult r) {
+util::Result<OpResult> DualServer::recover_faulted_read(std::uint64_t key,
+                                                       OpResult r) {
   if (r.fault == hybridmem::FaultKind::kPoisoned) {
     // The SlowMem copy is uncorrectable: remap the key to FastMem (the
     // move recovers the record at the plan's remap cost) and re-serve the
     // request from there. Everything is charged to this request.
     const util::Result<double> moved =
-        move_key(request.key, hybridmem::NodeId::kFast);
+        move_key(key, hybridmem::NodeId::kFast);
     faultinject::FaultInjector* inj =
         fast_->memory().fault_injector();
     if (!moved.ok()) {
@@ -99,7 +74,7 @@ util::Result<OpResult> DualServer::recover_faulted_read(
       r.service_ns += inj != nullptr ? inj->plan().poison_remap_cost_ns : 0.0;
       return r;
     }
-    OpResult again = fast_->get(request.key);
+    OpResult again = fast_->get(key);
     again.service_ns += r.service_ns + moved.value();
     again.fault = hybridmem::FaultKind::kPoisoned;
     return again;
@@ -110,7 +85,7 @@ util::Result<OpResult> DualServer::recover_faulted_read(
     util::Error e;
     e.code = util::ErrorCode::kFaultInjected;
     e.message = "read failed: transient SlowMem fault retries exhausted";
-    e.key = request.key;
+    e.key = key;
     e.attempts = inj != nullptr ? inj->plan().transient_max_retries : 0;
     return e;
   }

@@ -5,7 +5,6 @@
 
 #include "hybridmem/placement.hpp"
 #include "kvstore/factory.hpp"
-#include "util/assert.hpp"
 #include "util/status.hpp"
 #include "workload/trace.hpp"
 
@@ -31,24 +30,19 @@ class DualServer {
   DualServer(hybridmem::HybridMemory& memory, StoreKind kind,
              const StoreConfig& base_config);
 
-  /// Load every key of the trace into the server its placement names.
-  /// Population happens in key order (the paper's load phase). On capacity
-  /// failure the typed error carries the offending key, the bytes it
-  /// needed, and the node's remaining capacity; keys already loaded stay
-  /// loaded (the caller owns the deployment's lifetime).
+  /// Load every key of the compiled trace into the server its placement
+  /// names (DESIGN.md §12). Population happens in key order (the paper's
+  /// load phase), each put carrying the key's precomputed hash/digest, and
+  /// each instance's slot pools are pre-sized (an allocation hint only;
+  /// bucket growth schedules are part of the model and stay untouched). On
+  /// capacity failure the typed error carries the offending key, the bytes
+  /// it needed, and the node's remaining capacity; keys already loaded
+  /// stay loaded (the caller owns the deployment's lifetime).
   ///
-  /// The trace must outlive this DualServer: key sizes are viewed through
-  /// a span over the trace's own table, not deep-copied (every campaign
-  /// cell replays the same shared trace — copying its per-key size table
-  /// per cell was pure overhead).
-  [[nodiscard]] util::Status populate(const workload::Trace& trace,
-                                      const hybridmem::Placement& placement);
-
-  /// Compiled-campaign populate (DESIGN.md §12): same key order, same
-  /// routing, same typed errors as the Trace overload — but the per-key
-  /// hash/digest come precomputed from the CompiledTrace, and each
-  /// instance's slot pools are pre-sized (an allocation hint only; bucket
-  /// growth schedules are part of the model and stay untouched).
+  /// The trace behind `compiled` must outlive this DualServer: key sizes
+  /// are viewed through a span over the trace's own table, not deep-copied
+  /// (every campaign cell replays the same shared trace). The
+  /// CompiledTrace itself is read only during the call.
   [[nodiscard]] util::Status populate(const workload::CompiledTrace& compiled,
                                       const hybridmem::Placement& placement);
 
@@ -58,47 +52,24 @@ class DualServer {
   /// (the move and remap costs charged to this request); a read whose
   /// transient retries exhaust is a typed error carrying the key.
   ///
-  /// Defined inline — this is the replay loop's single entry point
-  /// (DESIGN.md §8); the rare fault-recovery tail lives out of line.
-  [[nodiscard]] util::Result<OpResult> execute(
-      const workload::Request& request) {
-    MNEMO_EXPECTS(request.key < key_sizes_.size());
-    KeyValueStore& server = route(request.key);
-    if (request.op != workload::OpType::kRead) {
-      // kUpdate overwrites in place; kInsert creates the key (same put path
-      // — the stores upsert). Writes are not fault targets.
-      return server.put(request.key, key_sizes_[request.key]);
-    }
-    OpResult r = server.get(request.key);
-    if (r.fault == hybridmem::FaultKind::kNone) [[likely]] return r;
-    return recover_faulted_read(request, r);
-  }
-
-  /// Hinted variant of execute() for compiled-campaign replay: `hints`
-  /// must be the KeyHints of request.key (CompiledTrace::key_hashes /
-  /// key_digests). Behaviour is bit-identical to execute(request); the
-  /// rare fault-recovery tail is shared.
-  [[nodiscard]] util::Result<OpResult> execute(const workload::Request& request,
-                                               const KeyHints& hints) {
-    MNEMO_EXPECTS(request.key < key_sizes_.size());
-    return execute(request.op, request.key, hints);
-  }
-
-  /// Unchecked hot-loop form taking the op/key streams directly: the
-  /// compiled replay iterates CompiledTrace's flat arrays, whose keys were
-  /// all bounds-validated once at compile time, so the per-request
-  /// precondition check is hoisted along with the hashes.
+  /// `hints` must be the KeyHints of `key` (CompiledTrace::key_hash /
+  /// key_digest). Unchecked: `key` must be a key of the populated trace —
+  /// the replay loops iterate CompiledTrace's flat streams, whose keys the
+  /// Trace validated once. Defined inline — this is the replay loop's
+  /// single entry point (DESIGN.md §8); the rare fault-recovery tail lives
+  /// out of line.
   [[nodiscard]] util::Result<OpResult> execute(workload::OpType op,
                                                std::uint64_t key,
                                                const KeyHints& hints) {
     KeyValueStore& server = route(key);
     if (op != workload::OpType::kRead) {
+      // kUpdate overwrites in place; kInsert creates the key (same put path
+      // — the stores upsert). Writes are not fault targets.
       return server.put(key, key_sizes_[key], hints);
     }
     OpResult r = server.get(key, hints);
     if (r.fault == hybridmem::FaultKind::kNone) [[likely]] return r;
-    return recover_faulted_read(
-        workload::Request{static_cast<std::uint32_t>(key), op}, r);
+    return recover_faulted_read(key, r);
   }
 
   [[nodiscard]] KeyValueStore& fast() noexcept { return *fast_; }
@@ -134,8 +105,8 @@ class DualServer {
 
   /// Slow path of execute(): poisoned-line remap or transient-retry
   /// exhaustion. Only reached when the read reported a fault.
-  [[nodiscard]] util::Result<OpResult> recover_faulted_read(
-      const workload::Request& request, OpResult r);
+  [[nodiscard]] util::Result<OpResult> recover_faulted_read(std::uint64_t key,
+                                                            OpResult r);
 
   StoreKind kind_;
   std::unique_ptr<KeyValueStore> fast_;

@@ -48,7 +48,7 @@ DynaStore::ScanResult DynaStore::scan(std::uint64_t start_key,
   return result;
 }
 
-OpResult DynaStore::get(std::uint64_t key) {
+OpResult DynaStore::get(std::uint64_t key, const KeyHints& /*hints*/) {
   ++stats_.gets;
   auto found = tree_.find(key);
   // Upper tree levels stay hot in cache; the leaf and the per-item
@@ -79,19 +79,10 @@ OpResult DynaStore::get(std::uint64_t key) {
   return finalize(true, ns, access.llc_hit);
 }
 
-OpResult DynaStore::put(std::uint64_t key, std::uint64_t value_size) {
-  return put_impl(key, value_size, util::record_digest(key, value_size));
-}
-
 OpResult DynaStore::put(std::uint64_t key, std::uint64_t value_size,
                         const KeyHints& hints) {
-  return put_impl(key, value_size, hints.digest);
-}
-
-OpResult DynaStore::put_impl(std::uint64_t key, std::uint64_t value_size,
-                             std::uint64_t digest) {
   ++stats_.puts;
-  Record rec = make_record(key, value_size, payload_mode(), digest);
+  Record rec = make_record(key, value_size, payload_mode(), hints.digest);
 
   // 1. Journal append (WAL discipline: log before applying).
   const auto logged = journal_.append(key, value_size);

@@ -18,11 +18,11 @@ class DynaStore final : public KeyValueStore {
   DynaStore(hybridmem::HybridMemory& memory, const StoreConfig& config);
   ~DynaStore() override;
 
-  OpResult get(std::uint64_t key) override;
-  OpResult put(std::uint64_t key, std::uint64_t value_size) override;
+  using KeyValueStore::get;
+  using KeyValueStore::put;
   /// DynaStore does no key hashing (the B+-tree compares keys directly),
-  /// so only the record digest is worth passing through; hinted get is the
-  /// inherited delegate.
+  /// so a get ignores its hints and a put reads only the record digest.
+  OpResult get(std::uint64_t key, const KeyHints& hints) override;
   OpResult put(std::uint64_t key, std::uint64_t value_size,
                const KeyHints& hints) override;
   OpResult erase(std::uint64_t key) override;
@@ -58,11 +58,6 @@ class DynaStore final : public KeyValueStore {
   Record* mutable_record(std::uint64_t key) override;
 
  private:
-  /// Shared body of the hinted/unhinted puts; `digest` must equal
-  /// util::record_digest(key, value_size) (the KeyHints contract).
-  OpResult put_impl(std::uint64_t key, std::uint64_t value_size,
-                    std::uint64_t digest);
-
   /// Per-item metadata block (version vector, TTL, attribute map header).
   static constexpr std::uint64_t kItemMetadataBytes = 256;
 

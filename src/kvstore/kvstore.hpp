@@ -134,23 +134,22 @@ class KeyValueStore {
   KeyValueStore& operator=(const KeyValueStore&) = delete;
 
   /// Fetch the value for `key`. ok == false if absent. In kStored mode the
-  /// payload checksum is verified end-to-end.
-  virtual OpResult get(std::uint64_t key) = 0;
+  /// payload checksum is verified end-to-end. `hints` must follow the
+  /// KeyHints contract above; a get reads only `hints.hash`.
+  virtual OpResult get(std::uint64_t key, const KeyHints& hints) = 0;
 
-  /// Insert or update `key` with a `value_size`-byte value.
-  /// ok == false if the node lacks capacity and nothing could be evicted.
-  virtual OpResult put(std::uint64_t key, std::uint64_t value_size) = 0;
-
-  /// Hinted variants: behaviour is bit-identical to get/put — the hints
-  /// carry values the store would otherwise recompute per operation
-  /// (KeyHints contract above). Architectures that can use them override;
-  /// the defaults ignore the hints and delegate.
-  virtual OpResult get(std::uint64_t key, const KeyHints& /*hints*/) {
-    return get(key);
-  }
+  /// Insert or update `key` with a `value_size`-byte value; `hints` must
+  /// follow the KeyHints contract for (key, value_size). ok == false if
+  /// the node lacks capacity and nothing could be evicted.
   virtual OpResult put(std::uint64_t key, std::uint64_t value_size,
-                       const KeyHints& /*hints*/) {
-    return put(key, value_size);
+                       const KeyHints& hints) = 0;
+
+  /// get/put for callers without precomputed hints: derive them by the
+  /// KeyHints contract, so both forms are the same operation.
+  OpResult get(std::uint64_t key) { return get(key, {util::mix64(key), 0}); }
+  OpResult put(std::uint64_t key, std::uint64_t value_size) {
+    return put(key, value_size,
+               {util::mix64(key), util::record_digest(key, value_size)});
   }
 
   /// Pre-size internal tables for `keys` dense keys so populate/replay

@@ -139,17 +139,9 @@ void Vermilion::drop_expired(std::uint64_t key) {
   sync_overhead_accounting(dict_.overhead_bytes());
 }
 
-OpResult Vermilion::get(std::uint64_t key) {
-  return get_impl(key, util::mix64(key));
-}
-
 OpResult Vermilion::get(std::uint64_t key, const KeyHints& hints) {
-  return get_impl(key, hints.hash);
-}
-
-OpResult Vermilion::get_impl(std::uint64_t key, std::uint64_t hash) {
   ++stats_.gets;
-  const auto found = dict_.find(key, hash);
+  const auto found = dict_.find(key, hints.hash);
   double ns = profile().cpu_read_ns + index_walk_ns(1, found.probes);
   if (found.entry == nullptr) {
     ++stats_.misses;
@@ -173,21 +165,11 @@ OpResult Vermilion::get_impl(std::uint64_t key, std::uint64_t hash) {
   return finalize(true, ns, access.llc_hit);
 }
 
-OpResult Vermilion::put(std::uint64_t key, std::uint64_t value_size) {
-  return put_impl(key, value_size, util::mix64(key),
-                  util::record_digest(key, value_size));
-}
-
 OpResult Vermilion::put(std::uint64_t key, std::uint64_t value_size,
                         const KeyHints& hints) {
-  return put_impl(key, value_size, hints.hash, hints.digest);
-}
-
-OpResult Vermilion::put_impl(std::uint64_t key, std::uint64_t value_size,
-                             std::uint64_t hash, std::uint64_t digest) {
   ++stats_.puts;
-  Record rec = make_record(key, value_size, payload_mode(), digest);
-  const auto up = dict_.upsert(key, std::move(rec), hash);
+  Record rec = make_record(key, value_size, payload_mode(), hints.digest);
+  const auto up = dict_.upsert(key, std::move(rec), hints.hash);
   double ns = profile().cpu_write_ns + index_walk_ns(1, up.probes);
 
   if (up.existed) {

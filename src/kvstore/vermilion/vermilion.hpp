@@ -35,8 +35,8 @@ class Vermilion final : public KeyValueStore {
     return eviction_;
   }
 
-  OpResult get(std::uint64_t key) override;
-  OpResult put(std::uint64_t key, std::uint64_t value_size) override;
+  using KeyValueStore::get;
+  using KeyValueStore::put;
   OpResult get(std::uint64_t key, const KeyHints& hints) override;
   OpResult put(std::uint64_t key, std::uint64_t value_size,
                const KeyHints& hints) override;
@@ -56,13 +56,6 @@ class Vermilion final : public KeyValueStore {
   Record* mutable_record(std::uint64_t key) override;
 
  private:
-  /// Shared bodies of the hinted/unhinted entry points. `hash` must equal
-  /// util::mix64(key) and `digest` util::record_digest(key, value_size)
-  /// (the KeyHints contract) — both paths are then bit-identical.
-  OpResult get_impl(std::uint64_t key, std::uint64_t hash);
-  OpResult put_impl(std::uint64_t key, std::uint64_t value_size,
-                    std::uint64_t hash, std::uint64_t digest);
-
   void drop_expired(std::uint64_t key);
   /// Free space for `need` bytes per the eviction policy. Returns false
   /// if no victim can be found (empty store or kNoEviction).

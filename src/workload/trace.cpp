@@ -235,6 +235,10 @@ Trace Trace::load_csv(const std::string& path) {
                            "size row has " + std::to_string(sizes.size()) +
                                " entries, want " + std::to_string(key_count));
   }
+  // A trace with nothing to replay has no measurement to offer any command.
+  if (rows.size() == 3) {
+    throw util::ParseError(path, rows.back().line, "trace has no requests");
+  }
   // Validate what the Trace constructor would otherwise abort on: these
   // are user-input errors, not programming errors, so they must surface
   // as diagnostics with the offending line.

@@ -220,10 +220,17 @@ TEST(Cli, BadOptionShowsUsage) {
 }
 
 TEST(Cli, DownsampleValidatesKeep) {
-  const CliResult r = run_cli({"downsample", "--workload", "trending",
-                               "--keys", "100", "--requests", "1000",
-                               "--keep", "1.5"});
-  EXPECT_EQ(r.code, 2);
+  const std::string path = ::testing::TempDir() + "/cli_downsampled.csv";
+  std::filesystem::remove(path);
+  // Out of (0, 1], and a fraction that keeps none of 100 requests.
+  for (const char* keep : {"1.5", "0.0001"}) {
+    const CliResult r = run_cli({"downsample", "--workload", "trending",
+                                 "--keys", "50", "--requests", "100",
+                                 "--keep", keep, "--out", path});
+    EXPECT_EQ(r.code, 2) << keep;
+    EXPECT_NE(r.err.find("--keep"), std::string::npos) << keep;
+    EXPECT_FALSE(std::filesystem::exists(path)) << keep;
+  }
 }
 
 TEST(Cli, TailsPrintsMixtureEstimates) {
@@ -392,6 +399,26 @@ TEST(Cli, MalformedTraceFileExitsTwoWithFileAndLine) {
   EXPECT_EQ(r.code, 2);
   EXPECT_NE(r.err.find("parse error: "), std::string::npos);
   EXPECT_NE(r.err.find(path + ":5:"), std::string::npos);
+  std::filesystem::remove(path);
+}
+
+// A trace with no requests is malformed input to every command that reads
+// one: each of these once aborted on it instead of naming the file.
+TEST(Cli, EmptyTraceFileExitsTwoOnEveryCommand) {
+  const std::string path = ::testing::TempDir() + "/cli_empty_trace.csv";
+  {
+    std::ofstream out(path);
+    out << "trace,empty\nkey_count,4\nsizes,64,64,64,64\n";
+  }
+  for (const char* command : {"run", "measure", "advise", "report",
+                              "compare", "tails", "migrate", "inspect"}) {
+    const CliResult r = run_cli({command, "--trace", path});
+    EXPECT_EQ(r.code, 2) << command;
+    EXPECT_NE(r.err.find("parse error: " + path + ":3:"), std::string::npos)
+        << command << ": " << r.err;
+    EXPECT_NE(r.err.find("trace has no requests"), std::string::npos)
+        << command;
+  }
   std::filesystem::remove(path);
 }
 

@@ -20,6 +20,7 @@
 #include "hybridmem/hybrid_memory.hpp"
 #include "hybridmem/placement.hpp"
 #include "kvstore/dual_server.hpp"
+#include "workload/compiled_trace.hpp"
 #include "workload/trace.hpp"
 #include "workload/workload_spec.hpp"
 
@@ -88,13 +89,19 @@ void expect_steady_state_allocation_free(kvstore::StoreKind kind) {
   kvstore::StoreConfig cfg;
   cfg.seed = 0xbe7c;
   kvstore::DualServer servers(memory, kind, cfg);
-  ASSERT_TRUE(servers.populate(trace, placement).ok());
+  const workload::CompiledTrace compiled(trace);
+  ASSERT_TRUE(servers.populate(compiled, placement).ok());
+  const auto serve = [&](std::size_t i) {
+    const std::uint32_t key = compiled.keys()[i];
+    return servers.execute(compiled.ops()[i], key,
+                           {compiled.key_hash(key), compiled.key_digest(key)});
+  };
 
   // Warm-up pass: any remaining growth (LRU slot pools, dense stamp
   // tables, incremental rehash) happens here.
   memory.drop_caches();
-  for (const workload::Request& req : trace.requests()) {
-    const util::Result<kvstore::OpResult> r = servers.execute(req);
+  for (std::size_t i = 0; i < compiled.request_count(); ++i) {
+    const util::Result<kvstore::OpResult> r = serve(i);
     ASSERT_TRUE(r.ok() && r.value().ok);
   }
 
@@ -102,8 +109,8 @@ void expect_steady_state_allocation_free(kvstore::StoreKind kind) {
   // already at working-set size. Zero allocations allowed.
   memory.drop_caches();
   const std::uint64_t before = g_allocations.load();
-  for (const workload::Request& req : trace.requests()) {
-    const util::Result<kvstore::OpResult> r = servers.execute(req);
+  for (std::size_t i = 0; i < compiled.request_count(); ++i) {
+    const util::Result<kvstore::OpResult> r = serve(i);
     if (!r.ok() || !r.value().ok) {
       ASSERT_TRUE(false) << "execute failed during audited pass";
     }

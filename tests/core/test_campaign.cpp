@@ -13,6 +13,7 @@
 
 #include "core/estimate_engine.hpp"
 #include "core/pattern_engine.hpp"
+#include "workload/compiled_trace.hpp"
 #include "workload/workload_spec.hpp"
 
 namespace mnemo::core {
@@ -36,9 +37,10 @@ workload::Trace zipfian_trace() {
 RunMeasurement serial_measure(const SensitivityEngine& engine,
                               const workload::Trace& trace,
                               const hybridmem::Placement& placement) {
+  const workload::CompiledTrace compiled(trace);
   std::vector<RunMeasurement> runs;
   for (int r = 0; r < engine.config().repeats; ++r) {
-    runs.push_back(engine.run_once(trace, placement, r));
+    runs.push_back(engine.run_once(compiled, placement, r));
   }
   return average_runs(runs);
 }

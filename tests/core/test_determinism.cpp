@@ -11,6 +11,7 @@
 
 #include "core/migration.hpp"
 #include "core/mnemo.hpp"
+#include "workload/compiled_trace.hpp"
 #include "workload/suite.hpp"
 
 namespace mnemo::core {
@@ -101,8 +102,9 @@ TEST(Determinism, ValidationRunsMatchAcrossProcessesOfTheSuite) {
   const hybridmem::Placement half =
       hybridmem::Placement::from_order(
           PatternEngine::analyze(trace).touch_order, trace.key_count() / 2);
-  const RunMeasurement m1 = engine.run_once(trace, half, 3);
-  const RunMeasurement m2 = engine.run_once(trace, half, 3);
+  const workload::CompiledTrace compiled(trace);
+  const RunMeasurement m1 = engine.run_once(compiled, half, 3);
+  const RunMeasurement m2 = engine.run_once(compiled, half, 3);
   EXPECT_EQ(m1.runtime_ns, m2.runtime_ns);
   EXPECT_EQ(m1.p99_ns, m2.p99_ns);
   EXPECT_EQ(m1.llc_hit_rate, m2.llc_hit_rate);

@@ -6,8 +6,9 @@
 // fixture files. Any change to simulated results — an RNG stream, an
 // eviction order, an accounting rule — shows up here as a fixture
 // mismatch. Campaign snapshots are checked at every thread count in
-// {1, 2, 8} under both the default replay and ReplayMode::kLegacy, so the
-// fixtures stand in for the legacy replay as the equivalence oracle.
+// {1, 2, 8}. Every fixture also held under the raw-Trace replay that the
+// compiled replay superseded, so the fixtures stand in for it as the
+// equivalence oracle.
 //
 // Regenerate (only for an *intentional* semantics change, and say so in
 // the commit):  MNEMO_WRITE_GOLDEN=1 ./tests_golden
@@ -76,7 +77,7 @@ void serialize(std::ostringstream& out, const RunMeasurement& m) {
 /// the identity key order, for every store architecture, repeats averaged
 /// by the campaign grid.
 std::string sweep_snapshot(const workload::Trace& trace,
-                           std::size_t threads, ReplayMode mode) {
+                           std::size_t threads) {
   std::vector<std::uint64_t> order(trace.key_count());
   for (std::uint64_t k = 0; k < trace.key_count(); ++k) order[k] = k;
   const double fractions[] = {0.0, 0.25, 0.5, 0.75, 1.0};
@@ -97,7 +98,6 @@ std::string sweep_snapshot(const workload::Trace& trace,
                      f * static_cast<double>(trace.key_count()))));
     }
     CampaignRunner runner(threads);
-    runner.set_replay_mode(mode);
     const std::vector<RunMeasurement> grid =
         runner.measure_grid(engine, trace, placements);
     for (std::size_t i = 0; i < grid.size(); ++i) {
@@ -116,7 +116,7 @@ std::string sweep_snapshot(const workload::Trace& trace,
 void degraded_campaign(std::ostringstream& out, const workload::Trace& trace,
                        kvstore::StoreKind store,
                        const faultinject::FaultPlan& plan,
-                       std::size_t threads, ReplayMode mode) {
+                       std::size_t threads) {
   SensitivityConfig cfg;
   cfg.store = store;
   cfg.repeats = 2;
@@ -131,7 +131,6 @@ void degraded_campaign(std::ostringstream& out, const workload::Trace& trace,
       {all_fast, 0}, {all_slow, 0}, {all_fast, 1}, {all_slow, 1}};
 
   CampaignRunner runner(threads);
-  runner.set_replay_mode(mode);
   const CampaignResult result = runner.run_checked(engine, trace, cells);
 
   for (std::size_t i = 0; i < result.measurements.size(); ++i) {
@@ -163,10 +162,10 @@ faultinject::FaultPlan poison_plan() {
 /// A poison plan that quarantines every all-SlowMem cell while
 /// all-FastMem cells stay clean, on Vermilion.
 std::string degraded_snapshot(const workload::Trace& trace,
-                              std::size_t threads, ReplayMode mode) {
+                              std::size_t threads) {
   std::ostringstream out;
   degraded_campaign(out, trace, kvstore::StoreKind::kVermilion,
-                    poison_plan(), threads, mode);
+                    poison_plan(), threads);
   return out.str();
 }
 
@@ -174,7 +173,7 @@ std::string degraded_snapshot(const workload::Trace& trace,
 /// quarantine some all-SlowMem cells and leave others clean, and
 /// bandwidth-degradation windows.
 std::string degraded_plans_snapshot(const workload::Trace& trace,
-                                    std::size_t threads, ReplayMode mode) {
+                                    std::size_t threads) {
   faultinject::FaultPlan transient;
   transient.transient_read_rate = 2e-3;
   faultinject::FaultPlan bandwidth;
@@ -188,7 +187,7 @@ std::string degraded_plans_snapshot(const workload::Trace& trace,
          {poison_plan(), transient, bandwidth}) {
       out << "== " << kvstore::to_string(store) << " " << plan.summary()
           << "\n";
-      degraded_campaign(out, trace, store, plan, threads, mode);
+      degraded_campaign(out, trace, store, plan, threads);
     }
   }
   return out.str();
@@ -196,7 +195,8 @@ std::string degraded_plans_snapshot(const workload::Trace& trace,
 
 /// DynamicTierer::run on every store: a predictive foreground run, a
 /// reactive background run under a per-epoch migration cap, and a run
-/// whose transient fault plan drops requests.
+/// whose transient fault plan drops requests — then the static oracle
+/// those runs are compared against.
 std::string tiering_snapshot(const workload::Trace& trace) {
   MigrationConfig predictive;
   predictive.fast_budget_bytes = trace.dataset_bytes() / 3;
@@ -237,6 +237,12 @@ std::string tiering_snapshot(const workload::Trace& trace) {
       serialize(out, r.measurement);
       out << "\n";
     }
+    // The static oracle strips the fault plan, so the faulted config must
+    // measure the healthy budgeted placement.
+    out << kvstore::to_string(store) << " oracle ";
+    serialize(out,
+              DynamicTierer(faulted, predictive).run_static_oracle(trace));
+    out << "\n";
   }
   return out.str();
 }
@@ -270,45 +276,39 @@ void pin(const std::string& name, const std::string& snapshot) {
                                  "golden";
 }
 
-/// Computes a campaign snapshot at every thread count under both the
-/// default replay (kGrouped) and kLegacy, requires all of them to agree,
-/// then pins the result to the fixture.
-void check_golden(
-    const std::string& name,
-    const std::function<std::string(std::size_t, ReplayMode)>& snapshot) {
-  const std::string serial = snapshot(1, ReplayMode::kGrouped);
+/// Computes a campaign snapshot at every thread count, requires all of
+/// them to agree, then pins the result to the fixture.
+void check_golden(const std::string& name,
+                  const std::function<std::string(std::size_t)>& snapshot) {
+  const std::string serial = snapshot(1);
   for (const std::size_t threads : kThreadCounts) {
-    for (const ReplayMode mode : {ReplayMode::kGrouped, ReplayMode::kLegacy}) {
-      if (threads == 1 && mode == ReplayMode::kGrouped) continue;
-      EXPECT_EQ(serial, snapshot(threads, mode))
-          << name << ": result depends on the executor (threads " << threads
-          << (mode == ReplayMode::kLegacy ? ", legacy replay)" : ")");
-    }
+    if (threads == 1) continue;
+    EXPECT_EQ(serial, snapshot(threads))
+        << name << ": result depends on the executor (threads " << threads
+        << ")";
   }
   pin(name, serial);
 }
 
 TEST(GoldenReplay, SweepByteIdenticalAcrossThreadCountsAndRefactors) {
   const workload::Trace trace = golden_trace();
-  check_golden("golden_sweep.txt", [&](std::size_t threads, ReplayMode mode) {
-    return sweep_snapshot(trace, threads, mode);
+  check_golden("golden_sweep.txt", [&](std::size_t threads) {
+    return sweep_snapshot(trace, threads);
   });
 }
 
 TEST(GoldenReplay, DegradedCampaignByteIdenticalWithLedger) {
   const workload::Trace trace = golden_trace();
-  check_golden("golden_degraded.txt",
-               [&](std::size_t threads, ReplayMode mode) {
-                 return degraded_snapshot(trace, threads, mode);
-               });
+  check_golden("golden_degraded.txt", [&](std::size_t threads) {
+    return degraded_snapshot(trace, threads);
+  });
 }
 
 TEST(GoldenReplay, DegradedCampaignsOnEveryStoreAndFaultClass) {
   const workload::Trace trace = golden_trace();
-  check_golden("golden_degraded_plans.txt",
-               [&](std::size_t threads, ReplayMode mode) {
-                 return degraded_plans_snapshot(trace, threads, mode);
-               });
+  check_golden("golden_degraded_plans.txt", [&](std::size_t threads) {
+    return degraded_plans_snapshot(trace, threads);
+  });
 }
 
 TEST(GoldenReplay, DynamicTiererRunByteIdentical) {

@@ -1,13 +1,13 @@
 // Equivalence oracle for placement-grouped skeleton replay (DESIGN.md
-// §14): ReplayMode::kGrouped — one leader per placement replaying fully
-// with the skeleton tap armed, its repeat siblings replaying the published
-// skeleton as tasks of their own — must produce measurements bit-identical
-// (field-for-field via RunMeasurement's defaulted operator==) to per-cell
-// SensitivityEngine::try_run_once and to ReplayMode::kLegacy, for every
-// store architecture, at every thread count in {1, 2, 8}, with and without
-// fault injection, through run(), run_checked() and the async grid. The
-// golden fixtures (test_golden_replay, test_serve_golden) run under the
-// grouped default too, so any drift from the pinned bits fails there too.
+// §14): one leader per placement replaying fully with the skeleton tap
+// armed, its repeat siblings replaying the published skeleton as tasks of
+// their own, must produce measurements bit-identical (field-for-field via
+// RunMeasurement's defaulted operator==) to per-cell
+// SensitivityEngine::try_run_once — and, under fault injection, to a
+// per-cell checked oracle that applies the documented attempt rule — for
+// every store architecture, at every thread count in {1, 2, 8}, through
+// run(), run_checked() and the async grid. The golden fixtures
+// (test_golden_replay, test_serve_golden) pin the same grids' bytes.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +15,8 @@
 #include <future>
 #include <latch>
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "core/campaign.hpp"
@@ -93,6 +95,65 @@ std::vector<RunMeasurement> per_cell(const SensitivityEngine& engine,
   return out;
 }
 
+/// The per-cell checked oracle: the attempt rule run_checked documents,
+/// applied cell by cell with no sharing. A run is accepted only when it
+/// succeeded and absorbed zero fault events; a rejected cell is retried
+/// once under an attempt-shifted fault stream, then quarantined with the
+/// last attempt's error and fault counters.
+CampaignResult per_cell_checked(const SensitivityEngine& engine,
+                                const workload::Trace& trace,
+                                const std::vector<CampaignCell>& cells) {
+  const workload::CompiledTrace compiled(trace);
+  CampaignResult out;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const CampaignCell& cell = cells[i];
+    std::optional<RunMeasurement> accepted;
+    CellFailure f;
+    for (int attempt = 0; attempt < 2 && !accepted; ++attempt) {
+      util::Result<RunMeasurement> run =
+          engine.try_run_once(compiled, cell.placement, cell.repeat, attempt);
+      if (!run.ok()) {
+        f.error = run.error();
+        f.faults = faultinject::FaultStats{};
+      } else if (run.value().faults.events() != 0) {
+        f.faults = run.value().faults;
+        f.error.code = util::ErrorCode::kFaultInjected;
+        f.error.message = "measurement perturbed: " +
+                          std::to_string(f.faults.events()) +
+                          " fault events absorbed";
+      } else {
+        accepted = run.value();
+      }
+    }
+    out.measurements.push_back(accepted);
+    if (!accepted) {
+      f.cell = i;
+      f.fast_keys = cell.placement.fast_keys();
+      f.repeat = cell.repeat;
+      f.attempts = 2;
+      out.failures.push_back(f);
+    }
+  }
+  return out;
+}
+
+/// Average each placement's repeats of a repeat-major grid, all or
+/// nothing: one missing repeat leaves the placement's slot empty.
+std::vector<std::optional<RunMeasurement>> fold_repeats(
+    const std::vector<std::optional<RunMeasurement>>& cells, int repeats) {
+  const auto n = static_cast<std::size_t>(repeats);
+  std::vector<std::optional<RunMeasurement>> out;
+  for (std::size_t first = 0; first < cells.size(); first += n) {
+    std::vector<RunMeasurement> group;
+    for (std::size_t r = first; r < first + n; ++r) {
+      if (cells[r]) group.push_back(*cells[r]);
+    }
+    out.push_back(group.size() == n ? std::optional(average_runs(group))
+                                    : std::nullopt);
+  }
+  return out;
+}
+
 /// measure_grid_checked_async on a private scheduler, joined here.
 CampaignRunner::AsyncOutcome run_async(
     const SensitivityConfig& cfg, const workload::Trace& trace,
@@ -123,16 +184,11 @@ TEST(GroupedReplay, GridBitIdenticalAcrossThreadsAndStores) {
         grid_cells(placements, cfg.repeats);
 
     const std::vector<RunMeasurement> oracle = per_cell(engine, trace, cells);
-    CampaignRunner legacy(1);
-    legacy.set_replay_mode(ReplayMode::kLegacy);
-    ASSERT_EQ(legacy.run(engine, trace, cells), oracle)
-        << kvstore::to_string(store);
-    const std::vector<RunMeasurement> merged =
-        legacy.measure_grid(engine, trace, placements);
+    const std::vector<std::optional<RunMeasurement>> merged =
+        fold_repeats({oracle.begin(), oracle.end()}, cfg.repeats);
 
     for (const std::size_t threads : kThreadCounts) {
       CampaignRunner grouped(threads);
-      ASSERT_EQ(grouped.replay_mode(), ReplayMode::kGrouped);
       const std::vector<RunMeasurement> out =
           grouped.run(engine, trace, cells);
       ASSERT_EQ(out.size(), oracle.size());
@@ -143,13 +199,17 @@ TEST(GroupedReplay, GridBitIdenticalAcrossThreadsAndStores) {
       // Three groups of three: each leader overlaps only the other
       // groups, so at most 9 - 3 cells are ever runnable at once.
       EXPECT_EQ(grouped.stats().threads, std::min<std::size_t>(threads, 6));
-      EXPECT_EQ(grouped.measure_grid(engine, trace, placements), merged)
+      const std::vector<RunMeasurement> grid =
+          grouped.measure_grid(engine, trace, placements);
+      EXPECT_EQ(std::vector<std::optional<RunMeasurement>>(grid.begin(),
+                                                           grid.end()),
+                merged)
           << kvstore::to_string(store) << " threads " << threads;
     }
   }
 }
 
-TEST(GroupedReplay, CheckedCampaignWithFaultsMatchesPerCellAndLegacy) {
+TEST(GroupedReplay, CheckedCampaignWithFaultsMatchesPerCell) {
   const workload::Trace trace = small_trace();
   const std::vector<hybridmem::Placement> placements =
       sweep_placements(trace, 2);
@@ -164,23 +224,11 @@ TEST(GroupedReplay, CheckedCampaignWithFaultsMatchesPerCellAndLegacy) {
       const std::vector<CampaignCell> cells =
           grid_cells(placements, cfg.repeats);
 
-      CampaignRunner legacy(1);
-      legacy.set_replay_mode(ReplayMode::kLegacy);
-      const CampaignResult reference =
-          legacy.run_checked(engine, trace, cells);
-      CampaignRunner compiled(1);
-      compiled.set_replay_mode(ReplayMode::kCompiled);
-      const CampaignResult per_cell_result =
-          compiled.run_checked(engine, trace, cells);
-      ASSERT_EQ(reference.measurements, per_cell_result.measurements)
-          << kvstore::to_string(store);
-      ASSERT_EQ(reference.failures, per_cell_result.failures)
-          << kvstore::to_string(store);
-      if (faults) {
-        // The plan must actually quarantine something, or the checked
-        // path's retry/quarantine legs go untested.
-        EXPECT_TRUE(reference.partial()) << kvstore::to_string(store);
-      }
+      const CampaignResult reference = per_cell_checked(engine, trace, cells);
+      // The plan must actually quarantine something, or the checked path's
+      // retry/quarantine legs go untested; with no plan, every cell is
+      // accepted on its first attempt.
+      EXPECT_EQ(reference.partial(), faults) << kvstore::to_string(store);
 
       for (const std::size_t threads : kThreadCounts) {
         CampaignRunner grouped(threads);
@@ -211,19 +259,28 @@ TEST(GroupedReplay, AsyncGridMatchesSyncAcrossThreadsStoresAndFaults) {
       cfg.repeats = 3;
       if (faults) cfg.faults = poison_plan();
       const SensitivityEngine engine(cfg);
-      CampaignRunner legacy(1);
-      legacy.set_replay_mode(ReplayMode::kLegacy);
-      const CampaignResult reference =
-          legacy.measure_grid_checked(engine, trace, placements);
+      const CampaignResult oracle = per_cell_checked(
+          engine, trace, grid_cells(placements, cfg.repeats));
+      const std::vector<std::optional<RunMeasurement>> reference =
+          fold_repeats(oracle.measurements, cfg.repeats);
 
       for (const std::size_t threads : kThreadCounts) {
         const CampaignRunner::AsyncOutcome outcome =
             run_async(cfg, trace, placements, threads);
         ASSERT_EQ(outcome.error, nullptr);
-        EXPECT_EQ(reference.measurements, outcome.grid.measurements)
+        EXPECT_EQ(reference, outcome.grid.measurements)
             << kvstore::to_string(store) << " faults " << faults
             << " threads " << threads;
-        EXPECT_EQ(reference.failures, outcome.grid.failures)
+        EXPECT_EQ(oracle.failures, outcome.grid.failures)
+            << kvstore::to_string(store) << " faults " << faults
+            << " threads " << threads;
+        CampaignRunner sync(threads);
+        const CampaignResult grid =
+            sync.measure_grid_checked(engine, trace, placements);
+        EXPECT_EQ(grid.measurements, outcome.grid.measurements)
+            << kvstore::to_string(store) << " faults " << faults
+            << " threads " << threads;
+        EXPECT_EQ(grid.failures, outcome.grid.failures)
             << kvstore::to_string(store) << " faults " << faults
             << " threads " << threads;
         EXPECT_EQ(outcome.stats.cells, 6u);
@@ -350,11 +407,8 @@ TEST(GroupedReplay, MoreGroupsThanWorkersStayBitIdentical) {
   const CampaignRunner::AsyncOutcome outcome =
       run_async(cfg, trace, placements, 2);
   ASSERT_EQ(outcome.error, nullptr);
-  CampaignRunner legacy(1);
-  legacy.set_replay_mode(ReplayMode::kLegacy);
   EXPECT_EQ(outcome.grid.measurements,
-            legacy.measure_grid_checked(engine, trace, placements)
-                .measurements);
+            fold_repeats({oracle.begin(), oracle.end()}, 2));
 }
 
 // A leader that fails publishes no skeleton; its siblings replay fully and
@@ -369,9 +423,7 @@ TEST(GroupedReplay, LeaderErrorIsReproducedByItsFollowers) {
   const SensitivityEngine engine(cfg);
   const std::vector<CampaignCell> cells = grid_cells({placement}, 3);
 
-  CampaignRunner compiled(1);
-  compiled.set_replay_mode(ReplayMode::kCompiled);
-  const CampaignResult reference = compiled.run_checked(engine, trace, cells);
+  const CampaignResult reference = per_cell_checked(engine, trace, cells);
   ASSERT_EQ(reference.failures.size(), cells.size());
   for (const std::size_t threads : kThreadCounts) {
     CampaignRunner grouped(threads);

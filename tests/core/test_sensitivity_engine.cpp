@@ -4,6 +4,7 @@
 
 #include <numeric>
 
+#include "workload/compiled_trace.hpp"
 #include "workload/suite.hpp"
 
 namespace mnemo::core {
@@ -28,8 +29,9 @@ SensitivityConfig fast_config() {
 TEST(SensitivityEngine, RunOnceProducesCoherentMeasurement) {
   const SensitivityEngine engine(fast_config());
   const auto trace = small_trace();
-  const RunMeasurement m = engine.run_once(
-      trace, Placement(trace.key_count(), NodeId::kFast));
+  const RunMeasurement m =
+      engine.run_once(workload::CompiledTrace(trace),
+                      Placement(trace.key_count(), NodeId::kFast));
   EXPECT_EQ(m.requests, trace.requests().size());
   EXPECT_EQ(m.reads + m.writes, m.requests);
   EXPECT_GT(m.runtime_ns, 0.0);
@@ -44,11 +46,12 @@ TEST(SensitivityEngine, RunOnceProducesCoherentMeasurement) {
 TEST(SensitivityEngine, RunOnceIsDeterministicPerRepeatIndex) {
   const SensitivityEngine engine(fast_config());
   const auto trace = small_trace();
+  const workload::CompiledTrace compiled(trace);
   const Placement placement(trace.key_count(), NodeId::kSlow);
-  const RunMeasurement a = engine.run_once(trace, placement, 0);
-  const RunMeasurement b = engine.run_once(trace, placement, 0);
+  const RunMeasurement a = engine.run_once(compiled, placement, 0);
+  const RunMeasurement b = engine.run_once(compiled, placement, 0);
   EXPECT_DOUBLE_EQ(a.runtime_ns, b.runtime_ns);
-  const RunMeasurement c = engine.run_once(trace, placement, 1);
+  const RunMeasurement c = engine.run_once(compiled, placement, 1);
   EXPECT_NE(a.runtime_ns, c.runtime_ns) << "repeats use distinct seeds";
 }
 
@@ -57,8 +60,9 @@ TEST(SensitivityEngine, MeasureAveragesRepeats) {
   const auto trace = small_trace();
   const Placement placement(trace.key_count(), NodeId::kFast);
   const RunMeasurement avg = engine.measure(trace, placement);
-  const RunMeasurement r0 = engine.run_once(trace, placement, 0);
-  const RunMeasurement r1 = engine.run_once(trace, placement, 1);
+  const workload::CompiledTrace compiled(trace);
+  const RunMeasurement r0 = engine.run_once(compiled, placement, 0);
+  const RunMeasurement r1 = engine.run_once(compiled, placement, 1);
   EXPECT_NEAR(avg.runtime_ns, (r0.runtime_ns + r1.runtime_ns) / 2.0, 1e-3);
 }
 
@@ -87,8 +91,9 @@ TEST(SensitivityEngine, IntermediatePlacementBetweenBaselines) {
 TEST(SensitivityEngine, WriteHeavyWorkloadReportsWriteLatencies) {
   const SensitivityEngine engine(fast_config());
   const auto trace = small_trace("edit_thumbnail");
-  const RunMeasurement m = engine.run_once(
-      trace, Placement(trace.key_count(), NodeId::kFast));
+  const RunMeasurement m =
+      engine.run_once(workload::CompiledTrace(trace),
+                      Placement(trace.key_count(), NodeId::kFast));
   EXPECT_GT(m.writes, 0u);
   EXPECT_GT(m.avg_write_ns, 0.0);
   EXPECT_GT(m.avg_read_ns, 0.0);
@@ -104,8 +109,9 @@ TEST(SensitivityEngine, PlatformCapacityAutoSizesToDataset) {
   spec.key_count = 2'000;
   spec.request_count = 2'000;
   const auto trace = workload::Trace::generate(spec);
-  const RunMeasurement m = engine.run_once(
-      trace, Placement(trace.key_count(), NodeId::kFast));
+  const RunMeasurement m =
+      engine.run_once(workload::CompiledTrace(trace),
+                      Placement(trace.key_count(), NodeId::kFast));
   EXPECT_EQ(m.requests, trace.requests().size());
 }
 

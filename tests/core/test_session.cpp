@@ -214,6 +214,24 @@ TEST_F(SessionFixture, DegradedGridIsNeverCached) {
   EXPECT_GT(again.campaign_cells_run(), 0u);
 }
 
+// Every measure runs the checked grid, so a trace with nothing to replay
+// quarantines its cells with typed errors instead of aborting the process.
+TEST_F(SessionFixture, EmptyTraceMeasuresDegradedWithTypedFailures) {
+  const workload::Trace trace("empty", 4, {},
+                              std::vector<std::uint64_t>(4, 64));
+  Session session(trace, cached_config());
+  const MeasureArtifact& m = session.measure();
+  EXPECT_TRUE(m.degraded);
+  ASSERT_EQ(m.failures.size(), 2u);  // all-FastMem and all-SlowMem, repeats 1
+  for (const CellFailure& f : m.failures) {
+    EXPECT_EQ(f.error.code, util::ErrorCode::kInvalidArgument);
+    EXPECT_EQ(f.attempts, 2);
+  }
+  EXPECT_EQ(session.campaign_cells_run(), 2u);
+  EXPECT_EQ(files_for_stage("measure"), 0u);
+  EXPECT_TRUE(session.to_report().degraded);
+}
+
 TEST_F(SessionFixture, FaultPlanParticipatesInTheMeasureKey) {
   const workload::Trace trace = small_trace();
   SessionConfig clean = cached_config();

@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "faultinject/fault_plan.hpp"
+#include "workload/compiled_trace.hpp"
 #include "workload/suite.hpp"
 
 namespace mnemo::kvstore {
@@ -31,6 +32,21 @@ StoreConfig quiet_config() {
   return cfg;
 }
 
+/// Serve one (op, key) with the key's compiled hints.
+util::Result<OpResult> serve(DualServer& servers,
+                             const workload::CompiledTrace& compiled,
+                             workload::OpType op, std::uint64_t key) {
+  return servers.execute(op, key,
+                         {compiled.key_hash(key), compiled.key_digest(key)});
+}
+
+/// Serve request `i` of the compiled trace.
+util::Result<OpResult> serve(DualServer& servers,
+                             const workload::CompiledTrace& compiled,
+                             std::size_t i) {
+  return serve(servers, compiled, compiled.ops()[i], compiled.keys()[i]);
+}
+
 class DualServerTest : public ::testing::TestWithParam<StoreKind> {
  protected:
   hybridmem::HybridMemory memory_{hybridmem::paper_testbed_with_capacity(
@@ -40,10 +56,11 @@ class DualServerTest : public ::testing::TestWithParam<StoreKind> {
 TEST_P(DualServerTest, PopulateSplitsDatasetByPlacement) {
   DualServer servers(memory_, GetParam(), quiet_config());
   const auto trace = small_trace();
+  const workload::CompiledTrace compiled(trace);
   std::vector<std::uint64_t> order(trace.key_count());
   std::iota(order.begin(), order.end(), 0);
   const Placement placement = Placement::from_order(order, 50);
-  ASSERT_TRUE(servers.populate(trace, placement).ok());
+  ASSERT_TRUE(servers.populate(compiled, placement).ok());
   EXPECT_EQ(servers.fast().record_count(), 50u);
   EXPECT_EQ(servers.slow().record_count(), 150u);
   EXPECT_EQ(servers.fast().node(), NodeId::kFast);
@@ -53,28 +70,28 @@ TEST_P(DualServerTest, PopulateSplitsDatasetByPlacement) {
 TEST_P(DualServerTest, ExecuteRoutesByKeyPlacement) {
   DualServer servers(memory_, GetParam(), quiet_config());
   const auto trace = small_trace();
+  const workload::CompiledTrace compiled(trace);
   Placement placement(trace.key_count(), NodeId::kSlow);
   placement.set(7, NodeId::kFast);
-  ASSERT_TRUE(servers.populate(trace, placement).ok());
+  ASSERT_TRUE(servers.populate(compiled, placement).ok());
 
   const auto fast_gets_before = servers.fast().stats().gets;
-  ASSERT_TRUE(
-      servers.execute(workload::Request{7, workload::OpType::kRead}).ok());
+  ASSERT_TRUE(serve(servers, compiled, workload::OpType::kRead, 7).ok());
   EXPECT_EQ(servers.fast().stats().gets, fast_gets_before + 1);
 
   const auto slow_gets_before = servers.slow().stats().gets;
-  ASSERT_TRUE(
-      servers.execute(workload::Request{8, workload::OpType::kRead}).ok());
+  ASSERT_TRUE(serve(servers, compiled, workload::OpType::kRead, 8).ok());
   EXPECT_EQ(servers.slow().stats().gets, slow_gets_before + 1);
 }
 
 TEST_P(DualServerTest, UpdatesStayOnAssignedServer) {
   DualServer servers(memory_, GetParam(), quiet_config());
   const auto trace = small_trace(0.0);  // all updates
+  const workload::CompiledTrace compiled(trace);
   Placement placement(trace.key_count(), NodeId::kSlow);
-  ASSERT_TRUE(servers.populate(trace, placement).ok());
-  for (const auto& req : trace.requests()) {
-    ASSERT_TRUE(servers.execute(req).value().ok);
+  ASSERT_TRUE(servers.populate(compiled, placement).ok());
+  for (std::size_t i = 0; i < compiled.request_count(); ++i) {
+    ASSERT_TRUE(serve(servers, compiled, i).value().ok);
   }
   EXPECT_EQ(servers.fast().record_count(), 0u);
   EXPECT_EQ(servers.slow().record_count(), trace.key_count());
@@ -83,11 +100,13 @@ TEST_P(DualServerTest, UpdatesStayOnAssignedServer) {
 TEST_P(DualServerTest, CombinedStatsSumBothInstances) {
   DualServer servers(memory_, GetParam(), quiet_config());
   const auto trace = small_trace();
+  const workload::CompiledTrace compiled(trace);
   std::vector<std::uint64_t> order(trace.key_count());
   std::iota(order.begin(), order.end(), 0);
-  ASSERT_TRUE(servers.populate(trace, Placement::from_order(order, 100)).ok());
-  for (const auto& req : trace.requests()) {
-    ASSERT_TRUE(servers.execute(req).ok());
+  ASSERT_TRUE(
+      servers.populate(compiled, Placement::from_order(order, 100)).ok());
+  for (std::size_t i = 0; i < compiled.request_count(); ++i) {
+    ASSERT_TRUE(serve(servers, compiled, i).ok());
   }
   const StoreStats combined = servers.combined_stats();
   EXPECT_EQ(combined.gets,
@@ -103,10 +122,11 @@ TEST_P(DualServerTest, CombinedStatsSumBothInstances) {
 TEST_P(DualServerTest, AllRequestsSucceedAfterPopulate) {
   DualServer servers(memory_, GetParam(), quiet_config());
   const auto trace = small_trace(0.5);
+  const workload::CompiledTrace compiled(trace);
   Placement placement(trace.key_count(), NodeId::kFast);
-  ASSERT_TRUE(servers.populate(trace, placement).ok());
-  for (const auto& req : trace.requests()) {
-    ASSERT_TRUE(servers.execute(req).value().ok);
+  ASSERT_TRUE(servers.populate(compiled, placement).ok());
+  for (std::size_t i = 0; i < compiled.request_count(); ++i) {
+    ASSERT_TRUE(serve(servers, compiled, i).value().ok);
   }
 }
 
@@ -120,8 +140,9 @@ TEST_P(DualServerTest, PopulateErrorCarriesKeyAndCapacity) {
   hybridmem::HybridMemory memory(tiny);
   DualServer servers(memory, GetParam(), quiet_config());
   const auto trace = small_trace();
-  const util::Status st =
-      servers.populate(trace, Placement(trace.key_count(), NodeId::kSlow));
+  const util::Status st = servers.populate(
+      workload::CompiledTrace(trace),
+      Placement(trace.key_count(), NodeId::kSlow));
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.error().code, util::ErrorCode::kCapacityExhausted);
   EXPECT_NE(st.error().key, util::Error::kNoKey);
@@ -141,8 +162,9 @@ TEST_P(DualServerTest, MoveKeyRetriesTransientFaultsWithBackoff) {
   memory_.arm_faults(plan, 7);
   DualServer servers(memory_, GetParam(), quiet_config());
   const auto trace = small_trace();
+  const workload::CompiledTrace compiled(trace);
   ASSERT_TRUE(
-      servers.populate(trace, Placement(trace.key_count(), NodeId::kSlow))
+      servers.populate(compiled, Placement(trace.key_count(), NodeId::kSlow))
           .ok());
   memory_.drop_caches();  // faults fire on LLC misses only
   const auto before = memory_.fault_stats();
@@ -165,8 +187,9 @@ TEST_P(DualServerTest, MoveKeyExhaustsRetriesIntoTypedError) {
   memory_.arm_faults(plan, 7);
   DualServer servers(memory_, GetParam(), quiet_config());
   const auto trace = small_trace();
+  const workload::CompiledTrace compiled(trace);
   ASSERT_TRUE(
-      servers.populate(trace, Placement(trace.key_count(), NodeId::kSlow))
+      servers.populate(compiled, Placement(trace.key_count(), NodeId::kSlow))
           .ok());
   memory_.drop_caches();  // faults fire on LLC misses only
   const util::Result<double> moved = servers.move_key(5, NodeId::kFast);
@@ -185,12 +208,13 @@ TEST_P(DualServerTest, PoisonedReadRemapsKeyToFastMem) {
   memory_.arm_faults(plan, 11);
   DualServer servers(memory_, GetParam(), quiet_config());
   const auto trace = small_trace();
+  const workload::CompiledTrace compiled(trace);
   ASSERT_TRUE(
-      servers.populate(trace, Placement(trace.key_count(), NodeId::kSlow))
+      servers.populate(compiled, Placement(trace.key_count(), NodeId::kSlow))
           .ok());
   memory_.drop_caches();  // faults fire on LLC misses only
   const util::Result<OpResult> r =
-      servers.execute(workload::Request{9, workload::OpType::kRead});
+      serve(servers, compiled, workload::OpType::kRead, 9);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r.value().ok);
   EXPECT_EQ(r.value().fault, hybridmem::FaultKind::kPoisoned);

@@ -4,6 +4,7 @@
 
 #include "core/sensitivity_engine.hpp"
 #include "util/bytes.hpp"
+#include "workload/compiled_trace.hpp"
 #include "workload/suite.hpp"
 
 namespace mnemo::workload {
@@ -107,8 +108,8 @@ TEST(Characterize, PredictsTheEmulatorsLlcHitRate) {
   cfg.repeats = 1;
   const core::SensitivityEngine engine(cfg);
   const auto measured = engine.run_once(
-      trace, hybridmem::Placement(trace.key_count(),
-                                  hybridmem::NodeId::kFast));
+      CompiledTrace(trace),
+      hybridmem::Placement(trace.key_count(), hybridmem::NodeId::kFast));
 
   const auto& platform = cfg.platform;
   const auto bypass = static_cast<std::uint64_t>(

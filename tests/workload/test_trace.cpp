@@ -124,19 +124,33 @@ TEST(Trace, LoadRejectsGarbage) {
 
 TEST(Trace, LoadErrorsNameFileAndLine) {
   const std::string path = ::testing::TempDir() + "/badrow.csv";
-  {
-    std::ofstream out(path);
-    // Valid header + sizes for 2 keys, then a request row with a bad op.
-    out << "trace,t\nkey_count,2\nsizes,10,10\n0,read\n1,destroy\n";
-  }
-  try {
-    Trace::load_csv(path);
-    FAIL() << "expected util::ParseError";
-  } catch (const util::ParseError& e) {
-    EXPECT_EQ(e.file(), path);
-    EXPECT_EQ(e.line(), 5u);
-    EXPECT_NE(std::string(e.what()).find(path + ":5:"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("destroy"), std::string::npos);
+  const struct {
+    const char* csv;
+    std::size_t line;
+    const char* detail;
+  } cases[] = {
+      // Valid header + sizes for 2 keys, then a request row with a bad op.
+      {"trace,t\nkey_count,2\nsizes,10,10\n0,read\n1,destroy\n", 5,
+       "destroy"},
+      // Valid header + sizes, then nothing to replay.
+      {"trace,t\nkey_count,2\nsizes,10,10\n", 3, "trace has no requests"},
+  };
+  for (const auto& c : cases) {
+    {
+      std::ofstream out(path);
+      out << c.csv;
+    }
+    try {
+      Trace::load_csv(path);
+      ADD_FAILURE() << "expected util::ParseError for " << c.detail;
+    } catch (const util::ParseError& e) {
+      EXPECT_EQ(e.file(), path);
+      EXPECT_EQ(e.line(), c.line);
+      EXPECT_NE(std::string(e.what()).find(path + ":" +
+                                           std::to_string(c.line) + ":"),
+                std::string::npos);
+      EXPECT_NE(std::string(e.what()).find(c.detail), std::string::npos);
+    }
   }
   std::filesystem::remove(path);
 }
