@@ -165,6 +165,25 @@ core::SessionConfig session_config(const util::ArgParser& parser) {
   return sc;
 }
 
+void print_quarantine(const std::vector<core::CellFailure>& failures,
+                      std::ostream& out) {
+  if (failures.empty()) return;
+  out << "\npartial results: " << failures.size()
+      << " campaign cell(s) quarantined\n"
+      << core::render_failure_ledger(failures);
+}
+
+int fault_abort_exit(const core::MnemoConfig& cfg,
+                     const std::vector<core::CellFailure>& failures,
+                     std::ostream& err, const std::string& where) {
+  if (failures.empty() || cfg.fail_policy != faultinject::FailPolicy::kAbort) {
+    return 0;
+  }
+  err << "fault policy abort: " << where << core::describe(failures.front())
+      << "\n";
+  return 1;
+}
+
 void maybe_explain_cache(const util::ArgParser& parser,
                          core::Session& session, std::ostream& out) {
   if (!parser.has_flag("explain-cache")) return;
@@ -187,24 +206,13 @@ int emit_session_report(const util::ArgParser& parser,
     out << "wrote " << parser.get("out") << " ("
         << session.estimate().curve.points.size() - 1 << " rows)\n";
   }
-  if (!m.failures.empty()) {
-    out << "\npartial results: " << m.failures.size()
-        << " campaign cell(s) quarantined\n"
-        << core::render_failure_ledger(m.failures);
-  } else if (!cfg.faults.empty()) {
+  print_quarantine(m.failures, out);
+  if (m.failures.empty() && !cfg.faults.empty()) {
     out << "no campaign cells quarantined\n";
   }
   maybe_explain_cache(parser, session, out);
   maybe_print_campaign_stats(parser, out);
-  if (!m.failures.empty() &&
-      cfg.fail_policy == faultinject::FailPolicy::kAbort) {
-    const core::CellFailure& f = m.failures.front();
-    err << "fault policy abort: cell #" << f.cell << " (fast keys "
-        << f.fast_keys << ", repeat " << f.repeat
-        << ") quarantined: " << f.error.to_string() << "\n";
-    return 1;
-  }
-  return 0;
+  return fault_abort_exit(cfg, m.failures, err);
 }
 
 }  // namespace mnemo::cli

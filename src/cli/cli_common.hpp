@@ -2,6 +2,7 @@
 
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "core/session.hpp"
 #include "util/argparse.hpp"
@@ -33,6 +34,19 @@ void apply_fault_options(const util::ArgParser& parser,
 /// Banner printed only when a fault plan is armed, so fault-free output
 /// stays byte-identical to the healthy tool's.
 void print_fault_banner(const core::MnemoConfig& cfg, std::ostream& out);
+
+/// The quarantine footer: a blank line, "partial results: N campaign
+/// cell(s) quarantined" and the failure ledger — nothing when no cell was
+/// quarantined.
+void print_quarantine(const std::vector<core::CellFailure>& failures,
+                      std::ostream& out);
+
+/// --fail-policy abort: when a cell was quarantined, name the first one on
+/// `err` ("fault policy abort: <where>cell #…") and return exit code 1;
+/// otherwise return 0. `where` places the cell (plan: "workload W ").
+int fault_abort_exit(const core::MnemoConfig& cfg,
+                     const std::vector<core::CellFailure>& failures,
+                     std::ostream& err, const std::string& where = "");
 
 /// Append the process-wide campaign accounting when --stats was given.
 void maybe_print_campaign_stats(const util::ArgParser& parser,

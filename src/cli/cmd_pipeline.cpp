@@ -4,7 +4,6 @@
 
 #include "cli/cli_common.hpp"
 #include "cli/commands.hpp"
-#include "core/campaign.hpp"
 #include "core/render.hpp"
 #include "util/bytes.hpp"
 
@@ -30,19 +29,6 @@ void add_pipeline_options(util::ArgParser& parser) {
 /// re-run contract: 0 on a warm cache, grid-size on a cold one.
 void print_cells_executed(const core::Session& session, std::ostream& out) {
   out << "campaign cells executed: " << session.campaign_cells_run() << "\n";
-}
-
-int fault_abort_exit(const core::Session& session,
-                     const core::MeasureArtifact& m, std::ostream& err) {
-  if (m.failures.empty() || session.config().mnemo.fail_policy !=
-                                faultinject::FailPolicy::kAbort) {
-    return 0;
-  }
-  const core::CellFailure& f = m.failures.front();
-  err << "fault policy abort: cell #" << f.cell << " (fast keys "
-      << f.fast_keys << ", repeat " << f.repeat
-      << ") quarantined: " << f.error.to_string() << "\n";
-  return 1;
 }
 
 }  // namespace
@@ -93,14 +79,10 @@ int cmd_measure(const Args& args, std::ostream& out, std::ostream& err) {
   const core::MeasureArtifact& m = session.measure();
   out << core::render_measure(m);
   print_cells_executed(session, out);
-  if (!m.failures.empty()) {
-    out << "\npartial results: " << m.failures.size()
-        << " campaign cell(s) quarantined\n"
-        << core::render_failure_ledger(m.failures);
-  }
+  print_quarantine(m.failures, out);
   maybe_explain_cache(parser, session, out);
   maybe_print_campaign_stats(parser, out);
-  return fault_abort_exit(session, m, err);
+  return fault_abort_exit(session.config().mnemo, m.failures, err);
 }
 
 int cmd_advise(const Args& args, std::ostream& out, std::ostream& err) {
@@ -119,14 +101,10 @@ int cmd_advise(const Args& args, std::ostream& out, std::ostream& err) {
   const core::MeasureArtifact& m = session.measure();
   out << core::render_advise(m, verdict);
   print_cells_executed(session, out);
-  if (!m.failures.empty()) {
-    out << "\npartial results: " << m.failures.size()
-        << " campaign cell(s) quarantined\n"
-        << core::render_failure_ledger(m.failures);
-  }
+  print_quarantine(m.failures, out);
   maybe_explain_cache(parser, session, out);
   maybe_print_campaign_stats(parser, out);
-  return fault_abort_exit(session, m, err);
+  return fault_abort_exit(session.config().mnemo, m.failures, err);
 }
 
 int cmd_report(const Args& args, std::ostream& out, std::ostream& err) {
@@ -151,7 +129,8 @@ int cmd_report(const Args& args, std::ostream& out, std::ostream& err) {
     file << report.csv;
   }
   maybe_explain_cache(parser, session, out);
-  return fault_abort_exit(session, session.measure(), err);
+  return fault_abort_exit(session.config().mnemo, session.measure().failures,
+                         err);
 }
 
 }  // namespace mnemo::cli

@@ -53,25 +53,12 @@ int cmd_plan(const Args& args, std::ostream& out, std::ostream& err) {
   }
   out << table.render();
   if (!cfg.faults.empty()) {
-    if (!all_failures.empty()) {
-      out << "\npartial results: " << all_failures.size()
-          << " campaign cell(s) quarantined\n"
-          << core::render_failure_ledger(all_failures);
-    } else {
-      out << "\nno campaign cells quarantined\n";
-    }
+    print_quarantine(all_failures, out);
+    if (all_failures.empty()) out << "\nno campaign cells quarantined\n";
   }
   maybe_print_campaign_stats(parser, out);
-  if (!all_failures.empty() &&
-      cfg.fail_policy == faultinject::FailPolicy::kAbort) {
-    const core::CellFailure& f = all_failures.front();
-    err << "fault policy abort: workload " << first_failed_workload
-        << " cell #" << f.cell << " (fast keys " << f.fast_keys
-        << ", repeat " << f.repeat
-        << ") quarantined: " << f.error.to_string() << "\n";
-    return 1;
-  }
-  return 0;
+  return fault_abort_exit(cfg, all_failures, err,
+                          "workload " + first_failed_workload + " ");
 }
 
 int cmd_compare(const Args& args, std::ostream& out, std::ostream& err) {

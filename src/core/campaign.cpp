@@ -8,9 +8,9 @@
 #include <utility>
 
 #include "faultinject/io_fault.hpp"
+#include "stats/log_histogram.hpp"
 #include "stats/summary.hpp"
 #include "util/arena.hpp"
-#include "util/assert.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 #include "workload/compiled_trace.hpp"
@@ -19,12 +19,13 @@ namespace mnemo::core {
 
 namespace {
 
-/// Process-wide accumulator behind campaign_totals(). Cell durations are
-/// kept so the aggregate p50/p95 are exact; campaigns are small (at most
-/// a few thousand cells per bench run).
+/// Process-wide accumulator behind campaign_totals(). Cell durations land
+/// in a fixed-size log histogram, so the registry stays the same size
+/// however many grids a long-running process (serve) records; its p50/p95
+/// are within one bucket of exact.
 struct TotalsRegistry {
   std::mutex mu;
-  std::vector<double> cell_s;
+  stats::LogHistogram cell_ns;
   std::size_t threads = 0;  ///< widest fan-out seen
   double wall_s = 0.0;
   double cpu_s = 0.0;
@@ -40,7 +41,7 @@ void record_campaign(const CampaignStats& stats,
                      const std::vector<double>& cell_s) {
   TotalsRegistry& reg = totals_registry();
   std::lock_guard lock(reg.mu);
-  reg.cell_s.insert(reg.cell_s.end(), cell_s.begin(), cell_s.end());
+  for (const double s : cell_s) reg.cell_ns.add(s * 1e9);
   reg.threads = std::max(reg.threads, stats.threads);
   reg.wall_s += stats.wall_s;
   reg.cpu_s += stats.cpu_s;
@@ -108,9 +109,11 @@ void raise_peak(std::atomic<std::size_t>& peak, std::size_t candidate) {
   return merged;
 }
 
-/// The slots of an unchecked grid: run_cell fills every one (a failed
-/// cell aborts), so none is empty.
+/// The slots of a grid whose entry point returns one measurement per slot
+/// (run(), measure_grid()): a quarantined cell has none to give, so the
+/// first one is thrown instead.
 [[nodiscard]] std::vector<RunMeasurement> unwrap(CampaignResult grid) {
+  if (grid.partial()) throw CellQuarantinedError(grid.failures.front());
   std::vector<RunMeasurement> out;
   out.reserve(grid.measurements.size());
   for (std::optional<RunMeasurement>& slot : grid.measurements) {
@@ -119,42 +122,27 @@ void raise_peak(std::atomic<std::size_t>& peak, std::size_t candidate) {
   return out;
 }
 
-/// Order statistics + totals fill shared by the sync and async paths.
-void finalize_stats(CampaignStats& accounting,
-                    const std::vector<double>& cell_s) {
-  std::vector<double> sorted = cell_s;
-  std::sort(sorted.begin(), sorted.end());
-  for (const double s : sorted) accounting.cpu_s += s;
-  accounting.cell_p50_s = stats::percentile_sorted(sorted, 0.50);
-  accounting.cell_p95_s = stats::percentile_sorted(sorted, 0.95);
-  record_campaign(accounting, cell_s);
-}
-
 /// One grid in flight (DESIGN.md §14), shared by every task of the grid:
 /// the last reference to drop frees it, and with it any skeleton a group
 /// still holds.
 struct Grid {
   // The plan, fixed before the first task starts.
-  std::shared_ptr<const SensitivityEngine> engine_owner;  ///< async only
-  const SensitivityEngine* engine = nullptr;
+  /// Owning on the async path; on the sync path it borrows the caller's
+  /// engine, which outlives the join and so every task.
+  std::shared_ptr<const SensitivityEngine> engine;
+  std::vector<CampaignCell> cells;
   std::optional<workload::CompiledTrace> compiled;  ///< empty for no cells
-  std::vector<CampaignCell> owned_cells;            ///< async only
-  const std::vector<CampaignCell>* cells = nullptr;
   /// Placement groups, each in cell order with its leader first; all
   /// singletons when skeleton sharing is off.
   std::vector<std::vector<std::size_t>> groups;
-  bool checked = false;
   const util::CancelToken* cancel = nullptr;
   /// Where tasks run: this scheduler group, or — on the serial path, when
   /// null — directly on the thread that submits them.
-  util::TaskScheduler::Group* group = nullptr;
-
-  // Async only: the group to keep alive, the merge continuation and the
-  // shape it folds the cells back into.
-  std::shared_ptr<util::TaskScheduler::Group> group_owner;
+  std::shared_ptr<util::TaskScheduler::Group> group;
+  std::size_t workers = 1;  ///< width of the executor the grid runs on
+  /// Async only: the merge continuation release() hands the settled grid
+  /// to, as a kRequest task. A sync join settles the grid itself.
   std::function<void(CampaignRunner::AsyncOutcome)> done;
-  std::size_t num_placements = 0;
-  int repeats = 0;
   util::WallTimer wall;
 
   // Slot-indexed results: cell i writes only slot i, so the merge order is
@@ -173,11 +161,11 @@ struct Grid {
 
   /// The accounting the plan fixes: `workers` bounded by the widest
   /// fan-out, C cells less one per shared group (see CampaignStats).
-  [[nodiscard]] CampaignStats plan_stats(std::size_t workers) const {
-    std::size_t width = cells->size();
+  [[nodiscard]] CampaignStats plan_stats() const {
+    std::size_t width = cells.size();
     for (const std::vector<std::size_t>& g : groups) width -= g.size() > 1;
     CampaignStats stats;
-    stats.cells = cells->size();
+    stats.cells = cells.size();
     stats.threads = std::max<std::size_t>(1, std::min(workers, width));
     return stats;
   }
@@ -192,28 +180,44 @@ struct Grid {
   }
 };
 
-/// Lays out the grid's plan and result slots. With `share`, every cell
-/// joins the group of the first earlier cell with an equal placement —
-/// content equality, since cells carry copies — so the partition depends
-/// on the cells alone, never on threads or scheduling.
-void plan_grid(Grid& g, bool share) {
-  const std::vector<CampaignCell>& cells = *g.cells;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
+/// Plans a grid: its placement groups and result slots, and the trace
+/// compiled once for every cell — the per-key hashes/digests/byte streams
+/// are placement- and repeat-invariant, so every cell shares one read-only
+/// artifact (DESIGN.md §12). With skeleton sharing, every cell joins the
+/// group of the first earlier cell with an equal placement — content
+/// equality, since cells carry copies — so the partition depends on the
+/// cells alone, never on threads or scheduling. Fault plans are
+/// placement-crossing (a poisoned read remaps its key mid-run), so an
+/// armed plan makes every cell its own group. `workers` is the width of
+/// the executor the grid will run on.
+[[nodiscard]] std::shared_ptr<Grid> plan_grid(
+    std::shared_ptr<const SensitivityEngine> engine,
+    const workload::Trace& trace, std::vector<CampaignCell> cells,
+    const util::CancelToken* cancel, std::size_t workers) {
+  const auto g = std::make_shared<Grid>();
+  g->engine = std::move(engine);
+  g->cells = std::move(cells);
+  g->cancel = cancel;
+  g->workers = workers;
+  const bool share = g->engine->config().faults.empty();
+  for (std::size_t i = 0; i < g->cells.size(); ++i) {
     const auto same = [&](const std::vector<std::size_t>& group) {
-      return cells[group.front()].placement == cells[i].placement;
+      return g->cells[group.front()].placement == g->cells[i].placement;
     };
     const auto it =
-        share ? std::find_if(g.groups.begin(), g.groups.end(), same)
-              : g.groups.end();
-    if (it == g.groups.end()) {
-      g.groups.push_back({i});
+        share ? std::find_if(g->groups.begin(), g->groups.end(), same)
+              : g->groups.end();
+    if (it == g->groups.end()) {
+      g->groups.push_back({i});
     } else {
       it->push_back(i);
     }
   }
-  g.slots.resize(cells.size());
-  g.failed.resize(cells.size());
-  g.cell_s.assign(cells.size(), 0.0);
+  g->slots.resize(g->cells.size());
+  g->failed.resize(g->cells.size());
+  g->cell_s.assign(g->cells.size(), 0.0);
+  if (!g->cells.empty()) g->compiled.emplace(trace);
+  return g;
 }
 
 /// One attempt at cell `cell`: a follower's skeleton replay when `follow`
@@ -239,12 +243,13 @@ util::Result<RunMeasurement> replay_cell(Grid& g, const CampaignCell& cell,
   return run;
 }
 
-/// The one attempt path every cell takes. A checked grid accepts a run
-/// only when it succeeded AND absorbed zero fault events — the condition
-/// under which it is bit-identical to the fault-free campaign — retries
-/// once under an attempt-shifted fault stream, then quarantines the cell.
-/// An unchecked grid (run()) takes attempt 0 as it comes. Only attempt 0
-/// follows a skeleton or records one; a retry is always a full replay.
+/// The one attempt rule every cell takes: a run is accepted only when it
+/// succeeded AND absorbed zero fault events — the condition under which it
+/// is bit-identical to the fault-free campaign, and what every successful
+/// cell of a fault-free engine satisfies on its first attempt. A rejected
+/// cell is retried once under an attempt-shifted fault stream, then
+/// quarantined. Only attempt 0 follows a skeleton or records one; a retry
+/// is always a full replay.
 void run_cell(Grid& g, std::size_t i, const ReplaySkeleton* follow,
               ReplaySkeleton* record) {
   faultinject::chaos_cell_delay(i);
@@ -252,18 +257,15 @@ void run_cell(Grid& g, std::size_t i, const ReplaySkeleton* follow,
   // worker spent descheduled, or an oversubscribed scheduler would
   // fabricate speedup.
   util::ThreadCpuTimer timer;
-  const CampaignCell& cell = (*g.cells)[i];
-  const int attempts = g.checked ? 2 : 1;
+  const CampaignCell& cell = g.cells[i];
+  constexpr int kAttempts = 2;
   util::Error last_error;
   faultinject::FaultStats last_stats;
-  for (int attempt = 0; attempt < attempts; ++attempt) {
+  for (int attempt = 0; attempt < kAttempts; ++attempt) {
     util::Result<RunMeasurement> run =
         replay_cell(g, cell, attempt, attempt == 0 ? follow : nullptr,
                     attempt == 0 ? record : nullptr);
-    if (!g.checked) {
-      MNEMO_ASSERT(run.ok() && "run requires cells that cannot fail");
-    }
-    if (!g.checked || (run.ok() && run.value().faults.events() == 0)) {
+    if (run.ok() && run.value().faults.events() == 0) {
       g.slots[i] = std::move(run.value());
       g.cell_s[i] = timer.elapsed_s();
       return;
@@ -283,22 +285,50 @@ void run_cell(Grid& g, std::size_t i, const ReplaySkeleton* follow,
   f.cell = i;
   f.fast_keys = cell.placement.fast_keys();
   f.repeat = cell.repeat;
-  f.attempts = attempts;
+  f.attempts = kAttempts;
   f.error = std::move(last_error);
   f.faults = last_stats;
   g.failed[i] = std::move(f);
   g.cell_s[i] = timer.elapsed_s();
 }
 
-void merge_async_grid(const std::shared_ptr<Grid>& g);
+/// The one outcome of a settled grid, whichever entry point started it:
+/// the plan's accounting, then the cancel reason, a task's escaped
+/// exception, or the cells in slot order. Only a completed, nonempty grid
+/// enters the process-wide totals.
+CampaignRunner::AsyncOutcome settle(Grid& g) {
+  CampaignRunner::AsyncOutcome outcome;
+  outcome.stats = g.plan_stats();
+  outcome.stats.wall_s = g.wall.elapsed_s();
+  outcome.stats.arena_peak_bytes =
+      g.arena_peak.load(std::memory_order_relaxed);
+  if (g.canceled()) {
+    outcome.error =
+        std::make_exception_ptr(util::CanceledError(g.cancel->reason()));
+  } else if (g.error != nullptr) {
+    outcome.error = g.error;
+  } else if (!g.cells.empty()) {
+    std::vector<double> sorted = g.cell_s;
+    std::sort(sorted.begin(), sorted.end());
+    for (const double s : sorted) outcome.stats.cpu_s += s;
+    outcome.stats.cell_p50_s = stats::percentile_sorted(sorted, 0.50);
+    outcome.stats.cell_p95_s = stats::percentile_sorted(sorted, 0.95);
+    record_campaign(outcome.stats, g.cell_s);
+    outcome.grid = g.take_result();
+  }
+  return outcome;
+}
 
 /// Drop one task's hold on the grid. The last one out hands an async grid
 /// to its merge continuation — submitted from inside a still-counted task,
 /// so the scheduler never observes a quiescent gap mid-campaign.
 void release(const std::shared_ptr<Grid>& g) {
   if (--g->remaining == 0 && g->done) {
-    g->group->submit(util::TaskScheduler::TaskClass::kRequest,
-                     [g] { merge_async_grid(g); });
+    g->group->submit(util::TaskScheduler::TaskClass::kRequest, [g] {
+      const std::function<void(CampaignRunner::AsyncOutcome)> done =
+          std::move(g->done);
+      done(settle(*g));
+    });
   }
 }
 
@@ -346,9 +376,12 @@ void lead(const std::shared_ptr<Grid>& g, std::size_t group) {
   }
 }
 
-/// Queue every group's leader. A hold on the grid keeps it from settling
-/// while leaders are still being queued.
+/// Start the grid's clock and queue every group's leader. A hold on the
+/// grid keeps it from settling while leaders are still being queued, and
+/// a grid with no cells still settles through here, so every entry point
+/// observes one completion path.
 void launch(const std::shared_ptr<Grid>& g) {
+  g->wall.reset();
   ++g->remaining;
   for (std::size_t group = 0; group < g->groups.size(); ++group) {
     submit(g, [g, group] { lead(g, group); });
@@ -356,31 +389,17 @@ void launch(const std::shared_ptr<Grid>& g) {
   release(g);
 }
 
-/// The async merge continuation: runs once, as a kRequest task, after the
-/// last cell settles. Mirrors the synchronous tail exactly (including
-/// skipping the totals ledger for canceled campaigns).
-void merge_async_grid(const std::shared_ptr<Grid>& g) {
-  CampaignRunner::AsyncOutcome outcome;
-  outcome.stats = g->plan_stats(g->group->scheduler().threads());
-  outcome.stats.wall_s = g->wall.elapsed_s();
-  outcome.stats.arena_peak_bytes =
-      g->arena_peak.load(std::memory_order_relaxed);
-  if (g->canceled()) {
-    outcome.error =
-        std::make_exception_ptr(util::CanceledError(g->cancel->reason()));
-  } else if (g->error != nullptr) {
-    outcome.error = g->error;
-  } else if (!g->cells->empty()) {
-    finalize_stats(outcome.stats, g->cell_s);
-    outcome.grid =
-        merge_placement_grid(g->take_result(), g->num_placements, g->repeats);
-  }
-  const std::function<void(CampaignRunner::AsyncOutcome)> done =
-      std::move(g->done);
-  done(std::move(outcome));
+}  // namespace
+
+std::string describe(const CellFailure& f) {
+  return "cell #" + std::to_string(f.cell) + " (fast keys " +
+         std::to_string(f.fast_keys) + ", repeat " + std::to_string(f.repeat) +
+         ") quarantined: " + f.error.to_string();
 }
 
-}  // namespace
+CellQuarantinedError::CellQuarantinedError(CellFailure failure)
+    : std::runtime_error("campaign " + describe(failure)),
+      failure_(std::move(failure)) {}
 
 double CampaignStats::speedup() const {
   return wall_s > 0.0 ? cpu_s / wall_s : 0.0;
@@ -388,23 +407,6 @@ double CampaignStats::speedup() const {
 
 double CampaignStats::occupancy() const {
   return threads > 0 ? speedup() / static_cast<double>(threads) : 0.0;
-}
-
-void CampaignStats::merge(const CampaignStats& other) {
-  // p50/p95 cannot be merged from summaries; keep a cell-weighted blend
-  // as the closest order statistic available to a summary-only merge.
-  const auto total = static_cast<double>(cells + other.cells);
-  if (total > 0.0) {
-    const auto wa = static_cast<double>(cells) / total;
-    const auto wb = static_cast<double>(other.cells) / total;
-    cell_p50_s = cell_p50_s * wa + other.cell_p50_s * wb;
-    cell_p95_s = cell_p95_s * wa + other.cell_p95_s * wb;
-  }
-  cells += other.cells;
-  threads = std::max(threads, other.threads);
-  wall_s += other.wall_s;
-  cpu_s += other.cpu_s;
-  arena_peak_bytes = std::max(arena_peak_bytes, other.arena_peak_bytes);
 }
 
 std::string CampaignStats::render(const std::string& title) const {
@@ -431,68 +433,47 @@ CampaignRunner::CampaignRunner(std::size_t threads,
     : threads_(threads == 0 ? util::hardware_threads() : threads),
       cancel_(cancel) {}
 
-CampaignResult CampaignRunner::execute(const SensitivityEngine& engine,
-                                       const workload::Trace& trace,
-                                       const std::vector<CampaignCell>& cells,
-                                       bool checked) {
-  const auto g = std::make_shared<Grid>();
-  g->engine = &engine;
-  g->cells = &cells;
-  g->checked = checked;
-  g->cancel = cancel_;
-  // Fault plans are placement-crossing (a poisoned read remaps its key
-  // mid-run), so an armed plan makes every cell its own task.
-  plan_grid(*g, engine.config().faults.empty());
-  stats_ = g->plan_stats(threads_);
-  if (cells.empty()) return {};
-
-  // Compile once per campaign: the per-key hashes/digests/byte streams are
-  // placement- and repeat-invariant, so every cell shares one read-only
-  // artifact instead of re-deriving them (DESIGN.md §12).
-  g->compiled.emplace(trace);
-
-  util::WallTimer wall;
-  // One executor for the whole grid: a transient scheduler sized by the
-  // fan-out, or (fan-out 1) the caller alone — the serial reference
-  // schedule every parallel run matches.
-  std::optional<util::TaskScheduler> sched;
-  std::shared_ptr<util::TaskScheduler::Group> group;
-  if (stats_.threads > 1) {
-    group = sched.emplace(stats_.threads).make_group();
-    g->group = group.get();
-  }
-  launch(g);
-  if (sched) sched->help_until([&] { return g->remaining == 0; });
-  stats_.wall_s = wall.elapsed_s();
-  if (cancel_ != nullptr && cancel_->canceled()) {
-    throw util::CanceledError(cancel_->reason());
-  }
-  if (g->error != nullptr) std::rethrow_exception(g->error);
-
-  stats_.arena_peak_bytes = g->arena_peak.load(std::memory_order_relaxed);
-  finalize_stats(stats_, g->cell_s);
-  return g->take_result();
-}
-
 std::vector<RunMeasurement> CampaignRunner::run(
     const SensitivityEngine& engine, const workload::Trace& trace,
     const std::vector<CampaignCell>& cells) {
-  return unwrap(execute(engine, trace, cells, /*checked=*/false));
+  return unwrap(run_checked(engine, trace, cells));
 }
 
 CampaignResult CampaignRunner::run_checked(
     const SensitivityEngine& engine, const workload::Trace& trace,
     const std::vector<CampaignCell>& cells) {
-  return execute(engine, trace, cells, /*checked=*/true);
+  // The join: the same grid the async path starts, on a transient
+  // scheduler sized by the plan's fan-out — or, at fan-out 1, on the caller
+  // alone, the serial reference schedule every parallel run matches. The
+  // caller helps with kCell tasks only (help_until), so it waits for the
+  // last cell and settles the grid itself: no merge task to run.
+  const auto g =
+      plan_grid({std::shared_ptr<const SensitivityEngine>(), &engine}, trace,
+                cells, cancel_, threads_);
+  const std::size_t width = g->plan_stats().threads;
+  std::optional<util::TaskScheduler> sched;
+  if (width > 1) g->group = sched.emplace(width).make_group();
+  launch(g);
+  if (sched) sched->help_until([&] { return g->remaining == 0; });
+  AsyncOutcome outcome = settle(*g);
+  stats_ = outcome.stats;
+  if (outcome.error != nullptr) std::rethrow_exception(outcome.error);
+  return std::move(outcome.grid);
 }
 
 CampaignResult CampaignRunner::measure_grid_checked(
     const SensitivityEngine& engine, const workload::Trace& trace,
     const std::vector<hybridmem::Placement>& placements) {
   const int repeats = engine.config().repeats;
-  const std::vector<CampaignCell> cells = build_grid_cells(placements, repeats);
-  return merge_placement_grid(run_checked(engine, trace, cells),
-                              placements.size(), repeats);
+  return merge_placement_grid(
+      run_checked(engine, trace, build_grid_cells(placements, repeats)),
+      placements.size(), repeats);
+}
+
+std::vector<RunMeasurement> CampaignRunner::measure_grid(
+    const SensitivityEngine& engine, const workload::Trace& trace,
+    const std::vector<hybridmem::Placement>& placements) {
+  return unwrap(measure_grid_checked(engine, trace, placements));
 }
 
 void CampaignRunner::measure_grid_checked_async(
@@ -502,22 +483,19 @@ void CampaignRunner::measure_grid_checked_async(
     const util::CancelToken* cancel,
     std::shared_ptr<util::TaskScheduler::Group> group,
     std::function<void(AsyncOutcome)> done) {
-  const auto g = std::make_shared<Grid>();
-  g->repeats = engine->config().repeats;
-  g->num_placements = placements.size();
-  g->owned_cells = build_grid_cells(placements, g->repeats);
-  g->cells = &g->owned_cells;
-  g->engine = engine.get();
-  g->engine_owner = std::move(engine);
-  g->checked = true;
-  g->cancel = cancel;
-  g->group_owner = std::move(group);
-  g->group = g->group_owner.get();
-  g->done = std::move(done);
-  plan_grid(*g, g->engine->config().faults.empty());
-  if (!g->cells->empty()) g->compiled.emplace(trace);
-  // A degenerate grid still settles through launch() and release(), so
-  // callers observe one asynchronous completion path.
+  const int repeats = engine->config().repeats;
+  const auto g =
+      plan_grid(std::move(engine), trace, build_grid_cells(placements, repeats),
+                cancel, group->scheduler().threads());
+  g->group = std::move(group);
+  g->done = [repeats, num_placements = placements.size(),
+             done = std::move(done)](AsyncOutcome outcome) {
+    if (outcome.error == nullptr) {
+      outcome.grid = merge_placement_grid(std::move(outcome.grid),
+                                          num_placements, repeats);
+    }
+    done(std::move(outcome));
+  };
   launch(g);
 }
 
@@ -536,30 +514,18 @@ std::string render_failure_ledger(const std::vector<CellFailure>& failures) {
   return table.render();
 }
 
-std::vector<RunMeasurement> CampaignRunner::measure_grid(
-    const SensitivityEngine& engine, const workload::Trace& trace,
-    const std::vector<hybridmem::Placement>& placements) {
-  const int repeats = engine.config().repeats;
-  const std::vector<CampaignCell> cells = build_grid_cells(placements, repeats);
-  return unwrap(merge_placement_grid(
-      execute(engine, trace, cells, /*checked=*/false), placements.size(),
-      repeats));
-}
-
 CampaignStats campaign_totals() {
   TotalsRegistry& reg = totals_registry();
   std::lock_guard lock(reg.mu);
   CampaignStats totals;
-  totals.cells = reg.cell_s.size();
+  totals.cells = reg.cell_ns.count();
   totals.threads = reg.threads;
   totals.wall_s = reg.wall_s;
   totals.cpu_s = reg.cpu_s;
   totals.arena_peak_bytes = reg.arena_peak_bytes;
-  if (!reg.cell_s.empty()) {
-    std::vector<double> sorted = reg.cell_s;
-    std::sort(sorted.begin(), sorted.end());
-    totals.cell_p50_s = stats::percentile_sorted(sorted, 0.50);
-    totals.cell_p95_s = stats::percentile_sorted(sorted, 0.95);
+  if (totals.cells > 0) {
+    totals.cell_p50_s = reg.cell_ns.quantile(0.50) / 1e9;
+    totals.cell_p95_s = reg.cell_ns.quantile(0.95) / 1e9;
   }
   return totals;
 }
@@ -567,7 +533,7 @@ CampaignStats campaign_totals() {
 void reset_campaign_totals() {
   TotalsRegistry& reg = totals_registry();
   std::lock_guard lock(reg.mu);
-  reg.cell_s.clear();
+  reg.cell_ns = stats::LogHistogram{};
   reg.threads = 0;
   reg.wall_s = 0.0;
   reg.cpu_s = 0.0;

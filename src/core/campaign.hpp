@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -38,6 +39,25 @@ struct CellFailure {
   faultinject::FaultStats faults;  ///< events the final attempt absorbed
 
   [[nodiscard]] bool operator==(const CellFailure&) const = default;
+};
+
+/// "cell #N (fast keys F, repeat R) quarantined: <error>" — how the CLI's
+/// fault-policy abort and CellQuarantinedError name a quarantined cell.
+[[nodiscard]] std::string describe(const CellFailure& failure);
+
+/// What run() and measure_grid() throw when a cell was quarantined: they
+/// return one measurement per cell (or placement), and a quarantined cell
+/// has none. Carries the ledger entry of the first quarantined cell.
+class CellQuarantinedError : public std::runtime_error {
+ public:
+  explicit CellQuarantinedError(CellFailure failure);
+
+  [[nodiscard]] const CellFailure& failure() const noexcept {
+    return failure_;
+  }
+
+ private:
+  CellFailure failure_;
 };
 
 /// Outcome of a checked (fault-aware) campaign: one slot per cell, where a
@@ -81,10 +101,6 @@ struct CampaignStats {
   /// speedup / threads: fraction of the worker pool kept busy.
   [[nodiscard]] double occupancy() const;
 
-  /// Merge another campaign's accounting (wall times add: campaigns in
-  /// one process run back to back, not concurrently).
-  void merge(const CampaignStats& other);
-
   /// Render as a util::table (one metric per row).
   [[nodiscard]] std::string render(const std::string& title) const;
 };
@@ -112,26 +128,29 @@ class CampaignRunner {
   /// and a canceled run throws util::CanceledError instead of returning,
   /// so partial grids can never flow into caches or artifacts.
   ///
-  /// Each grid runs on one transient scheduler sized by the grid's
-  /// fan-out, the calling thread helping — or, when the fan-out is 1, as a
-  /// plain loop on the caller that spawns no threads.
+  /// Every synchronous entry point is a join over the same grid core the
+  /// async path uses: the grid runs on one transient scheduler sized by
+  /// its fan-out, the calling thread helping — or, when the fan-out is 1,
+  /// as a plain loop on the caller that spawns no threads.
   explicit CampaignRunner(std::size_t threads = 0,
                           const util::CancelToken* cancel = nullptr);
 
-  /// Execute every cell and return one measurement per cell, in cell
-  /// order regardless of scheduling.
+  /// run_checked() without the ledger, for callers that expect no
+  /// failure: one measurement per cell, in cell order regardless of
+  /// scheduling. A quarantined cell throws CellQuarantinedError naming
+  /// it — under a fault-free engine, a cell whose run failed.
   [[nodiscard]] std::vector<RunMeasurement> run(
       const SensitivityEngine& engine, const workload::Trace& trace,
       const std::vector<CampaignCell>& cells);
 
-  /// Fault-aware variant for engines with a nonempty fault plan. A cell is
+  /// The grid with its failure ledger. The one attempt rule: a cell is
   /// accepted only when its run succeeds AND absorbed zero fault events —
   /// the condition under which it is bit-identical to the fault-free
   /// campaign. A rejected cell is retried exactly once with an
   /// attempt-shifted fault stream (the workload seed never changes), then
   /// quarantined into the failure ledger while the remaining cells
-  /// complete. With an empty plan this degenerates to run(): every cell
-  /// accepted on the first attempt. Deterministic at any thread count.
+  /// complete. With an empty plan every successful cell is accepted on
+  /// its first attempt. Deterministic at any thread count.
   [[nodiscard]] CampaignResult run_checked(
       const SensitivityEngine& engine, const workload::Trace& trace,
       const std::vector<CampaignCell>& cells);
@@ -148,7 +167,8 @@ class CampaignRunner {
   /// The {placement × repeat} grid behind measure()/baselines(): each
   /// placement runs engine.config().repeats times (repeat-major within a
   /// placement) and the repeats are averaged. Returns one merged
-  /// measurement per placement, in placement order.
+  /// measurement per placement, in placement order; a quarantined cell
+  /// throws CellQuarantinedError, as in run().
   [[nodiscard]] std::vector<RunMeasurement> measure_grid(
       const SensitivityEngine& engine, const workload::Trace& trace,
       const std::vector<hybridmem::Placement>& placements);
@@ -186,22 +206,15 @@ class CampaignRunner {
   [[nodiscard]] const CampaignStats& stats() const noexcept { return stats_; }
 
  private:
-  /// The synchronous grid core behind run() and run_checked(): plans the
-  /// placement groups, replays them on a transient scheduler or the
-  /// caller alone, and joins. `checked` selects the fault-aware
-  /// attempt rule (see run_checked).
-  [[nodiscard]] CampaignResult execute(const SensitivityEngine& engine,
-                                       const workload::Trace& trace,
-                                       const std::vector<CampaignCell>& cells,
-                                       bool checked);
-
   std::size_t threads_;
   const util::CancelToken* cancel_;
   CampaignStats stats_;
 };
 
 /// Process-wide aggregate over every campaign run so far (thread-safe);
-/// what the CLI's --stats and the bench footers print.
+/// what the CLI's --stats and the bench footers print. Its cell p50/p95
+/// come from a fixed-size log histogram of the cell durations: within one
+/// bucket (a factor of 10^(1/20), about 12 %) of the exact percentiles.
 [[nodiscard]] CampaignStats campaign_totals();
 void reset_campaign_totals();
 

@@ -1,9 +1,12 @@
 #include "core/mnemo.hpp"
 
+#include <fstream>
+#include <stdexcept>
+
 #include "core/placement_engine.hpp"
+#include "core/render.hpp"
 #include "core/session.hpp"
 #include "util/assert.hpp"
-#include "util/csv.hpp"
 
 namespace mnemo::core {
 
@@ -72,17 +75,9 @@ RunMeasurement Mnemo::validate(const workload::Trace& trace,
 }
 
 void MnemoReport::write_csv(const std::string& path) const {
-  util::csv::Writer w(path);
-  w.row({"key_id", "est_throughput_ops", "cost_reduction_factor"});
-  // Row 0 of the curve is the SlowMem-only bound; the CSV rows start with
-  // the first key tiered into FastMem, as the paper specifies.
-  for (std::size_t i = 1; i < curve.points.size(); ++i) {
-    const EstimatePoint& p = curve.points[i];
-    w.field(p.last_key)
-        .field(p.est_throughput_ops, 10)
-        .field(p.cost_factor, 6);
-    w.end_row();
-  }
+  std::ofstream file(path, std::ios::binary);
+  if (!file) throw std::runtime_error("cannot open " + path);
+  file << render_curve_csv(curve);
 }
 
 }  // namespace mnemo::core

@@ -91,7 +91,10 @@ struct MnemoReport {
 
   /// The paper's output artifact: a CSV whose rows are
   /// (key id, estimated throughput ops/s, cost reduction factor) —
-  /// FastMem serves all keys up to and including the row's key.
+  /// FastMem serves all keys up to and including the row's key. Writes
+  /// render_curve_csv(curve) to `path`, the bytes Session::report() puts
+  /// in ReportArtifact::csv; throws std::runtime_error when `path` cannot
+  /// be opened.
   void write_csv(const std::string& path) const;
 };
 

@@ -1,6 +1,7 @@
 #include "core/render.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <sstream>
 
@@ -51,6 +52,31 @@ std::string render_verdict(const AdviseArtifact& v) {
 std::string render_advise(const MeasureArtifact& m, const AdviseArtifact& v) {
   if (v.degraded) return render_measure(m);  // the quarantined notice
   return render_measure(m) + render_verdict(v);
+}
+
+std::string render_curve_csv(const EstimateCurve& curve) {
+  // std::to_chars with chars_format::general and a precision is specified
+  // to produce what printf("%.*g") does, without the stream or the
+  // per-field string the C formatter path pays for.
+  std::string out = "key_id,est_throughput_ops,cost_reduction_factor\n";
+  // The longest row: a 20-digit key, "-d.ddddddddde-308" and
+  // "-d.ddddde-308", two commas and the newline — 53 bytes.
+  char row[96];
+  char* const end = row + sizeof row;
+  for (std::size_t i = 1; i < curve.points.size(); ++i) {
+    const EstimatePoint& p = curve.points[i];
+    char* at = std::to_chars(row, end, p.last_key).ptr;
+    *at++ = ',';
+    at = std::to_chars(at, end, p.est_throughput_ops,
+                       std::chars_format::general, 10)
+             .ptr;
+    *at++ = ',';
+    at = std::to_chars(at, end, p.cost_factor, std::chars_format::general, 6)
+             .ptr;
+    *at++ = '\n';
+    out.append(row, at);
+  }
+  return out;
 }
 
 }  // namespace mnemo::core

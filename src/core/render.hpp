@@ -30,4 +30,12 @@ namespace mnemo::core {
 [[nodiscard]] std::string render_advise(const MeasureArtifact& m,
                                         const AdviseArtifact& v);
 
+/// The paper's CSV artifact: a (key_id, est_throughput_ops,
+/// cost_reduction_factor) header, then one row per curve point after row
+/// 0 (the SlowMem-only bound) — FastMem serves every key up to and
+/// including the row's key. Throughput carries 10 significant digits and
+/// the cost factor 6, formatted exactly as printf's "%.*g". The one
+/// renderer behind ReportArtifact::csv and MnemoReport::write_csv.
+[[nodiscard]] std::string render_curve_csv(const EstimateCurve& curve);
+
 }  // namespace mnemo::core

@@ -1,6 +1,5 @@
 #include "core/session.hpp"
 
-#include <cstdio>
 #include <sstream>
 #include <utility>
 
@@ -15,7 +14,6 @@
 #include "kvstore/kvstore.hpp"
 #include "util/assert.hpp"
 #include "util/bytes.hpp"
-#include "util/csv.hpp"
 #include "util/hash.hpp"
 
 namespace mnemo::core {
@@ -28,6 +26,21 @@ namespace {
 /// not even a disk load — starts for a canceled request.
 void check_cancel(const MnemoConfig& cfg) {
   if (cfg.cancel != nullptr) cfg.cancel->check();
+}
+
+/// The measure stage's accept and save rule: only a grid with no
+/// quarantined cell may persist or be adopted, so a cache can never
+/// launder a faulted grid into a clean one.
+bool clean_measure(const MeasureArtifact& m) {
+  return !m.degraded && m.failures.empty();
+}
+
+/// The baseline grid every measure stage runs: all keys in FastMem, then
+/// all in SlowMem.
+std::vector<hybridmem::Placement> baseline_placements(
+    const workload::Trace& trace) {
+  return {hybridmem::Placement(trace.key_count(), hybridmem::NodeId::kFast),
+          hybridmem::Placement(trace.key_count(), hybridmem::NodeId::kSlow)};
 }
 
 /// Workload identity: the materialized trace bytes. Uniform across CSV-
@@ -160,25 +173,40 @@ void Session::trace_stage(std::string_view stage, const std::string& key,
                                !from_cache && !joined, saved, joined});
 }
 
+template <typename A>
+bool Session::probe(std::optional<A>& memo,
+                    std::string (Session::*key)() const,
+                    bool (*accept)(const A&)) {
+  if (memo) return true;
+  check_cancel(config_.mnemo);
+  if (!cache_on()) return false;
+  const std::string k = (this->*key)();
+  std::optional<A> cached = store().load<A>(k);
+  if (!cached || (accept != nullptr && !accept(*cached))) return false;
+  memo = std::move(cached);
+  trace_stage(A::kStage, k, true, false);
+  return true;
+}
+
+template <typename A>
+const A& Session::install(std::optional<A>& memo, const std::string& key,
+                          A a, bool clean) {
+  bool saved = false;
+  if (clean && cache_on()) saved = store().save(key, a).ok();
+  memo = std::move(a);
+  trace_stage(A::kStage, key, false, saved);
+  return *memo;
+}
+
 void Session::adopt_measure(MeasureArtifact measure) {
   MNEMO_EXPECTS(!measure_);
-  MNEMO_EXPECTS(!measure.degraded && measure.failures.empty());
+  MNEMO_EXPECTS(clean_measure(measure));
   measure_ = std::move(measure);
   trace_stage(MeasureArtifact::kStage, measure_key(), false, false, true);
 }
 
 const CharacterizeArtifact& Session::characterize() {
-  if (characterize_) return *characterize_;
-  check_cancel(config_.mnemo);
-  const std::string key = characterize_key();
-  if (cache_on()) {
-    if (auto cached = store().load<CharacterizeArtifact>(key)) {
-      characterize_ = std::move(*cached);
-      trace_stage(CharacterizeArtifact::kStage, key, true, false);
-      return *characterize_;
-    }
-  }
-
+  if (probe(characterize_, &Session::characterize_key)) return *characterize_;
   CharacterizeArtifact a;
   a.ordering = effective_ordering();
   a.pattern = PatternEngine::analyze(trace_);
@@ -193,48 +221,55 @@ const CharacterizeArtifact& Session::characterize() {
       a.order = *config_.external_order;
       break;
   }
-  bool saved = false;
-  if (cache_on()) saved = store().save(key, a).ok();
-  characterize_ = std::move(a);
-  trace_stage(CharacterizeArtifact::kStage, key, false, saved);
-  return *characterize_;
+  return install(characterize_, characterize_key(), std::move(a), true);
 }
 
 const MeasureArtifact& Session::measure() {
-  if (measure_) return *measure_;
-  check_cancel(config_.mnemo);
-  const std::string key = measure_key();
-  if (cache_on()) {
-    if (auto cached = store().load<MeasureArtifact>(key)) {
-      // Belt and braces: a degraded artifact is never written (below),
-      // but if one ever appears on disk, recompute rather than trust it.
-      if (!cached->degraded && cached->failures.empty()) {
-        measure_ = std::move(*cached);
-        trace_stage(MeasureArtifact::kStage, key, true, false);
-        return *measure_;
-      }
-    }
-  }
-
+  // Belt and braces: a degraded artifact is never written, but if one
+  // ever appears on disk, recompute rather than trust it.
+  if (probe(measure_, &Session::measure_key, clean_measure)) return *measure_;
   // The checked campaign (DESIGN.md §7): a cell is accepted only when it
   // is bit-identical to the fault-free platform — with an empty plan,
   // every successful cell on its first attempt — and a lost baseline
   // quarantines the estimates instead of silently skewing them.
   const SensitivityEngine sensitivity(to_sensitivity_config(config_.mnemo));
   CampaignRunner runner(config_.mnemo.threads, config_.mnemo.cancel);
-  CampaignResult grid = runner.measure_grid_checked(
-      sensitivity, trace_,
-      {hybridmem::Placement(trace_.key_count(), hybridmem::NodeId::kFast),
-       hybridmem::Placement(trace_.key_count(), hybridmem::NodeId::kSlow)});
-  install_measured_grid(std::move(grid));
-  return *measure_;
+  return install_measured_grid(runner.measure_grid_checked(
+      sensitivity, trace_, baseline_placements(trace_)));
 }
 
-/// Everything after the checked baseline grid lands, shared by the sync
-/// and async measure paths: artifact assembly, the degraded verdict, the
-/// clean-only cache write, memoization, and the stage trace.
-void Session::install_measured_grid(CampaignResult grid) {
-  const std::string key = measure_key();
+void Session::measure_async(std::shared_ptr<util::TaskScheduler::Group> group,
+                            std::function<void(std::exception_ptr)> done) {
+  MNEMO_EXPECTS(group != nullptr);
+  // measure() with the other grid entry: the probe settles inline, in the
+  // calling task; only a real campaign goes asynchronous, and `done` then
+  // runs later as a scheduler task with the exception the sync path would
+  // have thrown (or null). Exactly-once either way.
+  try {
+    if (probe(measure_, &Session::measure_key, clean_measure)) {
+      done(nullptr);
+      return;
+    }
+  } catch (...) {
+    done(std::current_exception());
+    return;
+  }
+  // The engine must outlive the in-flight cells, which outlive this
+  // session method: the async grid keeps it alive via shared_ptr.
+  CampaignRunner::measure_grid_checked_async(
+      std::make_shared<const SensitivityEngine>(
+          to_sensitivity_config(config_.mnemo)),
+      trace_, baseline_placements(trace_), config_.mnemo.cancel,
+      std::move(group),
+      [this, done = std::move(done)](CampaignRunner::AsyncOutcome outcome) {
+        if (outcome.error == nullptr) {
+          install_measured_grid(std::move(outcome.grid));
+        }
+        done(outcome.error);
+      });
+}
+
+const MeasureArtifact& Session::install_measured_grid(CampaignResult grid) {
   MeasureArtifact a;
   a.failures = std::move(grid.failures);
   if (!grid.measurements[0] || !grid.measurements[1]) {
@@ -247,78 +282,12 @@ void Session::install_measured_grid(CampaignResult grid) {
   // the grid shape, not the process-wide totals delta, so concurrent
   // sessions on a shared scheduler never bleed into each other's count.
   cells_run_ += grid_cells();
-
-  // Never cache a degraded grid as if it were clean: only an artifact
-  // with zero quarantined cells may persist.
-  bool saved = false;
-  if (cache_on() && !a.degraded && a.failures.empty()) {
-    saved = store().save(key, a).ok();
-  }
-  measure_ = std::move(a);
-  trace_stage(MeasureArtifact::kStage, key, false, saved);
-}
-
-void Session::measure_async(std::shared_ptr<util::TaskScheduler::Group> group,
-                            std::function<void(std::exception_ptr)> done) {
-  MNEMO_EXPECTS(group != nullptr);
-  // The cheap resolutions — memo hit, cancellation, disk probe — mirror
-  // measure() exactly and settle inline, in the calling task. Only a real
-  // campaign goes asynchronous: its cells are submitted to `group` and
-  // `done` runs later as a scheduler task, with the exception the sync
-  // path would have thrown (or null). Exactly-once either way.
-  try {
-    if (measure_) {
-      done(nullptr);
-      return;
-    }
-    check_cancel(config_.mnemo);
-    const std::string key = measure_key();
-    if (cache_on()) {
-      if (auto cached = store().load<MeasureArtifact>(key)) {
-        if (!cached->degraded && cached->failures.empty()) {
-          measure_ = std::move(*cached);
-          trace_stage(MeasureArtifact::kStage, key, true, false);
-          done(nullptr);
-          return;
-        }
-      }
-    }
-  } catch (...) {
-    done(std::current_exception());
-    return;
-  }
-
-  // The engine must outlive the in-flight cells, which outlive this
-  // session method: the async grid keeps it alive via shared_ptr.
-  auto engine = std::make_shared<const SensitivityEngine>(
-      to_sensitivity_config(config_.mnemo));
-  CampaignRunner::measure_grid_checked_async(
-      std::move(engine), trace_,
-      {hybridmem::Placement(trace_.key_count(), hybridmem::NodeId::kFast),
-       hybridmem::Placement(trace_.key_count(), hybridmem::NodeId::kSlow)},
-      config_.mnemo.cancel, std::move(group),
-      [this, done = std::move(done)](CampaignRunner::AsyncOutcome outcome) {
-        if (outcome.error != nullptr) {
-          done(outcome.error);
-          return;
-        }
-        install_measured_grid(std::move(outcome.grid));
-        done(nullptr);
-      });
+  const bool clean = clean_measure(a);
+  return install(measure_, measure_key(), std::move(a), clean);
 }
 
 const EstimateArtifact& Session::estimate() {
-  if (estimate_) return *estimate_;
-  check_cancel(config_.mnemo);
-  const std::string key = estimate_key();
-  if (cache_on()) {
-    if (auto cached = store().load<EstimateArtifact>(key)) {
-      estimate_ = std::move(*cached);
-      trace_stage(EstimateArtifact::kStage, key, true, false);
-      return *estimate_;
-    }
-  }
-
+  if (probe(estimate_, &Session::estimate_key)) return *estimate_;
   EstimateArtifact a;
   const MeasureArtifact& m = measure();
   if (!m.degraded) {
@@ -327,25 +296,11 @@ const EstimateArtifact& Session::estimate() {
                                    config_.mnemo.estimate_model);
     a.curve = estimator.estimate(c.pattern, c.order, m.baselines);
   }
-  bool saved = false;
-  if (cache_on() && !m.degraded) saved = store().save(key, a).ok();
-  estimate_ = std::move(a);
-  trace_stage(EstimateArtifact::kStage, key, false, saved);
-  return *estimate_;
+  return install(estimate_, estimate_key(), std::move(a), !m.degraded);
 }
 
 const AdviseArtifact& Session::advise() {
-  if (advise_) return *advise_;
-  check_cancel(config_.mnemo);
-  const std::string key = advise_key();
-  if (cache_on()) {
-    if (auto cached = store().load<AdviseArtifact>(key)) {
-      advise_ = std::move(*cached);
-      trace_stage(AdviseArtifact::kStage, key, true, false);
-      return *advise_;
-    }
-  }
-
+  if (probe(advise_, &Session::advise_key)) return *advise_;
   AdviseArtifact a;
   a.slo_slowdown = config_.mnemo.slo_slowdown;
   a.price_factor = config_.mnemo.price_factor;
@@ -356,25 +311,11 @@ const AdviseArtifact& Session::advise() {
     const SloAdvisor advisor(config_.mnemo.slo_slowdown);
     a.result = advisor.advise(estimate().curve, m.baselines);
   }
-  bool saved = false;
-  if (cache_on() && !m.degraded) saved = store().save(key, a).ok();
-  advise_ = std::move(a);
-  trace_stage(AdviseArtifact::kStage, key, false, saved);
-  return *advise_;
+  return install(advise_, advise_key(), std::move(a), !m.degraded);
 }
 
 const ReportArtifact& Session::report() {
-  if (report_) return *report_;
-  check_cancel(config_.mnemo);
-  const std::string key = report_key();
-  if (cache_on()) {
-    if (auto cached = store().load<ReportArtifact>(key)) {
-      report_ = std::move(*cached);
-      trace_stage(ReportArtifact::kStage, key, true, false);
-      return *report_;
-    }
-  }
-
+  if (probe(report_, &Session::report_key)) return *report_;
   ReportArtifact a;
   std::ostringstream text;
   text << "workload: " << trace_.name() << " on "
@@ -385,32 +326,13 @@ const ReportArtifact& Session::report() {
   text << render_measure(m);
   if (!m.degraded) {
     text << render_verdict(advise());
-
     // The paper's CSV artifact, rendered to a string so cold and warm
     // runs can be diffed byte for byte (MnemoReport::write_csv writes the
-    // identical bytes to a file).
-    std::ostringstream csv_stream;
-    {
-      util::csv::Writer w(csv_stream);
-      w.row({"key_id", "est_throughput_ops", "cost_reduction_factor"});
-      const EstimateCurve& curve = estimate().curve;
-      for (std::size_t i = 1; i < curve.points.size(); ++i) {
-        const EstimatePoint& p = curve.points[i];
-        w.field(p.last_key)
-            .field(p.est_throughput_ops, 10)
-            .field(p.cost_factor, 6);
-        w.end_row();
-      }
-    }
-    a.csv = csv_stream.str();
+    // same rendering to a file).
+    a.csv = render_curve_csv(estimate().curve);
   }
   a.text = text.str();
-
-  bool saved = false;
-  if (cache_on() && !m.degraded) saved = store().save(key, a).ok();
-  report_ = std::move(a);
-  trace_stage(ReportArtifact::kStage, key, false, saved);
-  return *report_;
+  return install(report_, report_key(), std::move(a), !m.degraded);
 }
 
 void Session::set_slo(double slo_slowdown) {

@@ -152,7 +152,27 @@ class Session {
   [[nodiscard]] std::size_t grid_cells() const noexcept {
     return 2 * static_cast<std::size_t>(config_.mnemo.repeats);
   }
-  void install_measured_grid(CampaignResult grid);
+
+  /// Stage entry, the same for every stage: true when `memo` holds the
+  /// stage's artifact. A memo hit costs nothing and is returned even past
+  /// a deadline; otherwise cancellation is checked before any new work —
+  /// not even a disk load starts for a canceled request — and then the
+  /// store is tried under `(this->*key)()`. A stored artifact that
+  /// `accept` (when given) rejects is a miss.
+  template <typename A>
+  bool probe(std::optional<A>& memo, std::string (Session::*key)() const,
+             bool (*accept)(const A&) = nullptr);
+
+  /// Stage exit, the same for every stage: save `a` under `key` only when
+  /// it is `clean` (a degraded result never enters the store), memoize it
+  /// and record the stage trace.
+  template <typename A>
+  const A& install(std::optional<A>& memo, const std::string& key, A a,
+                   bool clean);
+
+  /// The measure stage's exit from a checked baseline grid, whichever
+  /// grid entry (sync or async) produced it.
+  const MeasureArtifact& install_measured_grid(CampaignResult grid);
   void trace_stage(std::string_view stage, const std::string& key,
                    bool from_cache, bool saved, bool joined = false);
 

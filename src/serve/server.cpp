@@ -37,16 +37,8 @@ core::EstimateModel estimate_model(const std::string& name) {
 }
 
 workload::Trace request_trace(const Request& req) {
-  // paper_workload() treats an unknown name as a caller contract violation
-  // (abort); for a server it is client input, so pre-validate into a typed
-  // error response instead.
-  bool known = false;
-  for (const workload::WorkloadSpec& s : workload::paper_suite()) {
-    known = known || s.name == req.workload;
-  }
-  if (!known) {
-    throw std::invalid_argument("unknown workload " + req.workload);
-  }
+  // An unknown name throws std::invalid_argument: a typed
+  // invalid_argument response (response_for_exception).
   workload::WorkloadSpec spec = workload::paper_workload(req.workload);
   if (req.keys > 0) spec.key_count = req.keys;
   if (req.requests > 0) spec.request_count = req.requests;

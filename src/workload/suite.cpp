@@ -1,6 +1,7 @@
 #include "workload/suite.hpp"
 
-#include "util/assert.hpp"
+#include <stdexcept>
+#include <string>
 
 namespace mnemo::workload {
 
@@ -70,11 +71,13 @@ std::vector<WorkloadSpec> paper_suite(std::uint64_t seed) {
 }
 
 WorkloadSpec paper_workload(std::string_view name, std::uint64_t seed) {
+  std::string valid;
   for (auto& spec : paper_suite(seed)) {
     if (spec.name == name) return spec;
+    valid += (valid.empty() ? "" : ", ") + spec.name;
   }
-  MNEMO_EXPECTS(false && "unknown Table III workload name");
-  return {};
+  throw std::invalid_argument("unknown workload '" + std::string(name) +
+                              "' (valid: " + valid + ")");
 }
 
 std::vector<WorkloadSpec> record_size_sweep(std::uint64_t seed) {

@@ -11,7 +11,8 @@ namespace mnemo::workload {
 /// requests each.
 std::vector<WorkloadSpec> paper_suite(std::uint64_t seed = 0x6d6e656dULL);
 
-/// Look up one Table III workload by name; aborts on unknown names.
+/// Look up one Table III workload by name. An unknown name throws
+/// std::invalid_argument naming it and listing the valid ones.
 WorkloadSpec paper_workload(std::string_view name,
                             std::uint64_t seed = 0x6d6e656dULL);
 

@@ -422,5 +422,25 @@ TEST(Cli, EmptyTraceFileExitsTwoOnEveryCommand) {
   std::filesystem::remove(path);
 }
 
+TEST(Cli, UnknownWorkloadExitsOneOnEveryCommand) {
+  const std::string out = ::testing::TempDir() + "/cli_unknown_workload.csv";
+  for (const std::string command :
+       {"run", "profile", "characterize", "measure", "advise", "report",
+        "compare", "tails", "migrate", "inspect", "generate", "spec",
+        "downsample"}) {
+    std::vector<std::string> args = {command, "--workload", "nosuch"};
+    if (command == "generate" || command == "downsample") {
+      args.insert(args.end(), {"--out", out});
+    }
+    const CliResult r = run_cli(args);
+    EXPECT_EQ(r.code, 1) << command << ": " << r.err;
+    EXPECT_NE(r.err.find("error: unknown workload 'nosuch' (valid: "),
+              std::string::npos)
+        << command << ": " << r.err;
+    EXPECT_NE(r.err.find("trending_preview"), std::string::npos) << command;
+    EXPECT_FALSE(std::filesystem::exists(out)) << command;
+  }
+}
+
 }  // namespace
 }  // namespace mnemo::cli

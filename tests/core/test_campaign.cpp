@@ -9,10 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "core/estimate_engine.hpp"
 #include "core/pattern_engine.hpp"
+#include "stats/log_histogram.hpp"
 #include "workload/compiled_trace.hpp"
 #include "workload/workload_spec.hpp"
 
@@ -230,28 +233,73 @@ TEST(CampaignStats, TotalsAggregateAcrossCampaigns) {
   EXPECT_EQ(campaign_totals().cells, 0u);
 }
 
-TEST(CampaignStats, MergeAddsTimesAndCells) {
-  CampaignStats a;
-  a.cells = 4;
-  a.threads = 2;
-  a.wall_s = 1.0;
-  a.cpu_s = 2.0;
-  a.cell_p50_s = 0.5;
-  a.cell_p95_s = 0.9;
-  CampaignStats b;
-  b.cells = 4;
-  b.threads = 4;
-  b.wall_s = 0.5;
-  b.cpu_s = 2.0;
-  b.cell_p50_s = 0.3;
-  b.cell_p95_s = 0.7;
-  a.merge(b);
-  EXPECT_EQ(a.cells, 8u);
-  EXPECT_EQ(a.threads, 4u);
-  EXPECT_DOUBLE_EQ(a.wall_s, 1.5);
-  EXPECT_DOUBLE_EQ(a.cpu_s, 4.0);
-  EXPECT_NEAR(a.cell_p50_s, 0.4, 1e-12);
-  EXPECT_NEAR(a.speedup(), 4.0 / 1.5, 1e-12);
+TEST(CampaignStats, TotalsCountEveryCellAndBucketItsPercentiles) {
+  // 21 cells: rank q·(n − 1) is a whole number for q = 0.50 and 0.95, so
+  // the runner's exact percentiles are single cell durations, and the
+  // totals' histogram quantile lands in that cell's bucket or at its upper
+  // edge.
+  const workload::Trace trace = zipfian_trace();
+  SensitivityConfig cfg;
+  cfg.repeats = 1;
+  const SensitivityEngine engine(cfg);
+  const hybridmem::Placement all_slow(trace.key_count(),
+                                      hybridmem::NodeId::kSlow);
+  std::vector<CampaignCell> cells;
+  for (int r = 0; r < 21; ++r) cells.push_back({all_slow, r});
+
+  reset_campaign_totals();
+  CampaignRunner runner(2);
+  (void)runner.run(engine, trace, cells);
+  const CampaignStats totals = campaign_totals();
+  const CampaignStats& exact = runner.stats();
+  EXPECT_EQ(totals.cells, 21u);
+  const auto bucket = [](double s) {
+    return static_cast<long>(stats::LogHistogram::bucket_index(s * 1e9));
+  };
+  EXPECT_LE(std::abs(bucket(totals.cell_p50_s) - bucket(exact.cell_p50_s)),
+            1L);
+  EXPECT_LE(std::abs(bucket(totals.cell_p95_s) - bucket(exact.cell_p95_s)),
+            1L);
+  EXPECT_DOUBLE_EQ(totals.cpu_s, exact.cpu_s);
+  reset_campaign_totals();
+}
+
+TEST(CampaignRunner, FailingCellsThrowATypedErrorNamingTheCell) {
+  // An empty trace fails every cell. run() and measure_grid() promise one
+  // measurement per cell or placement, so they throw the first
+  // quarantined cell instead of returning.
+  const workload::Trace empty("empty", 4, {},
+                              std::vector<std::uint64_t>(4, 64));
+  SensitivityConfig cfg;
+  cfg.repeats = 2;
+  const SensitivityEngine engine(cfg);
+  const hybridmem::Placement all_fast(4, hybridmem::NodeId::kFast);
+  const hybridmem::Placement all_slow(4, hybridmem::NodeId::kSlow);
+  for (const std::size_t threads : {1, 2}) {
+    CampaignRunner runner(threads);
+    try {
+      (void)runner.run(engine, empty, {{all_slow, 1}, {all_fast, 0}});
+      FAIL() << "run() returned measurements of failed cells";
+    } catch (const CellQuarantinedError& e) {
+      EXPECT_EQ(e.failure().cell, 0u);
+      EXPECT_EQ(e.failure().repeat, 1);
+      EXPECT_EQ(e.failure().attempts, 2);
+      EXPECT_EQ(e.failure().error.code, util::ErrorCode::kInvalidArgument);
+      EXPECT_NE(std::string(e.what()).find("cell #0 (fast keys 0, repeat 1)"),
+                std::string::npos)
+          << e.what();
+    }
+    try {
+      (void)runner.measure_grid(engine, empty, {all_fast, all_slow});
+      FAIL() << "measure_grid() returned measurements of failed cells";
+    } catch (const CellQuarantinedError& e) {
+      EXPECT_EQ(e.failure().cell, 0u);
+      EXPECT_EQ(e.failure().fast_keys, 4u);
+      EXPECT_NE(std::string(e.what()).find("cell #0 (fast keys 4, repeat 0)"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

@@ -125,6 +125,33 @@ TEST(FaultCampaign, MixedPlanQuarantinesSomeCellsAndKeepsOthers) {
   EXPECT_EQ(result.failures[1].cell, 3u);
 }
 
+TEST(FaultCampaign, RunAndMeasureGridThrowInsteadOfReturningPerturbed) {
+  // run() and measure_grid() apply the same attempt rule as run_checked()
+  // but have no slot for a quarantined cell: the first one is thrown.
+  const workload::Trace trace = zipfian_trace();
+  const SensitivityEngine engine(faulty_config(poison_plan()));
+  const std::vector<CampaignCell> cells = mixed_cells(trace);
+
+  CampaignRunner runner(2);
+  try {
+    (void)runner.run(engine, trace, cells);
+    FAIL() << "run() returned a perturbed measurement";
+  } catch (const CellQuarantinedError& e) {
+    EXPECT_EQ(e.failure(), runner.run_checked(engine, trace, cells)
+                               .failures.front());
+    EXPECT_EQ(e.failure().cell, 1u);
+    EXPECT_EQ(e.failure().error.code, util::ErrorCode::kFaultInjected);
+  }
+  try {
+    (void)runner.measure_grid(engine, trace,
+                              {cells[0].placement, cells[1].placement});
+    FAIL() << "measure_grid() returned a perturbed measurement";
+  } catch (const CellQuarantinedError& e) {
+    EXPECT_EQ(e.failure().cell, 2u);  // the all-SlowMem placement's repeat 0
+    EXPECT_EQ(e.failure().repeat, 0);
+  }
+}
+
 TEST(FaultCampaign, AcceptedCellsAreBitIdenticalToFaultFree) {
   const workload::Trace trace = zipfian_trace();
   const std::vector<CampaignCell> cells = mixed_cells(trace);

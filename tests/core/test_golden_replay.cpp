@@ -1,14 +1,16 @@
 // Byte-identity goldens for the replay path (labelled `concurrency` +
 // `faults`): fig5-style validation sweeps across all three store
 // architectures, faulted degraded campaigns (poison, transient and
-// bandwidth-window plans on every store) and the dynamic tierer's
-// request loop, serialized with exact (hexfloat) formatting and pinned to
-// fixture files. Any change to simulated results — an RNG stream, an
+// bandwidth-window plans on every store), the dynamic tierer's request
+// loop and the report stage's curve CSV, serialized with exact (hexfloat)
+// formatting — the CSV by byte count and digest — and pinned to fixture
+// files. Any change to simulated results — an RNG stream, an
 // eviction order, an accounting rule — shows up here as a fixture
 // mismatch. Campaign snapshots are checked at every thread count in
-// {1, 2, 8}. Every fixture also held under the raw-Trace replay that the
-// compiled replay superseded, so the fixtures stand in for it as the
-// equivalence oracle.
+// {1, 2, 8}. Every replay fixture also held under the raw-Trace replay
+// that the compiled replay superseded, so they stand in for it as the
+// equivalence oracle; the CSV fixture was generated before the renderer
+// moved from util::csv::Writer to std::to_chars.
 //
 // Regenerate (only for an *intentional* semantics change, and say so in
 // the commit):  MNEMO_WRITE_GOLDEN=1 ./tests_golden
@@ -26,6 +28,9 @@
 #include "core/campaign.hpp"
 #include "core/migration.hpp"
 #include "core/sensitivity_engine.hpp"
+#include "core/session.hpp"
+#include "kvstore/factory.hpp"
+#include "util/hash.hpp"
 #include "workload/workload_spec.hpp"
 
 namespace mnemo::core {
@@ -247,6 +252,35 @@ std::string tiering_snapshot(const workload::Trace& trace) {
   return out.str();
 }
 
+/// The paper's CSV artifact per store: a cold session's report().csv,
+/// pinned by byte count and digest, plus the bytes MnemoReport::write_csv
+/// puts in a file — both must be the same rendering of the same curve.
+std::string report_csv_snapshot(const workload::Trace& trace,
+                                std::size_t threads) {
+  std::ostringstream out;
+  for (const kvstore::StoreKind store : kvstore::kAllStoreKinds) {
+    SessionConfig sc;
+    sc.mnemo.store = store;
+    sc.mnemo.threads = threads;
+    Session session(trace, sc);
+    const std::string csv = session.report().csv;
+    util::StableHasher h;
+    h.str(csv);
+    out << kvstore::to_string(store) << " bytes=" << csv.size()
+        << " digest=" << h.hex() << "\n";
+
+    const std::string path = ::testing::TempDir() + "golden_report_" +
+                             std::string(kvstore::to_string(store)) + ".csv";
+    session.to_report().write_csv(path);
+    std::ifstream file(path, std::ios::binary);
+    std::stringstream written;
+    written << file.rdbuf();
+    EXPECT_EQ(written.str(), csv) << kvstore::to_string(store);
+    std::remove(path.c_str());
+  }
+  return out.str();
+}
+
 std::string fixture_path(const std::string& name) {
   return std::string(MNEMO_FIXTURE_DIR) + "/" + name;
 }
@@ -308,6 +342,13 @@ TEST(GoldenReplay, DegradedCampaignsOnEveryStoreAndFaultClass) {
   const workload::Trace trace = golden_trace();
   check_golden("golden_degraded_plans.txt", [&](std::size_t threads) {
     return degraded_plans_snapshot(trace, threads);
+  });
+}
+
+TEST(GoldenReplay, ReportCsvByteIdenticalOnEveryStore) {
+  const workload::Trace trace = golden_trace();
+  check_golden("golden_report_csv.txt", [&](std::size_t threads) {
+    return report_csv_snapshot(trace, threads);
   });
 }
 

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <numeric>
 #include <set>
 
+#include "core/render.hpp"
 #include "util/csv.hpp"
 #include "workload/suite.hpp"
 
@@ -111,6 +114,32 @@ TEST(Mnemo, CsvArtifactHasPaperColumns) {
   EXPECT_LT(std::stod(rows[1][2]), 0.35);
   EXPECT_NEAR(std::stod(rows.back()[2]), 1.0, 1e-6);
   std::filesystem::remove(path);
+}
+
+TEST(Mnemo, CurveCsvFormatsLikePrintfOnEdgeValues) {
+  // render_curve_csv formats with std::to_chars(general, 10 / 6), which
+  // the standard specifies to match printf("%.*g"): the byte format the
+  // CSV has always had. Row 0 (the SlowMem-only bound) is not rendered.
+  const std::vector<double> values = {
+      0.0, -0.0, 1.0, 42.0, 123456.0, 1234567.0, 1e9, 9999999999.0,
+      99999999995.0, 999999.5, 0.0001, 0.00001, 1.0 / 3.0, 2.0 / 3.0, 0.1,
+      123.456789012345, 1e-300, 5e-324, 1e21, 1.7976931348623157e308};
+  EstimateCurve curve;
+  curve.points.resize(1);
+  std::string expected = "key_id,est_throughput_ops,cost_reduction_factor\n";
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    EstimatePoint p;
+    p.last_key = i == 0 ? std::numeric_limits<std::uint64_t>::max() : i;
+    p.est_throughput_ops = values[i];
+    p.cost_factor = values[values.size() - 1 - i];
+    curve.points.push_back(p);
+    char row[128];
+    std::snprintf(row, sizeof row, "%llu,%.*g,%.*g\n",
+                  static_cast<unsigned long long>(p.last_key), 10,
+                  p.est_throughput_ops, 6, p.cost_factor);
+    expected += row;
+  }
+  EXPECT_EQ(render_curve_csv(curve), expected);
 }
 
 TEST(Mnemo, SloChoiceRespectsTolerance) {
