@@ -25,7 +25,7 @@ core::SloChoice advise(const hybridmem::EmulationProfile& platform,
   cfg.price_factor = price_factor;
   cfg.repeats = 1;
   cfg.ordering = core::OrderingPolicy::kTiered;
-  const core::MnemoT mnemo(cfg);
+  const core::Mnemo mnemo(cfg);
   const auto report = mnemo.profile(trace);
   MNEMO_EXPECTS(report.slo_choice.has_value());
   return *report.slo_choice;

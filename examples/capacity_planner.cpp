@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
     config.cache_dir = cache_dir;
     // validate() needs a direct measurement outside the pipeline; the
     // profiling itself runs through the staged Session.
-    const core::MnemoT mnemo(config.mnemo);
+    const core::Mnemo mnemo(config.mnemo);
 
     for (const auto& spec : workload::paper_suite()) {
       const workload::Trace trace = workload::Trace::generate(spec);

@@ -47,8 +47,10 @@ int main() {
   const core::MnemoReport rep_b =
       standalone.profile_with_order(trace, external.order);
 
-  // (c) MnemoT.
-  const core::MnemoT mnemot(config);
+  // (c) MnemoT: the same facade with the tiered ordering.
+  core::MnemoConfig tiered_config = config;
+  tiered_config.ordering = core::OrderingPolicy::kTiered;
+  const core::Mnemo mnemot(tiered_config);
   const core::MnemoReport rep_c = mnemot.profile(trace);
 
   util::TablePrinter table({"scenario", "ordering", "SLO cost R(p)",

@@ -6,7 +6,7 @@
 
 #include "core/campaign.hpp"
 #include "faultinject/fault_plan.hpp"
-#include "kvstore/factory.hpp"
+#include "kvstore/service_profile.hpp"
 #include "workload/spec_file.hpp"
 #include "workload/suite.hpp"
 
@@ -27,16 +27,13 @@ void check_domain(const util::ArgParser& parser, const std::string& name,
 }  // namespace
 
 kvstore::StoreKind parse_store(const std::string& name) {
-  for (const kvstore::StoreKind kind : kvstore::kAllStoreKinds) {
-    if (name == kvstore::to_string(kind)) return kind;
-  }
+  if (const auto kind = kvstore::parse_store_kind(name)) return *kind;
   throw std::invalid_argument(
       "--store: expected vermilion, cachet or dynastore, got " + name);
 }
 
 core::EstimateModel parse_model(const std::string& name) {
-  if (name == "uniform") return core::EstimateModel::kUniformDelta;
-  if (name == "size-aware") return core::EstimateModel::kSizeAware;
+  if (const auto model = core::parse_estimate_model(name)) return *model;
   throw std::invalid_argument(
       "--model: expected uniform or size-aware, got " + name);
 }
@@ -124,19 +121,19 @@ void add_fault_options(util::ArgParser& parser) {
                     "degrade");
 }
 
-void apply_fault_options(const util::ArgParser& parser,
-                         core::MnemoConfig& cfg) {
+faultinject::FailPolicy apply_fault_options(const util::ArgParser& parser,
+                                            core::MnemoConfig& cfg) {
   if (!parser.get("faults").empty()) {
     cfg.faults = faultinject::FaultPlan::parse(parser.get("faults"));
   }
-  cfg.fail_policy =
-      faultinject::parse_fail_policy(parser.get("fail-policy"));
+  return faultinject::parse_fail_policy(parser.get("fail-policy"));
 }
 
-void print_fault_banner(const core::MnemoConfig& cfg, std::ostream& out) {
-  if (cfg.faults.empty()) return;
-  out << "faults: " << cfg.faults.summary() << " | policy "
-      << faultinject::to_string(cfg.fail_policy) << "\n";
+void print_fault_banner(const faultinject::FaultPlan& faults,
+                        faultinject::FailPolicy policy, std::ostream& out) {
+  if (faults.empty()) return;
+  out << "faults: " << faults.summary() << " | policy "
+      << faultinject::to_string(policy) << "\n";
 }
 
 void maybe_print_campaign_stats(const util::ArgParser& parser,
@@ -156,10 +153,11 @@ void add_cache_options(util::ArgParser& parser) {
                   "print per-stage cache keys and hit/miss decisions");
 }
 
-core::SessionConfig session_config(const util::ArgParser& parser) {
+core::SessionConfig session_config(const util::ArgParser& parser,
+                                   faultinject::FailPolicy& policy) {
   core::SessionConfig sc;
   sc.mnemo = mnemo_config(parser);
-  apply_fault_options(parser, sc.mnemo);
+  policy = apply_fault_options(parser, sc.mnemo);
   sc.cache_dir = parser.get("cache-dir");
   sc.use_cache = !parser.has_flag("no-cache");
   return sc;
@@ -173,10 +171,10 @@ void print_quarantine(const std::vector<core::CellFailure>& failures,
       << core::render_failure_ledger(failures);
 }
 
-int fault_abort_exit(const core::MnemoConfig& cfg,
+int fault_abort_exit(faultinject::FailPolicy policy,
                      const std::vector<core::CellFailure>& failures,
                      std::ostream& err, const std::string& where) {
-  if (failures.empty() || cfg.fail_policy != faultinject::FailPolicy::kAbort) {
+  if (failures.empty() || policy != faultinject::FailPolicy::kAbort) {
     return 0;
   }
   err << "fault policy abort: " << where << core::describe(failures.front())
@@ -191,7 +189,8 @@ void maybe_explain_cache(const util::ArgParser& parser,
 }
 
 int emit_session_report(const util::ArgParser& parser,
-                        core::Session& session, std::ostream& out,
+                        core::Session& session,
+                        faultinject::FailPolicy policy, std::ostream& out,
                         std::ostream& err) {
   const core::MnemoConfig& cfg = session.config().mnemo;
   out << session.report().text;
@@ -212,7 +211,7 @@ int emit_session_report(const util::ArgParser& parser,
   }
   maybe_explain_cache(parser, session, out);
   maybe_print_campaign_stats(parser, out);
-  return fault_abort_exit(cfg, m.failures, err);
+  return fault_abort_exit(policy, m.failures, err);
 }
 
 }  // namespace mnemo::cli

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/session.hpp"
+#include "faultinject/fault_plan.hpp"
 #include "util/argparse.hpp"
 #include "workload/trace.hpp"
 
@@ -28,12 +29,18 @@ core::MnemoConfig mnemo_config(const util::ArgParser& parser);
 /// them, so the other commands keep rejecting the flags with their usage
 /// text.
 void add_fault_options(util::ArgParser& parser);
-void apply_fault_options(const util::ArgParser& parser,
-                         core::MnemoConfig& cfg);
+
+/// Arm --faults on `cfg` and return the parsed --fail-policy: what a
+/// quarantined campaign cell means for the command — kDegrade completes
+/// with partial results, kAbort exits nonzero naming the failing cell. A
+/// CLI setting only: the library always completes and reports.
+faultinject::FailPolicy apply_fault_options(const util::ArgParser& parser,
+                                            core::MnemoConfig& cfg);
 
 /// Banner printed only when a fault plan is armed, so fault-free output
 /// stays byte-identical to the healthy tool's.
-void print_fault_banner(const core::MnemoConfig& cfg, std::ostream& out);
+void print_fault_banner(const faultinject::FaultPlan& faults,
+                        faultinject::FailPolicy policy, std::ostream& out);
 
 /// The quarantine footer: a blank line, "partial results: N campaign
 /// cell(s) quarantined" and the failure ledger — nothing when no cell was
@@ -44,7 +51,7 @@ void print_quarantine(const std::vector<core::CellFailure>& failures,
 /// --fail-policy abort: when a cell was quarantined, name the first one on
 /// `err` ("fault policy abort: <where>cell #…") and return exit code 1;
 /// otherwise return 0. `where` places the cell (plan: "workload W ").
-int fault_abort_exit(const core::MnemoConfig& cfg,
+int fault_abort_exit(faultinject::FailPolicy policy,
                      const std::vector<core::CellFailure>& failures,
                      std::ostream& err, const std::string& where = "");
 
@@ -56,8 +63,10 @@ void maybe_print_campaign_stats(const util::ArgParser& parser,
 /// --no-cache, --explain-cache.
 void add_cache_options(util::ArgParser& parser);
 
-/// Full session config: mnemo knobs + fault plan + cache policy.
-core::SessionConfig session_config(const util::ArgParser& parser);
+/// Full session config: mnemo knobs + fault plan + cache policy. `policy`
+/// receives the parsed --fail-policy (see apply_fault_options).
+core::SessionConfig session_config(const util::ArgParser& parser,
+                                   faultinject::FailPolicy& policy);
 
 /// Print the per-stage cache account when --explain-cache was given.
 void maybe_explain_cache(const util::ArgParser& parser,
@@ -67,7 +76,8 @@ void maybe_explain_cache(const util::ArgParser& parser,
 /// text, optional --out CSV, quarantine ledger, cache/stats diagnostics.
 /// Returns the exit code (honors --fail-policy abort).
 int emit_session_report(const util::ArgParser& parser,
-                        core::Session& session, std::ostream& out,
+                        core::Session& session,
+                        faultinject::FailPolicy policy, std::ostream& out,
                         std::ostream& err);
 
 }  // namespace mnemo::cli

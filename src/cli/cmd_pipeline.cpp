@@ -43,9 +43,10 @@ int cmd_run(const Args& args, std::ostream& out, std::ostream& err) {
     err << error << "\n" << parser.help();
     return 2;
   }
-  core::Session session(load_workload(parser), session_config(parser));
-  print_fault_banner(session.config().mnemo, out);
-  return emit_session_report(parser, session, out, err);
+  faultinject::FailPolicy policy{};
+  core::Session session(load_workload(parser), session_config(parser, policy));
+  print_fault_banner(session.config().mnemo.faults, policy, out);
+  return emit_session_report(parser, session, policy, out, err);
 }
 
 int cmd_characterize(const Args& args, std::ostream& out,
@@ -58,7 +59,8 @@ int cmd_characterize(const Args& args, std::ostream& out,
     err << error << "\n" << parser.help();
     return 2;
   }
-  core::Session session(load_workload(parser), session_config(parser));
+  faultinject::FailPolicy policy{};
+  core::Session session(load_workload(parser), session_config(parser, policy));
   out << core::render_characterize(session.trace(), session.characterize());
   maybe_explain_cache(parser, session, out);
   return 0;
@@ -74,15 +76,16 @@ int cmd_measure(const Args& args, std::ostream& out, std::ostream& err) {
     err << error << "\n" << parser.help();
     return 2;
   }
-  core::Session session(load_workload(parser), session_config(parser));
-  print_fault_banner(session.config().mnemo, out);
+  faultinject::FailPolicy policy{};
+  core::Session session(load_workload(parser), session_config(parser, policy));
+  print_fault_banner(session.config().mnemo.faults, policy, out);
   const core::MeasureArtifact& m = session.measure();
   out << core::render_measure(m);
   print_cells_executed(session, out);
   print_quarantine(m.failures, out);
   maybe_explain_cache(parser, session, out);
   maybe_print_campaign_stats(parser, out);
-  return fault_abort_exit(session.config().mnemo, m.failures, err);
+  return fault_abort_exit(policy, m.failures, err);
 }
 
 int cmd_advise(const Args& args, std::ostream& out, std::ostream& err) {
@@ -95,8 +98,9 @@ int cmd_advise(const Args& args, std::ostream& out, std::ostream& err) {
     err << error << "\n" << parser.help();
     return 2;
   }
-  core::Session session(load_workload(parser), session_config(parser));
-  print_fault_banner(session.config().mnemo, out);
+  faultinject::FailPolicy policy{};
+  core::Session session(load_workload(parser), session_config(parser, policy));
+  print_fault_banner(session.config().mnemo.faults, policy, out);
   const core::AdviseArtifact& verdict = session.advise();
   const core::MeasureArtifact& m = session.measure();
   out << core::render_advise(m, verdict);
@@ -104,7 +108,7 @@ int cmd_advise(const Args& args, std::ostream& out, std::ostream& err) {
   print_quarantine(m.failures, out);
   maybe_explain_cache(parser, session, out);
   maybe_print_campaign_stats(parser, out);
-  return fault_abort_exit(session.config().mnemo, m.failures, err);
+  return fault_abort_exit(policy, m.failures, err);
 }
 
 int cmd_report(const Args& args, std::ostream& out, std::ostream& err) {
@@ -117,7 +121,8 @@ int cmd_report(const Args& args, std::ostream& out, std::ostream& err) {
     err << error << "\n" << parser.help();
     return 2;
   }
-  core::Session session(load_workload(parser), session_config(parser));
+  faultinject::FailPolicy policy{};
+  core::Session session(load_workload(parser), session_config(parser, policy));
   const core::ReportArtifact& report = session.report();
   out << report.text;
   if (!parser.get("out").empty() && !session.measure().degraded) {
@@ -129,8 +134,7 @@ int cmd_report(const Args& args, std::ostream& out, std::ostream& err) {
     file << report.csv;
   }
   maybe_explain_cache(parser, session, out);
-  return fault_abort_exit(session.config().mnemo, session.measure().failures,
-                         err);
+  return fault_abort_exit(policy, session.measure().failures, err);
 }
 
 }  // namespace mnemo::cli

@@ -21,9 +21,9 @@ int cmd_plan(const Args& args, std::ostream& out, std::ostream& err) {
     return 2;
   }
   core::MnemoConfig cfg = mnemo_config(parser);
-  apply_fault_options(parser, cfg);
+  const faultinject::FailPolicy policy = apply_fault_options(parser, cfg);
   const core::Mnemo mnemo(cfg);
-  print_fault_banner(cfg, out);
+  print_fault_banner(cfg.faults, policy, out);
   util::TablePrinter table(
       {"workload", "DRAM", "NVM", "cost vs DRAM-only", "slowdown"});
   std::vector<core::CellFailure> all_failures;
@@ -57,7 +57,7 @@ int cmd_plan(const Args& args, std::ostream& out, std::ostream& err) {
     if (all_failures.empty()) out << "\nno campaign cells quarantined\n";
   }
   maybe_print_campaign_stats(parser, out);
-  return fault_abort_exit(cfg, all_failures, err,
+  return fault_abort_exit(policy, all_failures, err,
                           "workload " + first_failed_workload + " ");
 }
 

@@ -24,70 +24,66 @@ constexpr std::string_view kMagic = "MNA1";
 constexpr std::string_view kJournalName = "journal.mnj";
 constexpr std::string_view kQuarantineDir = "quarantine";
 
-/// True iff `raw` is a complete, checksum-valid artifact frame for
-/// (schema, version); *payload receives its payload bytes. Used by the
-/// concurrent-writer assertion in save_payload — deliberately quiet (no
-/// events, no logging), unlike load_payload's classifying path.
-bool decode_valid_frame(const std::string& raw, std::string_view schema,
-                        std::uint32_t version, std::string* payload) {
-  if (raw.size() < kMagic.size() ||
-      std::string_view(raw).substr(0, kMagic.size()) != kMagic) {
-    return false;
+/// The schema and version a typed load expects of a frame.
+struct FrameId {
+  std::string_view schema;
+  std::uint32_t version = 0;
+};
+
+/// The one artifact-frame parser: magic, schema, version, payload,
+/// checksum, and nothing after the checksum. `expect` (when non-null) must
+/// match the frame's schema and version, checked as they are read, so a
+/// foreign or stale file says so before any damage further in; null takes
+/// any stage's frame (fsck). A valid frame yields reason kNone and its
+/// payload in *payload; anything else yields the miss and what is wrong.
+LoadMiss parse_frame(std::string_view raw, const FrameId* expect,
+                     std::string* payload) {
+  if (raw.size() < kMagic.size() || raw.substr(0, kMagic.size()) != kMagic) {
+    return {CacheMiss::kBadMagic, "not an artifact file"};
   }
   try {
-    util::BinReader r(std::string_view(raw).substr(kMagic.size()));
-    if (r.str() != schema) return false;
-    if (r.u32() != version) return false;
+    util::BinReader r(raw.substr(kMagic.size()));
+    const std::string schema = r.str();
+    if (expect != nullptr && schema != expect->schema) {
+      return {CacheMiss::kSchemaMismatch, "holds '" + schema + "'"};
+    }
+    const std::uint32_t version = r.u32();
+    if (expect != nullptr && version != expect->version) {
+      return {CacheMiss::kVersionMismatch,
+              "v" + std::to_string(version) + " != v" +
+                  std::to_string(expect->version)};
+    }
     std::string body = r.str();
     const std::uint64_t lo = r.u64();
     const std::uint64_t hi = r.u64();
-    if (!r.exhausted()) return false;
+    if (!r.exhausted()) {
+      return {CacheMiss::kCorrupt,
+              std::to_string(r.remaining()) + " bytes past the frame"};
+    }
     util::StableHasher h;
     h.bytes(body.data(), body.size());
-    if (h.lo() != lo || h.hi() != hi) return false;
+    if (h.lo() != lo || h.hi() != hi) {
+      return {CacheMiss::kChecksumMismatch, "payload digest differs"};
+    }
     *payload = std::move(body);
-    return true;
-  } catch (const util::ArtifactError&) {
-    return false;
+    return {};
+  } catch (const util::ArtifactError& e) {
+    return {CacheMiss::kTruncated, e.what()};
   }
 }
 
-/// Generic (schema-agnostic) frame validation for fsck: any stage's
-/// artifact passes as long as magic, framing and checksum hold. Returns
-/// true when healthy; otherwise sets *problem / *detail.
-bool validate_generic_frame(const std::string& raw, FsckProblem* problem,
-                            std::string* detail) {
-  if (raw.size() < kMagic.size() ||
-      std::string_view(raw).substr(0, kMagic.size()) != kMagic) {
-    *problem = FsckProblem::kBadMagic;
-    *detail = "not an artifact file";
-    return false;
+/// fsck's name for what the schema-agnostic parse_frame found.
+FsckProblem fsck_problem(CacheMiss miss) {
+  switch (miss) {
+    case CacheMiss::kBadMagic:
+      return FsckProblem::kBadMagic;
+    case CacheMiss::kTruncated:
+      return FsckProblem::kTruncatedFrame;
+    case CacheMiss::kCorrupt:  // the only kCorrupt a frame has: bytes after it
+      return FsckProblem::kTrailingBytes;
+    default:
+      return FsckProblem::kChecksumMismatch;
   }
-  try {
-    util::BinReader r(std::string_view(raw).substr(kMagic.size()));
-    (void)r.str();  // schema: any
-    (void)r.u32();  // version: any
-    const std::string payload = r.str();
-    const std::uint64_t lo = r.u64();
-    const std::uint64_t hi = r.u64();
-    if (!r.exhausted()) {
-      *problem = FsckProblem::kTrailingBytes;
-      *detail = std::to_string(r.remaining()) + " bytes past the frame";
-      return false;
-    }
-    util::StableHasher h;
-    h.bytes(payload.data(), payload.size());
-    if (h.lo() != lo || h.hi() != hi) {
-      *problem = FsckProblem::kChecksumMismatch;
-      *detail = "payload digest differs";
-      return false;
-    }
-  } catch (const util::ArtifactError& e) {
-    *problem = FsckProblem::kTruncatedFrame;
-    *detail = e.what();
-    return false;
-  }
-  return true;
 }
 
 /// Writer pid of a `<name>.tmp.<pid>.<n>` temp file; 0 when the name
@@ -187,60 +183,32 @@ std::string ArtifactStore::path_for(std::string_view stage,
 
 std::optional<std::string> ArtifactStore::load_payload(
     std::string_view stage, std::string_view schema, std::uint32_t version,
-    std::string_view key, CacheMiss* why) {
-  const auto miss = [&](CacheMiss m, std::string detail) {
-    if (why != nullptr) *why = m;
-    if (m == CacheMiss::kDisabled || m == CacheMiss::kAbsent) {
-      record_miss(stage, key, m, std::move(detail));
-    } else {
-      reject(stage, key, m, std::move(detail));
-    }
+    std::string_view key, LoadMiss* miss) const {
+  const auto cold = [miss](CacheMiss reason) {
+    if (miss != nullptr) *miss = {reason, ""};
     return std::nullopt;
   };
-
-  if (!enabled()) return miss(CacheMiss::kDisabled, "");
+  if (!enabled()) return cold(CacheMiss::kDisabled);
   std::string raw;
   if (!util::read_file(path_for(stage, key), &raw)) {
-    return miss(CacheMiss::kAbsent, "");
+    return cold(CacheMiss::kAbsent);
   }
-  if (raw.size() < kMagic.size() ||
-      std::string_view(raw).substr(0, kMagic.size()) != kMagic) {
-    return miss(CacheMiss::kBadMagic, "not an artifact file");
+  const FrameId expect{schema, version};
+  std::string payload;
+  LoadMiss verdict = parse_frame(raw, &expect, &payload);
+  if (verdict.reason != CacheMiss::kNone) {
+    reject(stage, key, std::move(verdict), miss);
+    return std::nullopt;
   }
-
-  try {
-    util::BinReader r(std::string_view(raw).substr(kMagic.size()));
-    const std::string file_schema = r.str();
-    if (file_schema != schema) {
-      return miss(CacheMiss::kSchemaMismatch,
-                  "holds '" + file_schema + "'");
-    }
-    const std::uint32_t file_version = r.u32();
-    if (file_version != version) {
-      return miss(CacheMiss::kVersionMismatch,
-                  "v" + std::to_string(file_version) + " != v" +
-                      std::to_string(version));
-    }
-    std::string payload = r.str();
-    const std::uint64_t lo = r.u64();
-    const std::uint64_t hi = r.u64();
-    util::StableHasher h;
-    h.bytes(payload.data(), payload.size());
-    if (h.lo() != lo || h.hi() != hi) {
-      return miss(CacheMiss::kChecksumMismatch, "payload digest differs");
-    }
-    if (why != nullptr) *why = CacheMiss::kNone;
-    return payload;
-  } catch (const util::ArtifactError& e) {
-    return miss(CacheMiss::kTruncated, e.what());
-  }
+  if (miss != nullptr) *miss = {};
+  return payload;
 }
 
 util::Status ArtifactStore::save_payload(std::string_view stage,
                                          std::string_view schema,
                                          std::uint32_t version,
                                          std::string_view key,
-                                         std::string_view payload) {
+                                         std::string_view payload) const {
   if (!enabled()) return {};
 
   std::error_code ec;
@@ -277,8 +245,10 @@ util::Status ArtifactStore::save_payload(std::string_view stage,
   std::string existing;
   if (util::read_file(path, &existing)) {
     if (existing == file) return {};
+    const FrameId expect{schema, version};
     std::string existing_payload;
-    if (decode_valid_frame(existing, schema, version, &existing_payload)) {
+    if (parse_frame(existing, &expect, &existing_payload).reason ==
+        CacheMiss::kNone) {
       // Framing is deterministic, so a valid incumbent with different
       // bytes can only mean a different payload under the same key.
       MNEMO_ASSERT(existing_payload == payload &&
@@ -313,7 +283,7 @@ util::Status ArtifactStore::save_payload(std::string_view stage,
   return status;
 }
 
-FsckReport ArtifactStore::fsck(bool repair) {
+FsckReport ArtifactStore::fsck(bool repair) const {
   FsckReport report;
   if (!enabled()) return report;
   namespace fs = std::filesystem;
@@ -366,12 +336,13 @@ FsckReport ArtifactStore::fsck(bool repair) {
     ++report.scanned;
     std::string raw;
     if (!util::read_file((root / name).string(), &raw)) continue;
-    FsckProblem problem = FsckProblem::kBadMagic;
-    std::string detail;
-    if (validate_generic_frame(raw, &problem, &detail)) {
+    std::string payload;
+    LoadMiss verdict = parse_frame(raw, nullptr, &payload);
+    if (verdict.reason == CacheMiss::kNone) {
       ++report.healthy;
     } else {
-      quarantine(name, problem, detail);
+      quarantine(name, fsck_problem(verdict.reason),
+                 std::move(verdict.detail));
     }
   }
 
@@ -441,25 +412,13 @@ FsckReport ArtifactStore::fsck(bool repair) {
   return report;
 }
 
-void ArtifactStore::record_hit(std::string_view stage, std::string_view key) {
-  std::lock_guard lock(mu_);
-  events_.push_back(StoreEvent{std::string(stage), std::string(key), true,
-                               CacheMiss::kNone, ""});
-}
-
-void ArtifactStore::record_miss(std::string_view stage, std::string_view key,
-                                CacheMiss why, std::string detail) {
-  std::lock_guard lock(mu_);
-  events_.push_back(StoreEvent{std::string(stage), std::string(key), false,
-                               why, std::move(detail)});
-}
-
 void ArtifactStore::reject(std::string_view stage, std::string_view key,
-                           CacheMiss why, std::string detail) {
+                           LoadMiss miss, LoadMiss* out) const {
   MNEMO_LOG_WARN("artifact store: rejecting %s (%s: %s) -> cache miss",
                  path_for(stage, key).c_str(),
-                 std::string(to_string(why)).c_str(), detail.c_str());
-  record_miss(stage, key, why, std::move(detail));
+                 std::string(to_string(miss.reason)).c_str(),
+                 miss.detail.c_str());
+  if (out != nullptr) *out = std::move(miss);
 }
 
 }  // namespace mnemo::core

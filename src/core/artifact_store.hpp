@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -68,13 +67,17 @@ struct FsckReport {
   [[nodiscard]] std::string render() const;
 };
 
-/// One cache decision, kept for --explain-cache and the store tests.
-struct StoreEvent {
-  std::string stage;
-  std::string key;
-  bool hit = false;
-  CacheMiss miss = CacheMiss::kNone;
-  std::string detail;  ///< human-readable reason for a rejected file
+/// True for the misses that turned away an existing file, as opposed to
+/// a cold (kAbsent) or disabled cache.
+[[nodiscard]] constexpr bool is_rejection(CacheMiss miss) noexcept {
+  return miss != CacheMiss::kNone && miss != CacheMiss::kDisabled &&
+         miss != CacheMiss::kAbsent;
+}
+
+/// What a load that came back empty tells its caller.
+struct LoadMiss {
+  CacheMiss reason = CacheMiss::kNone;
+  std::string detail;  ///< what was wrong with a rejected file; else empty
 };
 
 /// Content-addressed on-disk artifact store. Each artifact lives in its
@@ -94,9 +97,9 @@ struct StoreEvent {
 /// artifact. Every load failure short of an I/O race is classified into a
 /// CacheMiss and logged; load() never throws.
 ///
-/// The store is thread-safe: one instance may be shared across sessions
-/// on different threads (`mnemo serve` does), with the event ledger
-/// guarded internally.
+/// The store holds only its directory: it keeps no record of what it
+/// loaded (each Session records its own cache decisions), so any number
+/// of stores over one directory, on any threads, behave as one.
 class ArtifactStore {
  public:
   /// A default-constructed (or empty-dir) store is disabled: every load
@@ -113,56 +116,55 @@ class ArtifactStore {
                                      std::string_view key) const;
 
   /// Load the raw payload for (stage, key), verifying magic, schema,
-  /// version and checksum. nullopt on any miss; *why (when non-null)
-  /// says which kind. Misses are recorded as events here; the hit event
-  /// is recorded by the typed load() once the payload also decodes.
+  /// version, checksum and that nothing follows the frame. nullopt on any
+  /// miss; *miss (when non-null) says which kind and, for a rejected
+  /// file, what was wrong with it.
   [[nodiscard]] std::optional<std::string> load_payload(
       std::string_view stage, std::string_view schema, std::uint32_t version,
-      std::string_view key, CacheMiss* why = nullptr);
+      std::string_view key, LoadMiss* miss = nullptr) const;
 
   /// Persist a payload under (stage, key). No-op when disabled; an I/O
   /// failure is returned (and logged) but callers treat the cache as
   /// best-effort and continue.
   util::Status save_payload(std::string_view stage, std::string_view schema,
                             std::uint32_t version, std::string_view key,
-                            std::string_view payload);
+                            std::string_view payload) const;
 
   /// Typed load: deserializes an artifact type A (kStage/kSchema/kVersion
   /// plus serialize/deserialize). A payload that passes the checksum but
   /// fails to decode is a kCorrupt miss, not an error.
   template <typename A>
-  [[nodiscard]] std::optional<A> load(std::string_view key) {
-    CacheMiss why = CacheMiss::kNone;
+  [[nodiscard]] std::optional<A> load(std::string_view key,
+                                      LoadMiss* miss = nullptr) const {
     std::optional<std::string> payload =
-        load_payload(A::kStage, A::kSchema, A::kVersion, key, &why);
+        load_payload(A::kStage, A::kSchema, A::kVersion, key, miss);
     if (!payload) return std::nullopt;
     try {
       util::BinReader r(*payload);
       A artifact = A::deserialize(r);
       if (!r.exhausted()) {
-        reject(A::kStage, key, CacheMiss::kCorrupt, "trailing bytes");
+        reject(A::kStage, key, {CacheMiss::kCorrupt, "trailing bytes"}, miss);
         return std::nullopt;
       }
-      record_hit(A::kStage, key);
       return artifact;
     } catch (const util::ArtifactError& e) {
-      reject(A::kStage, key, CacheMiss::kCorrupt, e.what());
+      reject(A::kStage, key, {CacheMiss::kCorrupt, e.what()}, miss);
       return std::nullopt;
     }
   }
 
   /// Typed save (see save_payload for semantics).
   template <typename A>
-  util::Status save(std::string_view key, const A& artifact) {
+  util::Status save(std::string_view key, const A& artifact) const {
     util::BinWriter w;
     artifact.serialize(w);
     return save_payload(A::kStage, A::kSchema, A::kVersion, key, w.buffer());
   }
 
   /// Crash-recovery pass over the cache directory (`mnemo fsck`, and the
-  /// server's startup scan). Validates every `*.mna` file's generic frame
-  /// — magic, framing, checksum — without caring which stage wrote it,
-  /// and with `repair`:
+  /// server's startup scan). Validates every `*.mna` file's frame — magic,
+  /// framing, checksum, nothing past the checksum — with the parser load
+  /// uses, but without caring which stage wrote it, and with `repair`:
   ///
   ///   - damaged artifacts move to `<dir>/quarantine/` (recorded in
   ///     `quarantine/ledger.log`), so later loads see kAbsent misses and
@@ -178,32 +180,15 @@ class ArtifactStore {
   ///
   /// With repair=false (dry run) the same findings are returned and
   /// nothing on disk changes. No-op (empty report) when disabled.
-  [[nodiscard]] FsckReport fsck(bool repair = true);
-
-  /// Every hit/miss decision since construction (or clear_events), in
-  /// order — the raw material of --explain-cache. Returned by value: the
-  /// ledger may be appended to concurrently by other threads sharing the
-  /// store, so callers get a consistent snapshot.
-  [[nodiscard]] std::vector<StoreEvent> events() const {
-    std::lock_guard lock(mu_);
-    return events_;
-  }
-  void clear_events() {
-    std::lock_guard lock(mu_);
-    events_.clear();
-  }
+  [[nodiscard]] FsckReport fsck(bool repair = true) const;
 
  private:
-  void record_hit(std::string_view stage, std::string_view key);
-  void record_miss(std::string_view stage, std::string_view key,
-                   CacheMiss why, std::string detail);
-  /// A miss caused by a rejected on-disk file: recorded AND logged.
-  void reject(std::string_view stage, std::string_view key, CacheMiss why,
-              std::string detail);
+  /// A miss caused by a rejected on-disk file: logged, and handed to the
+  /// caller through *out (when non-null).
+  void reject(std::string_view stage, std::string_view key, LoadMiss miss,
+              LoadMiss* out) const;
 
   std::string dir_;
-  mutable std::mutex mu_;  ///< guards events_ only; file I/O needs no lock
-  std::vector<StoreEvent> events_;
 };
 
 }  // namespace mnemo::core

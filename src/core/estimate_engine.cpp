@@ -25,6 +25,12 @@ std::string_view to_string(EstimateModel model) {
                                                : "size_aware";
 }
 
+std::optional<EstimateModel> parse_estimate_model(std::string_view name) {
+  if (name == "uniform") return EstimateModel::kUniformDelta;
+  if (name == "size-aware") return EstimateModel::kSizeAware;
+  return std::nullopt;
+}
+
 EstimateEngine::EstimateEngine(CostModel cost_model, EstimateModel model)
     : cost_model_(cost_model), model_(model) {}
 

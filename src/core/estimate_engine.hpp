@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -58,6 +59,10 @@ enum class EstimateModel {
 };
 
 std::string_view to_string(EstimateModel model);
+
+/// The model the CLI's --model and a serve request's "model" name:
+/// "uniform" or "size-aware"; nullopt for any other name.
+std::optional<EstimateModel> parse_estimate_model(std::string_view name);
 
 /// The paper's Estimate Engine. Takes the performance baselines from the
 /// Sensitivity Engine, the access pattern from the Pattern Engine, and the

@@ -22,28 +22,8 @@ std::string_view to_string(OrderingPolicy policy) {
   return "?";
 }
 
-MnemoConfig::MnemoConfig() : platform(hybridmem::paper_testbed()) {}
-
-SensitivityConfig to_sensitivity_config(const MnemoConfig& cfg) {
-  SensitivityConfig s;
-  s.store = cfg.store;
-  s.platform = cfg.platform;
-  s.payload_mode = cfg.payload_mode;
-  s.repeats = cfg.repeats;
-  s.seed = cfg.seed;
-  s.threads = cfg.threads;
-  s.faults = cfg.faults;
-  return s;
-}
-
 Mnemo::Mnemo(MnemoConfig config)
-    : config_(std::move(config)),
-      sensitivity_(to_sensitivity_config(config_)) {}
-
-MnemoT::MnemoT(MnemoConfig config) : Mnemo([&] {
-      config.ordering = OrderingPolicy::kTiered;
-      return std::move(config);
-    }()) {}
+    : config_(std::move(config)), sensitivity_(config_) {}
 
 MnemoReport Mnemo::profile(const workload::Trace& trace) const {
   MNEMO_EXPECTS(config_.ordering != OrderingPolicy::kExternal &&

@@ -9,7 +9,6 @@
 #include "core/pattern_engine.hpp"
 #include "core/sensitivity_engine.hpp"
 #include "core/slo_advisor.hpp"
-#include "faultinject/fault_plan.hpp"
 
 namespace mnemo::core {
 
@@ -28,42 +27,23 @@ enum class OrderingPolicy {
 
 std::string_view to_string(OrderingPolicy policy);
 
-/// Full configuration of a Mnemo profiling session.
-struct MnemoConfig {
-  kvstore::StoreKind store = kvstore::StoreKind::kVermilion;
-  hybridmem::EmulationProfile platform;
+/// Full configuration of a Mnemo profiling session: the measurement
+/// settings (store, platform, payload mode, repeats, seed, threads, fault
+/// plan — SensitivityConfig, so a MnemoConfig is the Sensitivity Engine's
+/// config as-is) plus the analysis knobs.
+struct MnemoConfig : SensitivityConfig {
   double price_factor = CostModel::kPaperPriceFactor;
-  int repeats = 3;
-  kvstore::PayloadMode payload_mode = kvstore::PayloadMode::kSynthetic;
-  std::uint64_t seed = 0xbea5;
-  /// Measurement-campaign worker threads (0 = hardware, 1 = serial);
-  /// forwarded to the Sensitivity Engine. Never changes results.
-  std::size_t threads = 0;
   OrderingPolicy ordering = OrderingPolicy::kTouchOrder;
   EstimateModel estimate_model = EstimateModel::kSizeAware;
   double slo_slowdown = SloAdvisor::kPaperSlowdown;
-  /// Deterministic fault plan for degraded-mode campaigns (DESIGN.md §7).
-  /// Empty (the default) profiles the healthy platform.
-  faultinject::FaultPlan faults;
-  /// What a quarantined campaign cell means for the session: kDegrade
-  /// completes with partial results; kAbort makes the CLI exit nonzero
-  /// identifying the failing cell. Only consulted by the CLI layer — the
-  /// library always completes and reports.
-  faultinject::FailPolicy fail_policy = faultinject::FailPolicy::kDegrade;
   /// Optional cooperative cancellation (not owned; must outlive the
   /// session's stage calls). Checked at stage entry and between campaign
   /// cells; a canceled stage throws util::CanceledError. Deliberately not
   /// part of any cache key: a deadline changes whether an answer arrives,
-  /// never what it is.
+  /// never what it is. Not a measurement setting: the session hands it to
+  /// the CampaignRunner that runs the grid.
   const util::CancelToken* cancel = nullptr;
-
-  MnemoConfig();
 };
-
-/// The Sensitivity Engine configuration behind `cfg`'s measurements. The
-/// cancel token is not part of it: callers hand `cfg.cancel` to the
-/// CampaignRunner that runs the grid.
-[[nodiscard]] SensitivityConfig to_sensitivity_config(const MnemoConfig& cfg);
 
 /// Everything a profiling session produces: the measured baselines, the
 /// key ordering, the full estimate curve, and the SLO sweet spot.
@@ -100,7 +80,7 @@ struct MnemoReport {
 
 /// The Mnemo facade: wires Sensitivity -> Pattern -> Estimate -> SLO
 /// advisor into the one-call profiling flow of the paper's Figure 6.
-/// Construct a `MnemoT` (ordering = kTiered) for the extended tool.
+/// MnemoT, the extended tool, is this facade with `ordering = kTiered`.
 class Mnemo {
  public:
   explicit Mnemo(MnemoConfig config = MnemoConfig{});
@@ -129,13 +109,6 @@ class Mnemo {
   /// Kept for validate() and direct measurement callers; the profiling
   /// flow itself runs through core::Session (the one orchestration path).
   SensitivityEngine sensitivity_;
-};
-
-/// MnemoT: identical components, with the Pattern Engine extended to emit
-/// the key-value-store-optimized priority ordering (paper Section IV).
-class MnemoT : public Mnemo {
- public:
-  explicit MnemoT(MnemoConfig config = MnemoConfig{});
 };
 
 }  // namespace mnemo::core

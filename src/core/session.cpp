@@ -95,8 +95,7 @@ void hash_fault_plan(util::StableHasher& h,
 Session::Session(workload::Trace trace, SessionConfig config)
     : trace_(std::move(trace)),
       config_(std::move(config)),
-      own_store_(config_.shared_store != nullptr ? std::string()
-                                                 : config_.cache_dir) {
+      store_(config_.cache_dir) {
   util::StableHasher h;
   hash_trace(h, trace_);
   trace_key_ = h.hex();
@@ -169,8 +168,8 @@ std::string Session::report_key() const {
 
 void Session::trace_stage(std::string_view stage, const std::string& key,
                           bool from_cache, bool saved, bool joined) {
-  traces_.push_back(StageTrace{std::string(stage), key, from_cache,
-                               !from_cache && !joined, saved, joined});
+  traces_.push_back(
+      StageTrace{std::string(stage), key, from_cache, saved, joined, {}});
 }
 
 template <typename A>
@@ -181,7 +180,12 @@ bool Session::probe(std::optional<A>& memo,
   check_cancel(config_.mnemo);
   if (!cache_on()) return false;
   const std::string k = (this->*key)();
-  std::optional<A> cached = store().load<A>(k);
+  LoadMiss miss;
+  std::optional<A> cached = store_.load<A>(k, &miss);
+  if (is_rejection(miss.reason)) {
+    traces_.push_back(StageTrace{std::string(A::kStage), k, false, false,
+                                 false, std::move(miss)});
+  }
   if (!cached || (accept != nullptr && !accept(*cached))) return false;
   memo = std::move(cached);
   trace_stage(A::kStage, k, true, false);
@@ -192,7 +196,7 @@ template <typename A>
 const A& Session::install(std::optional<A>& memo, const std::string& key,
                           A a, bool clean) {
   bool saved = false;
-  if (clean && cache_on()) saved = store().save(key, a).ok();
+  if (clean && cache_on()) saved = store_.save(key, a).ok();
   memo = std::move(a);
   trace_stage(A::kStage, key, false, saved);
   return *memo;
@@ -232,7 +236,7 @@ const MeasureArtifact& Session::measure() {
   // is bit-identical to the fault-free platform — with an empty plan,
   // every successful cell on its first attempt — and a lost baseline
   // quarantines the estimates instead of silently skewing them.
-  const SensitivityEngine sensitivity(to_sensitivity_config(config_.mnemo));
+  const SensitivityEngine sensitivity(config_.mnemo);
   CampaignRunner runner(config_.mnemo.threads, config_.mnemo.cancel);
   return install_measured_grid(runner.measure_grid_checked(
       sensitivity, trace_, baseline_placements(trace_)));
@@ -257,8 +261,7 @@ void Session::measure_async(std::shared_ptr<util::TaskScheduler::Group> group,
   // The engine must outlive the in-flight cells, which outlive this
   // session method: the async grid keeps it alive via shared_ptr.
   CampaignRunner::measure_grid_checked_async(
-      std::make_shared<const SensitivityEngine>(
-          to_sensitivity_config(config_.mnemo)),
+      std::make_shared<const SensitivityEngine>(config_.mnemo),
       trace_, baseline_placements(trace_), config_.mnemo.cancel,
       std::move(group),
       [this, done = std::move(done)](CampaignRunner::AsyncOutcome outcome) {
@@ -353,13 +356,14 @@ void Session::set_price(double price_factor) {
 std::string Session::explain_cache() const {
   std::ostringstream out;
   out << "cache: "
-      << (store().enabled()
-              ? (config_.use_cache ? store().dir() : store().dir() +
-                                                        " (bypassed)")
+      << (store_.enabled()
+              ? (config_.use_cache ? store_.dir() : store_.dir() +
+                                                       " (bypassed)")
               : "disabled")
       << "\n";
   out << "stages:\n";
   for (const StageTrace& t : traces_) {
+    if (is_rejection(t.rejected.reason)) continue;
     out << "  " << t.stage;
     for (std::size_t i = t.stage.size(); i < 12; ++i) out << ' ';
     out << ' ' << t.key << "  "
@@ -370,17 +374,15 @@ std::string Session::explain_cache() const {
         << "\n";
   }
   bool any_reject = false;
-  for (const StoreEvent& e : store().events()) {
-    if (e.hit || e.miss == CacheMiss::kAbsent ||
-        e.miss == CacheMiss::kDisabled) {
-      continue;
-    }
+  for (const StageTrace& t : traces_) {
+    if (!is_rejection(t.rejected.reason)) continue;
     if (!any_reject) {
       out << "rejected artifacts (treated as misses):\n";
       any_reject = true;
     }
-    out << "  " << e.stage << '-' << e.key << ".mna: " << to_string(e.miss);
-    if (!e.detail.empty()) out << " (" << e.detail << ")";
+    out << "  " << t.stage << '-' << t.key
+        << ".mna: " << to_string(t.rejected.reason);
+    if (!t.rejected.detail.empty()) out << " (" << t.rejected.detail << ")";
     out << "\n";
   }
   return out.str();

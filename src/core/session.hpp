@@ -23,25 +23,21 @@ struct SessionConfig {
   std::string cache_dir;
   /// --no-cache: keep the directory configured but bypass it entirely.
   bool use_cache = true;
-  /// Borrow an externally owned (thread-safe) store instead of opening
-  /// `cache_dir`: `mnemo serve` shares one ArtifactStore across every
-  /// client session. Non-owning; must outlive the Session. When set,
-  /// `cache_dir` is ignored.
-  ArtifactStore* shared_store = nullptr;
   /// Scenario 2b (ordering == kExternal): the externally produced tiering
   /// order. Required iff the ordering policy is kExternal.
   std::optional<std::vector<std::uint64_t>> external_order;
 };
 
-/// How one stage of a session run was satisfied — the --explain-cache
-/// ledger entry.
+/// One cache decision of a session run — the --explain-cache ledger
+/// entry: how a stage was satisfied, or a stored file its probe turned
+/// away (`rejected`; the stage then recomputes and gets its own entry).
 struct StageTrace {
   std::string stage;
   std::string key;      ///< content hash addressing the stage's artifact
   bool from_cache = false;
-  bool computed = false;
   bool saved = false;   ///< written back to the store this run
   bool joined = false;  ///< adopted from another session's in-flight work
+  LoadMiss rejected;    ///< reason kNone unless this records a rejection
 };
 
 /// The consultant as an explicit staged pipeline:
@@ -116,7 +112,9 @@ class Session {
   [[nodiscard]] std::string advise_key() const;
   [[nodiscard]] std::string report_key() const;
 
-  /// Stage-by-stage account of the run so far, for --explain-cache.
+  /// Every cache decision of this session so far, in order: the stages
+  /// as they were satisfied, and the stored files their probes rejected.
+  /// The only record of them — the store keeps none.
   [[nodiscard]] const std::vector<StageTrace>& stage_traces() const noexcept {
     return traces_;
   }
@@ -132,21 +130,11 @@ class Session {
   [[nodiscard]] const workload::Trace& trace() const noexcept {
     return trace_;
   }
-  /// The store this session consults: the shared one when configured,
-  /// otherwise the session-owned store opened on `cache_dir`.
-  [[nodiscard]] ArtifactStore& store() noexcept {
-    return config_.shared_store != nullptr ? *config_.shared_store
-                                           : own_store_;
-  }
-  [[nodiscard]] const ArtifactStore& store() const noexcept {
-    return config_.shared_store != nullptr ? *config_.shared_store
-                                           : own_store_;
-  }
 
  private:
   [[nodiscard]] OrderingPolicy effective_ordering() const;
   [[nodiscard]] bool cache_on() const noexcept {
-    return config_.use_cache && store().enabled();
+    return config_.use_cache && store_.enabled();
   }
   /// Cells of this session's measure grid: {Fast, Slow} × repeats.
   [[nodiscard]] std::size_t grid_cells() const noexcept {
@@ -157,8 +145,9 @@ class Session {
   /// stage's artifact. A memo hit costs nothing and is returned even past
   /// a deadline; otherwise cancellation is checked before any new work —
   /// not even a disk load starts for a canceled request — and then the
-  /// store is tried under `(this->*key)()`. A stored artifact that
-  /// `accept` (when given) rejects is a miss.
+  /// store is tried under `(this->*key)()`. A hit, or a file the load
+  /// rejected, is recorded in the stage trace; a stored artifact that
+  /// `accept` (when given) turns away is a silent miss.
   template <typename A>
   bool probe(std::optional<A>& memo, std::string (Session::*key)() const,
              bool (*accept)(const A&) = nullptr);
@@ -178,7 +167,7 @@ class Session {
 
   workload::Trace trace_;
   SessionConfig config_;
-  ArtifactStore own_store_;
+  ArtifactStore store_;  ///< opened on config_.cache_dir
   std::string trace_key_;  ///< hashed once in the constructor
 
   std::optional<CharacterizeArtifact> characterize_;

@@ -12,8 +12,4 @@ std::unique_ptr<KeyValueStore> make_store(StoreKind kind,
                                           hybridmem::HybridMemory& memory,
                                           const StoreConfig& config);
 
-/// All three architectures, in the paper's presentation order.
-inline constexpr StoreKind kAllStoreKinds[] = {
-    StoreKind::kVermilion, StoreKind::kCachet, StoreKind::kDynaStore};
-
 }  // namespace mnemo::kvstore

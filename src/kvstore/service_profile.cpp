@@ -14,6 +14,13 @@ std::string_view to_string(StoreKind kind) {
   return "?";
 }
 
+std::optional<StoreKind> parse_store_kind(std::string_view name) {
+  for (const StoreKind kind : kAllStoreKinds) {
+    if (name == to_string(kind)) return kind;
+  }
+  return std::nullopt;
+}
+
 std::string_view paper_analogue(StoreKind kind) {
   switch (kind) {
     case StoreKind::kVermilion:

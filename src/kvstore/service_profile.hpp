@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string_view>
 
 #include "hybridmem/access.hpp"
@@ -14,8 +15,15 @@ namespace mnemo::kvstore {
 ///   kDynaStore — DynamoDB-local-like B+-tree + journal store
 enum class StoreKind : std::uint8_t { kVermilion = 0, kCachet = 1, kDynaStore = 2 };
 
+/// All three architectures, in the paper's presentation order.
+inline constexpr StoreKind kAllStoreKinds[] = {
+    StoreKind::kVermilion, StoreKind::kCachet, StoreKind::kDynaStore};
+
 std::string_view to_string(StoreKind kind);
 std::string_view paper_analogue(StoreKind kind);  ///< "Redis" etc.
+
+/// The architecture whose to_string() is `name`; nullopt for any other.
+std::optional<StoreKind> parse_store_kind(std::string_view name);
 
 /// Per-architecture service-time model. The CPU terms cover everything the
 /// paper's end-to-end client measurement folds into a request that is *not*

@@ -2,7 +2,8 @@
 
 #include <limits>
 
-#include "kvstore/factory.hpp"
+#include "core/estimate_engine.hpp"
+#include "kvstore/service_profile.hpp"
 #include "serve/json.hpp"
 
 namespace mnemo::serve {
@@ -129,18 +130,16 @@ Request Request::parse_line(std::string_view line) {
     } else if (m.key == "store") {
       const std::string& name =
           expect_kind(m, JsonValue::Kind::kString).string;
-      bool known = false;
-      for (const kvstore::StoreKind kind : kvstore::kAllStoreKinds) {
-        known = known || name == kvstore::to_string(kind);
+      if (!kvstore::parse_store_kind(name)) {
+        fail_at(m.pos, "unknown store '" + name + "'");
       }
-      if (!known) fail_at(m.pos, "unknown store '" + name + "'");
       req.store = name;
     } else if (m.key == "tiered") {
       req.tiered = expect_kind(m, JsonValue::Kind::kBool).boolean;
     } else if (m.key == "model") {
       const std::string& name =
           expect_kind(m, JsonValue::Kind::kString).string;
-      if (name != "uniform" && name != "size-aware") {
+      if (!core::parse_estimate_model(name)) {
         fail_at(m.pos, "unknown model '" + name + "'");
       }
       req.model = name;

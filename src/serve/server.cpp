@@ -14,7 +14,7 @@
 
 #include "core/render.hpp"
 #include "core/session.hpp"
-#include "kvstore/factory.hpp"
+#include "kvstore/service_profile.hpp"
 #include "serve/json.hpp"
 #include "util/assert.hpp"
 #include "util/logging.hpp"
@@ -23,18 +23,6 @@
 namespace mnemo::serve {
 
 namespace {
-
-kvstore::StoreKind store_kind(const std::string& name) {
-  for (const kvstore::StoreKind kind : kvstore::kAllStoreKinds) {
-    if (name == kvstore::to_string(kind)) return kind;
-  }
-  throw std::invalid_argument("unknown store " + name);
-}
-
-core::EstimateModel estimate_model(const std::string& name) {
-  if (name == "uniform") return core::EstimateModel::kUniformDelta;
-  return core::EstimateModel::kSizeAware;
-}
 
 workload::Trace request_trace(const Request& req) {
   // An unknown name throws std::invalid_argument: a typed
@@ -121,17 +109,16 @@ struct Server::RequestCtx {
 };
 
 Server::Server(ServeOptions options)
-    : options_(std::move(options)),
-      store_(options_.cache_dir),
-      scheduler_(options_.threads) {
+    : options_(std::move(options)), scheduler_(options_.threads) {
   // Crash recovery before the first request: a cache dir damaged by a
   // previous crash (torn writes, dead writers' temps) is quarantined so
   // every key degrades to a recomputable miss, never a poisoned answer.
-  if (options_.fsck_on_start && store_.enabled()) {
-    const core::FsckReport report = store_.fsck(/*repair=*/true);
+  const core::ArtifactStore store(options_.cache_dir);
+  if (options_.fsck_on_start && store.enabled()) {
+    const core::FsckReport report = store.fsck(/*repair=*/true);
     if (!report.clean()) {
       MNEMO_LOG_WARN("serve: startup fsck repaired %s:\n%s",
-                     store_.dir().c_str(), report.render().c_str());
+                     store.dir().c_str(), report.render().c_str());
     }
   }
 }
@@ -145,11 +132,17 @@ Server::~Server() {
 
 core::SessionConfig Server::make_session_config(const Request& request,
                                                 util::CancelToken* cancel) {
+  const std::optional<kvstore::StoreKind> store =
+      kvstore::parse_store_kind(request.store);
+  if (!store) throw std::invalid_argument("unknown store " + request.store);
+  const std::optional<core::EstimateModel> model =
+      core::parse_estimate_model(request.model);
+  if (!model) throw std::invalid_argument("unknown model " + request.model);
   core::SessionConfig sc;
-  sc.mnemo.store = store_kind(request.store);
+  sc.mnemo.store = *store;
   sc.mnemo.ordering = request.tiered ? core::OrderingPolicy::kTiered
                                      : core::OrderingPolicy::kTouchOrder;
-  sc.mnemo.estimate_model = estimate_model(request.model);
+  sc.mnemo.estimate_model = *model;
   sc.mnemo.price_factor = request.p;
   sc.mnemo.slo_slowdown = request.slo;
   sc.mnemo.repeats = static_cast<int>(request.repeats);
@@ -158,8 +151,8 @@ core::SessionConfig Server::make_session_config(const Request& request,
   // thread-count-invariant (DESIGN.md §6).
   sc.mnemo.threads = scheduler_.threads();
   sc.mnemo.cancel = cancel;
+  sc.cache_dir = options_.cache_dir;
   sc.use_cache = options_.use_cache;
-  sc.shared_store = &store_;
   return sc;
 }
 
@@ -174,10 +167,7 @@ void Server::render_answer(const Request& request, core::Session& session,
       resp.output = core::render_measure(session.measure());
       break;
     case RequestOp::kAdvise:
-      resp.output = session.measure().degraded
-                        ? core::render_measure(session.measure())
-                        : core::render_advise(session.measure(),
-                                              session.advise());
+      resp.output = core::render_advise(session.measure(), session.advise());
       break;
     case RequestOp::kReport:
       resp.output = session.report().text;

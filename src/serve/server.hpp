@@ -10,7 +10,6 @@
 #include <mutex>
 #include <string>
 
-#include "core/artifact_store.hpp"
 #include "serve/protocol.hpp"
 #include "serve/single_flight.hpp"
 #include "util/cancel.hpp"
@@ -35,8 +34,8 @@ struct ServeOptions {
   /// it are refused immediately with a typed `overloaded` error instead
   /// of queueing without bound (backpressure).
   std::size_t queue_capacity = 64;
-  /// Artifact-store directory shared by every request (empty = no disk
-  /// cache; the in-memory single-flight memo still applies).
+  /// Artifact-store directory every request's session opens (empty = no
+  /// disk cache; the in-memory single-flight memo still applies).
   std::string cache_dir;
   bool use_cache = true;
   /// Deadline applied to requests that do not carry their own
@@ -146,7 +145,6 @@ class Server {
                double run_ms, std::uint64_t cells);
 
   ServeOptions options_;
-  core::ArtifactStore store_;
   MeasureCache measures_;
 
   mutable std::mutex mu_;  ///< guards stats_ and pending_

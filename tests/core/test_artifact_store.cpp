@@ -39,34 +39,37 @@ struct StoreFixture : ::testing::Test {
     return store.path_for(ReportArtifact::kStage, kKey);
   }
 
-  static CacheMiss last_miss(const ArtifactStore& store) {
-    EXPECT_FALSE(store.events().empty());
-    return store.events().back().miss;
+  /// What loading the sample's key reports; the load must miss.
+  static LoadMiss load_miss(const ArtifactStore& store) {
+    LoadMiss miss;
+    EXPECT_FALSE(store.load<ReportArtifact>(kKey, &miss).has_value());
+    return miss;
   }
 };
 
 TEST_F(StoreFixture, SaveThenLoadRoundTrips) {
   ArtifactStore store(dir.string());
   ASSERT_TRUE(store.save(kKey, sample()).ok());
-  const auto back = store.load<ReportArtifact>(kKey);
+  LoadMiss miss{CacheMiss::kAbsent, "left over"};
+  const auto back = store.load<ReportArtifact>(kKey, &miss);
   ASSERT_TRUE(back.has_value());
   EXPECT_TRUE(*back == sample());
-  EXPECT_TRUE(store.events().back().hit);
-  EXPECT_EQ(store.events().back().miss, CacheMiss::kNone);
+  EXPECT_EQ(miss.reason, CacheMiss::kNone);  // a hit reports no miss
+  EXPECT_TRUE(miss.detail.empty());
 }
 
 TEST_F(StoreFixture, DisabledStoreAlwaysMissesAndDropsSaves) {
   ArtifactStore store;  // no directory
   EXPECT_FALSE(store.enabled());
   EXPECT_TRUE(store.save(kKey, sample()).ok());  // dropped, not an error
-  EXPECT_FALSE(store.load<ReportArtifact>(kKey).has_value());
-  EXPECT_EQ(last_miss(store), CacheMiss::kDisabled);
+  EXPECT_EQ(load_miss(store).reason, CacheMiss::kDisabled);
 }
 
 TEST_F(StoreFixture, AbsentKeyIsAColdMiss) {
   ArtifactStore store(dir.string());
-  EXPECT_FALSE(store.load<ReportArtifact>(kKey).has_value());
-  EXPECT_EQ(last_miss(store), CacheMiss::kAbsent);
+  const LoadMiss miss = load_miss(store);
+  EXPECT_EQ(miss.reason, CacheMiss::kAbsent);
+  EXPECT_TRUE(miss.detail.empty());
 }
 
 TEST_F(StoreFixture, SaveLeavesNoTempFiles) {
@@ -93,17 +96,16 @@ TEST_F(StoreFixture, TruncatedFileIsAMissNeverAnError) {
   const auto full = fs::file_size(path);
   fs::resize_file(path, full / 2);
 
-  EXPECT_FALSE(store.load<ReportArtifact>(kKey).has_value());
-  EXPECT_EQ(last_miss(store), CacheMiss::kTruncated);
-  EXPECT_FALSE(store.events().back().detail.empty());
+  const LoadMiss miss = load_miss(store);
+  EXPECT_EQ(miss.reason, CacheMiss::kTruncated);
+  EXPECT_FALSE(miss.detail.empty());
 }
 
 TEST_F(StoreFixture, BadMagicIsAMiss) {
   ArtifactStore store(dir.string());
   ASSERT_TRUE(store.save(kKey, sample()).ok());
   std::ofstream(sample_path(store), std::ios::binary) << "not an artifact";
-  EXPECT_FALSE(store.load<ReportArtifact>(kKey).has_value());
-  EXPECT_EQ(last_miss(store), CacheMiss::kBadMagic);
+  EXPECT_EQ(load_miss(store).reason, CacheMiss::kBadMagic);
 }
 
 TEST_F(StoreFixture, ForeignSchemaIsAMiss) {
@@ -117,10 +119,9 @@ TEST_F(StoreFixture, ForeignSchemaIsAMiss) {
                                 MeasureArtifact::kSchema,
                                 MeasureArtifact::kVersion, kKey, w.buffer())
                   .ok());
-  EXPECT_FALSE(store.load<ReportArtifact>(kKey).has_value());
-  EXPECT_EQ(last_miss(store), CacheMiss::kSchemaMismatch);
-  EXPECT_NE(store.events().back().detail.find("mnemo.artifact.measure"),
-            std::string::npos);
+  const LoadMiss miss = load_miss(store);
+  EXPECT_EQ(miss.reason, CacheMiss::kSchemaMismatch);
+  EXPECT_NE(miss.detail.find("mnemo.artifact.measure"), std::string::npos);
 }
 
 TEST_F(StoreFixture, StaleVersionIsAMiss) {
@@ -131,8 +132,7 @@ TEST_F(StoreFixture, StaleVersionIsAMiss) {
                   .save_payload(ReportArtifact::kStage, ReportArtifact::kSchema,
                                 ReportArtifact::kVersion + 1, kKey, w.buffer())
                   .ok());
-  EXPECT_FALSE(store.load<ReportArtifact>(kKey).has_value());
-  EXPECT_EQ(last_miss(store), CacheMiss::kVersionMismatch);
+  EXPECT_EQ(load_miss(store).reason, CacheMiss::kVersionMismatch);
 }
 
 TEST_F(StoreFixture, FlippedPayloadByteFailsTheChecksum) {
@@ -144,8 +144,27 @@ TEST_F(StoreFixture, FlippedPayloadByteFailsTheChecksum) {
   bytes[bytes.size() - 20] ^= 0x01;  // inside the payload region
   std::ofstream(path, std::ios::binary) << bytes;
 
-  EXPECT_FALSE(store.load<ReportArtifact>(kKey).has_value());
-  EXPECT_EQ(last_miss(store), CacheMiss::kChecksumMismatch);
+  EXPECT_EQ(load_miss(store).reason, CacheMiss::kChecksumMismatch);
+}
+
+TEST_F(StoreFixture, BytesAfterTheFrameAreAMissThatFsckQuarantines) {
+  ArtifactStore store(dir.string());
+  ASSERT_TRUE(store.save(kKey, sample()).ok());
+  std::ofstream(sample_path(store), std::ios::binary | std::ios::app)
+      << "junk";
+
+  // A valid frame followed by junk is not the artifact that was saved.
+  const LoadMiss miss = load_miss(store);
+  EXPECT_EQ(miss.reason, CacheMiss::kCorrupt);
+  EXPECT_EQ(miss.detail, "4 bytes past the frame");
+
+  // fsck reads the frame with the same parser and condemns the same file.
+  const FsckReport report = store.fsck();
+  ASSERT_EQ(report.findings.size(), 1u);
+  EXPECT_EQ(report.findings[0].problem, FsckProblem::kTrailingBytes);
+  EXPECT_EQ(report.findings[0].detail, "4 bytes past the frame");
+  EXPECT_TRUE(report.findings[0].repaired);
+  EXPECT_EQ(load_miss(store).reason, CacheMiss::kAbsent);
 }
 
 TEST_F(StoreFixture, ChecksummedButUndecodablePayloadIsCorrupt) {
@@ -155,8 +174,7 @@ TEST_F(StoreFixture, ChecksummedButUndecodablePayloadIsCorrupt) {
                   .save_payload(ReportArtifact::kStage, ReportArtifact::kSchema,
                                 ReportArtifact::kVersion, kKey, "\x01")
                   .ok());
-  EXPECT_FALSE(store.load<ReportArtifact>(kKey).has_value());
-  EXPECT_EQ(last_miss(store), CacheMiss::kCorrupt);
+  EXPECT_EQ(load_miss(store).reason, CacheMiss::kCorrupt);
 }
 
 TEST_F(StoreFixture, RejectedFileStaysOnDiskAndRecomputeOverwritesIt) {
@@ -167,22 +185,6 @@ TEST_F(StoreFixture, RejectedFileStaysOnDiskAndRecomputeOverwritesIt) {
   // The recompute path writes the fresh artifact over the bad file.
   ASSERT_TRUE(store.save(kKey, sample()).ok());
   EXPECT_TRUE(store.load<ReportArtifact>(kKey).has_value());
-}
-
-TEST_F(StoreFixture, EventsLedgerRecordsEveryDecisionInOrder) {
-  ArtifactStore store(dir.string());
-  EXPECT_FALSE(store.load<ReportArtifact>(kKey).has_value());  // cold
-  ASSERT_TRUE(store.save(kKey, sample()).ok());
-  EXPECT_TRUE(store.load<ReportArtifact>(kKey).has_value());  // warm
-
-  ASSERT_EQ(store.events().size(), 2u);
-  EXPECT_EQ(store.events()[0].miss, CacheMiss::kAbsent);
-  EXPECT_TRUE(store.events()[1].hit);
-  EXPECT_EQ(store.events()[0].stage, "report");
-  EXPECT_EQ(store.events()[0].key, kKey);
-
-  store.clear_events();
-  EXPECT_TRUE(store.events().empty());
 }
 
 TEST_F(StoreFixture, IdenticalIncumbentSkipsTheRewrite) {
@@ -237,8 +239,8 @@ TEST_F(StoreFixture, ConcurrentSameKeyWritersNeverProduceATornRead) {
   }
 }
 
-TEST_F(StoreFixture, EventsLedgerIsThreadSafe) {
-  ArtifactStore store(dir.string());
+TEST_F(StoreFixture, ConcurrentLoadsOfOneStoreAllHit) {
+  const ArtifactStore store(dir.string());
   ASSERT_TRUE(store.save(kKey, sample()).ok());
   std::vector<std::thread> threads;
   threads.reserve(4);
@@ -250,7 +252,6 @@ TEST_F(StoreFixture, EventsLedgerIsThreadSafe) {
     });
   }
   for (std::thread& t : threads) t.join();
-  EXPECT_EQ(store.events().size(), 400u);
 }
 
 TEST_F(StoreFixture, MissReasonsHaveNames) {

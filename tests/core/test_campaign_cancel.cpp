@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
@@ -72,10 +74,10 @@ TEST(CampaignCancel, RunCheckedAlsoThrowsOnExpiredDeadline) {
 }
 
 TEST(CampaignCancel, MidCampaignCancelThrowsTheExplicitReason) {
-  // Chaos stalls make every cell take >= 25ms, guaranteeing the campaign
-  // is still in flight when the out-of-band cancel lands. The runner must
-  // finish the started cells, skip the rest, and throw the caller's
-  // reason — never hang, never crash.
+  // Chaos stalls make every cell take >= 25ms, so the campaign is still
+  // in flight when the out-of-band cancel lands. The runner must finish
+  // the started cells, skip the rest, and throw the caller's reason —
+  // never hang, never crash.
   faultinject::IoFaultPlan plan;
   plan.slow_cell_rate = 1.0;
   plan.slow_cell_ms = 25.0;
@@ -87,20 +89,30 @@ TEST(CampaignCancel, MidCampaignCancelThrowsTheExplicitReason) {
   const SensitivityEngine engine(cfg);
   util::CancelToken token;
   CampaignRunner runner(2, &token);
+  constexpr std::size_t kCells = 16;
 
+  // Cancel once a cell has been seen to start (a stall is counted before
+  // it begins), not after a fixed sleep: on a loaded host no cell may
+  // have started by then, and a grid canceled before its first cell says
+  // nothing about cutting one short.
   std::thread canceler([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    while (chaos.injector().stats().delayed_cells == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
     token.cancel({util::ErrorCode::kCanceled, "client hung up"});
   });
   try {
-    (void)runner.run(engine, trace, grid_cells(trace, 16));
+    (void)runner.run(engine, trace, grid_cells(trace, kCells));
     FAIL() << "campaign outlived an explicit cancel without throwing";
   } catch (const util::CanceledError& e) {
     EXPECT_EQ(e.error().code, util::ErrorCode::kCanceled);
     EXPECT_EQ(e.error().message, "client hung up");
   }
   canceler.join();
-  EXPECT_GT(chaos.injector().stats().delayed_cells, 0u);
+  // The cancel cut the grid short: cells had started, and not all ran.
+  const std::uint64_t started = chaos.injector().stats().delayed_cells;
+  EXPECT_GT(started, 0u);
+  EXPECT_LT(started, kCells);
 }
 
 TEST(CampaignCancel, UncanceledTokenPerturbsNothing) {

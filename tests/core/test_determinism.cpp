@@ -37,8 +37,8 @@ TEST(Determinism, ReportsAreBitwiseReproducible) {
   cfg.repeats = 2;
   cfg.ordering = OrderingPolicy::kTiered;
 
-  const MnemoT a(cfg);
-  const MnemoT b(cfg);
+  const Mnemo a(cfg);
+  const Mnemo b(cfg);
   const MnemoReport ra = a.profile(trace);
   const MnemoReport rb = b.profile(trace);
 

@@ -31,7 +31,7 @@ TEST_P(PipelineTest, FullPaperPipelineIsCoherent) {
   cfg.store = GetParam();
   cfg.repeats = 2;
   cfg.ordering = OrderingPolicy::kTiered;
-  const MnemoT mnemo(cfg);
+  const Mnemo mnemo(cfg);
   const MnemoReport report = mnemo.profile(trace);
 
   // Invariants on the curve.

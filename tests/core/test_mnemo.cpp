@@ -28,6 +28,13 @@ MnemoConfig quick_config() {
   return cfg;
 }
 
+/// MnemoT: the facade with the key-value-store-optimized ordering.
+MnemoConfig tiered_config() {
+  MnemoConfig cfg = quick_config();
+  cfg.ordering = OrderingPolicy::kTiered;
+  return cfg;
+}
+
 TEST(Mnemo, ProfileProducesCompleteReport) {
   const Mnemo mnemo(quick_config());
   const auto trace = small_trace();
@@ -68,7 +75,7 @@ TEST(Mnemo, EstimateTracksMeasurementWithinOnePercent) {
 }
 
 TEST(MnemoT, UsesTieredOrdering) {
-  const MnemoT mnemot(quick_config());
+  const Mnemo mnemot(tiered_config());
   const MnemoReport report = mnemot.profile(small_trace());
   EXPECT_EQ(report.ordering, OrderingPolicy::kTiered);
   std::set<std::uint64_t> unique(report.order.begin(), report.order.end());
@@ -80,7 +87,7 @@ TEST(MnemoT, TieredOrderingIsAtLeastAsCostEfficient) {
   // be cheaper or equal vs first-touch ordering.
   const auto trace = small_trace("timeline");
   const Mnemo standalone(quick_config());
-  const MnemoT tiered(quick_config());
+  const Mnemo tiered(tiered_config());
   const auto rep_a = standalone.profile(trace);
   const auto rep_t = tiered.profile(trace);
   ASSERT_TRUE(rep_a.slo_choice && rep_t.slo_choice);
@@ -168,9 +175,9 @@ TEST(Mnemo, SizeAwareModelBeatsUniformOnMixedSizesUnderTiering) {
   MnemoConfig cfg = quick_config();
   cfg.ordering = OrderingPolicy::kTiered;
   cfg.estimate_model = EstimateModel::kUniformDelta;
-  const MnemoT uniform(cfg);
+  const Mnemo uniform(cfg);
   cfg.estimate_model = EstimateModel::kSizeAware;
-  const MnemoT aware(cfg);
+  const Mnemo aware(cfg);
 
   const auto rep_u = uniform.profile(trace);
   const auto rep_a = aware.profile(trace);

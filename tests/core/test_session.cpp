@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "core/campaign.hpp"
 #include "core/mnemo.hpp"
+#include "util/artifact_io.hpp"
 #include "workload/suite.hpp"
 
 namespace mnemo::core {
@@ -45,6 +47,16 @@ struct SessionFixture : ::testing::Test {
     sc.mnemo.threads = threads;
     sc.cache_dir = dir.string();
     return sc;
+  }
+
+  /// Every file in the cache dir, by name, with its bytes.
+  std::map<std::string, std::string> dir_contents() const {
+    std::map<std::string, std::string> files;
+    for (const auto& e : fs::directory_iterator(dir)) {
+      EXPECT_TRUE(util::read_file(e.path().string(),
+                                  &files[e.path().filename().string()]));
+    }
+    return files;
   }
 
   std::size_t files_for_stage(std::string_view stage) const {
@@ -167,18 +179,49 @@ TEST_F(SessionFixture, SetSloReusesTheGridInProcess) {
 
 TEST_F(SessionFixture, NoCacheBypassesTheStoreEntirely) {
   const workload::Trace trace = small_trace();
+  Session filler(trace, cached_config());
+  (void)filler.report();
+  const std::map<std::string, std::string> warm_dir = dir_contents();
+  ASSERT_EQ(files_for_stage("report"), 1u);
+
   SessionConfig sc = cached_config();
   sc.use_cache = false;
   Session session(trace, sc);
   (void)session.report();
+  // Bypassed means bypassed: a warm dir is neither read nor written.
   EXPECT_GT(session.campaign_cells_run(), 0u);
-  // Bypassed means bypassed: nothing read, nothing written.
-  EXPECT_TRUE(session.store().events().empty());
-  EXPECT_EQ(files_for_stage("measure"), 0u);
+  ASSERT_FALSE(session.stage_traces().empty());
+  for (const StageTrace& t : session.stage_traces()) {
+    EXPECT_FALSE(t.from_cache) << t.stage;
+    EXPECT_FALSE(t.saved) << t.stage;
+    EXPECT_EQ(t.rejected.reason, CacheMiss::kNone) << t.stage;
+  }
+  EXPECT_EQ(dir_contents(), warm_dir);
+  EXPECT_NE(session.explain_cache().find("(bypassed)"), std::string::npos);
+}
 
-  Session again(trace, sc);
-  (void)again.report();
-  EXPECT_GT(again.campaign_cells_run(), 0u);
+TEST_F(SessionFixture, EachSessionExplainsOnlyTheRejectionsItMet) {
+  const workload::Trace trace = small_trace();
+  Session filler(trace, cached_config());
+  const ReportArtifact expected = filler.report();
+
+  // Two sessions over one cache dir: the first meets a damaged report
+  // file and rewrites it, the second then reads the rewritten file.
+  Session damaged(trace, cached_config());
+  Session clean(trace, cached_config());
+  fs::resize_file(dir / ("report-" + damaged.report_key() + ".mna"), 5);
+  EXPECT_EQ(damaged.report().text, expected.text);  // rejected, recomputed
+  EXPECT_EQ(clean.report().text, expected.text);    // the rewritten file
+
+  const std::string met = damaged.explain_cache();
+  EXPECT_NE(met.find("rejected artifacts (treated as misses):\n  report-" +
+                     damaged.report_key() + ".mna: truncated ("),
+            std::string::npos)
+      << met;
+  const std::string other = clean.explain_cache();
+  EXPECT_EQ(other.find("rejected"), std::string::npos) << other;
+  ASSERT_EQ(clean.stage_traces().size(), 1u);
+  EXPECT_TRUE(clean.stage_traces()[0].from_cache);
 }
 
 TEST_F(SessionFixture, DegradedGridIsNeverCached) {
@@ -248,7 +291,6 @@ TEST_F(SessionFixture, PresentationKnobsStayOutOfTheMeasureKey) {
   const workload::Trace trace = small_trace();
   SessionConfig base = cached_config(/*threads=*/1);
   SessionConfig varied = cached_config(/*threads=*/8);
-  varied.mnemo.fail_policy = faultinject::FailPolicy::kAbort;
   varied.mnemo.slo_slowdown = 0.42;
 
   Session a(trace, base);
