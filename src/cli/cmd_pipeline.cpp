@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <utility>
 
 #include "cli/cli_common.hpp"
 #include "cli/commands.hpp"
@@ -25,6 +26,16 @@ void add_pipeline_options(util::ArgParser& parser) {
                     "");
 }
 
+/// The command's session. The config is parsed before the workload is
+/// loaded, in a statement of its own, so when both are bad the config's
+/// error (say, `--store`) is the one reported, whatever order a compiler
+/// evaluates constructor arguments in.
+core::Session open_session(const util::ArgParser& parser,
+                           faultinject::FailPolicy& policy) {
+  core::SessionConfig config = session_config(parser, policy);
+  return core::Session(load_workload(parser), std::move(config));
+}
+
 /// "campaign cells executed: N" — the observable behind the incremental
 /// re-run contract: 0 on a warm cache, grid-size on a cold one.
 void print_cells_executed(const core::Session& session, std::ostream& out) {
@@ -44,7 +55,7 @@ int cmd_run(const Args& args, std::ostream& out, std::ostream& err) {
     return 2;
   }
   faultinject::FailPolicy policy{};
-  core::Session session(load_workload(parser), session_config(parser, policy));
+  core::Session session = open_session(parser, policy);
   print_fault_banner(session.config().mnemo.faults, policy, out);
   return emit_session_report(parser, session, policy, out, err);
 }
@@ -60,7 +71,7 @@ int cmd_characterize(const Args& args, std::ostream& out,
     return 2;
   }
   faultinject::FailPolicy policy{};
-  core::Session session(load_workload(parser), session_config(parser, policy));
+  core::Session session = open_session(parser, policy);
   out << core::render_characterize(session.trace(), session.characterize());
   maybe_explain_cache(parser, session, out);
   return 0;
@@ -77,7 +88,7 @@ int cmd_measure(const Args& args, std::ostream& out, std::ostream& err) {
     return 2;
   }
   faultinject::FailPolicy policy{};
-  core::Session session(load_workload(parser), session_config(parser, policy));
+  core::Session session = open_session(parser, policy);
   print_fault_banner(session.config().mnemo.faults, policy, out);
   const core::MeasureArtifact& m = session.measure();
   out << core::render_measure(m);
@@ -99,7 +110,7 @@ int cmd_advise(const Args& args, std::ostream& out, std::ostream& err) {
     return 2;
   }
   faultinject::FailPolicy policy{};
-  core::Session session(load_workload(parser), session_config(parser, policy));
+  core::Session session = open_session(parser, policy);
   print_fault_banner(session.config().mnemo.faults, policy, out);
   const core::AdviseArtifact& verdict = session.advise();
   const core::MeasureArtifact& m = session.measure();
@@ -122,7 +133,7 @@ int cmd_report(const Args& args, std::ostream& out, std::ostream& err) {
     return 2;
   }
   faultinject::FailPolicy policy{};
-  core::Session session(load_workload(parser), session_config(parser, policy));
+  core::Session session = open_session(parser, policy);
   const core::ReportArtifact& report = session.report();
   out << report.text;
   if (!parser.get("out").empty() && !session.measure().degraded) {

@@ -10,14 +10,6 @@ hybridmem::Placement PlacementEngine::placement_for(
   return hybridmem::Placement::from_order(order, point.fast_keys);
 }
 
-hybridmem::Placement PlacementEngine::placement_for_budget(
-    const std::vector<std::uint64_t>& order,
-    const std::vector<std::uint64_t>& key_sizes,
-    std::uint64_t fast_budget_bytes) {
-  return hybridmem::Placement::from_order_with_budget(order, key_sizes,
-                                                      fast_budget_bytes);
-}
-
 void PlacementEngine::populate(kvstore::DualServer& servers,
                                const workload::Trace& trace,
                                const hybridmem::Placement& placement) {

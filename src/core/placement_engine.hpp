@@ -21,12 +21,6 @@ class PlacementEngine {
   [[nodiscard]] static hybridmem::Placement placement_for(
       const std::vector<std::uint64_t>& order, const EstimatePoint& point);
 
-  /// Placement for an explicit FastMem byte budget along `order`.
-  [[nodiscard]] static hybridmem::Placement placement_for_budget(
-      const std::vector<std::uint64_t>& order,
-      const std::vector<std::uint64_t>& key_sizes,
-      std::uint64_t fast_budget_bytes);
-
   /// Statically place the dataset onto the two servers (the optional last
   /// step the user may also perform manually).
   static void populate(kvstore::DualServer& servers,

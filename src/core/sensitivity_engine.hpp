@@ -57,15 +57,15 @@ struct ReplaySkeleton {
 
   /// Cells that share a placement and differ only in `repeat` run the
   /// same deterministic state machine — the per-repeat seed feeds only the
-  /// service-noise rng — unless the run evicted or expired a record
-  /// (Vermilion samples eviction victims from a seeded rng; TTL deadlines
-  /// follow the noisy store clock). Both leave a counter behind, and their
-  /// triggers (capacity pressure, TTL stamps) are seed-free, so zero of
-  /// each over a finished run's combined store counters proves a sibling's
-  /// full replay could not have taken a path the leader did not.
+  /// service-noise rng — unless the run evicted a record. The only store
+  /// eviction left is Cachet's slab-class LRU, which draws no rng; the
+  /// guard stays so a future seed-dependent eviction path cannot silently
+  /// break sharing. Its trigger (capacity pressure) is seed-free, so zero
+  /// evictions over a finished run's combined store counters proves a
+  /// sibling's full replay could not have taken a path the leader did not.
   [[nodiscard]] static bool repeat_invariant(
       const kvstore::StoreStats& combined) noexcept {
-    return combined.evictions + combined.expirations == 0;
+    return combined.evictions == 0;
   }
 };
 

@@ -47,9 +47,4 @@ SloResult SloAdvisor::advise(const EstimateCurve& curve,
   return SloResult{SloOutcome::kChosen, choice};
 }
 
-std::optional<SloChoice> SloAdvisor::choose(
-    const EstimateCurve& curve, const PerfBaselines& baselines) const {
-  return advise(curve, baselines).choice;
-}
-
 }  // namespace mnemo::core

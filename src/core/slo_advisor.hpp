@@ -63,11 +63,6 @@ class SloAdvisor {
   [[nodiscard]] SloResult advise(const EstimateCurve& curve,
                                  const PerfBaselines& baselines) const;
 
-  /// Legacy optional-shaped view of advise() (nullopt == no feasible
-  /// split); prefer advise() in new code.
-  [[nodiscard]] std::optional<SloChoice> choose(
-      const EstimateCurve& curve, const PerfBaselines& baselines) const;
-
   [[nodiscard]] double permissible_slowdown() const noexcept {
     return slowdown_;
   }

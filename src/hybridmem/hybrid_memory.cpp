@@ -82,16 +82,6 @@ void HybridMemory::remove(std::uint64_t object_id) {
   erase_object(object_id);
 }
 
-bool HybridMemory::migrate(std::uint64_t object_id, NodeId to) {
-  ObjectInfo* info = find_object(object_id);
-  MNEMO_EXPECTS(info != nullptr);
-  if (info->node == to) return true;
-  if (!node(to).allocate(info->bytes)) return false;
-  node(info->node).release(info->bytes);
-  info->node = to;
-  return true;
-}
-
 std::optional<NodeId> HybridMemory::locate(std::uint64_t object_id) const {
   const ObjectInfo* info = find_object(object_id);
   if (info == nullptr) return std::nullopt;

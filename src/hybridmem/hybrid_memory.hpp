@@ -42,11 +42,6 @@ class HybridMemory {
   /// Remove an object entirely. No-op if unknown.
   void remove(std::uint64_t object_id);
 
-  /// Move an object to the other node (static re-placement, not runtime
-  /// migration — Mnemo provides static allocations only). Returns false if
-  /// the destination lacks capacity; the object then stays put.
-  [[nodiscard]] bool migrate(std::uint64_t object_id, NodeId to);
-
   /// Change an object's size in place (record update with a different
   /// value size). Returns false if the node cannot fit the growth.
   /// Inline: every record-update PUT resizes its object (DESIGN.md §8).

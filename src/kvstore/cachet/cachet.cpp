@@ -56,24 +56,11 @@ void Cachet::drop_item(std::uint64_t key) {
   memory().remove(key);
 }
 
-Record* Cachet::mutable_record(std::uint64_t key) {
-  const auto found = assoc_.find(key);
-  return found.item != nullptr ? &found.item->value : nullptr;
-}
-
 OpResult Cachet::get(std::uint64_t key, const KeyHints& hints) {
   ++stats_.gets;
   const auto found = assoc_.find(key, hints.hash);
   double ns = profile().cpu_read_ns + index_walk_ns(1, found.probes);
   if (found.item == nullptr) {
-    ++stats_.misses;
-    return finalize(false, ns, false);
-  }
-  if (check_expired(found.item->value)) {
-    // Memcached exptime semantics: the item is dead on arrival of the
-    // next fetch; reclaim its chunk and miss.
-    drop_item(key);
-    sync_overhead_accounting(overhead_bytes());
     ++stats_.misses;
     return finalize(false, ns, false);
   }

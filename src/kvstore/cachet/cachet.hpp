@@ -42,9 +42,6 @@ class Cachet final : public KeyValueStore {
     return slabs_;
   }
 
- protected:
-  Record* mutable_record(std::uint64_t key) override;
-
  private:
   void lru_touch(cachet::Item& item);
   void drop_item(std::uint64_t key);

@@ -168,7 +168,6 @@ StoreStats DualServer::combined_stats() const {
   s.hits += t.hits;
   s.misses += t.misses;
   s.evictions += t.evictions;
-  s.expirations += t.expirations;
   s.busy_ns += t.busy_ns;
   return s;
 }

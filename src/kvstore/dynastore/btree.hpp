@@ -9,7 +9,7 @@
 namespace mnemo::kvstore::dynastore {
 
 /// B+-tree index mapping 64-bit keys to records. Fan-out 64; values live
-/// only in leaves; leaves are chained for ordered scans. Every operation
+/// only in leaves; leaves are chained for in-order visits. Every operation
 /// reports the descent depth, which the store converts into dependent
 /// memory touches (the pointer-chasing that makes the DynamoDB-like engine
 /// the most SlowMem-sensitive architecture).
@@ -76,21 +76,6 @@ class BPlusTree {
     while (leaf != nullptr) {
       for (std::size_t i = 0; i < leaf->nkeys; ++i) {
         fn(leaf->keys[i], leaf->values[i]);
-      }
-      leaf = leaf->next;
-    }
-  }
-
-  /// In-order visit starting at the first key >= `start`. The visitor
-  /// returns false to stop. Backs DynaStore's range scans.
-  template <typename F>
-  void for_each_from(std::uint64_t start, F&& fn) const {
-    std::uint32_t depth = 0;
-    const Leaf* leaf = descend(start, &depth);
-    while (leaf != nullptr) {
-      for (std::size_t i = 0; i < leaf->nkeys; ++i) {
-        if (leaf->keys[i] < start) continue;
-        if (!fn(leaf->keys[i], leaf->values[i])) return;
       }
       leaf = leaf->next;
     }

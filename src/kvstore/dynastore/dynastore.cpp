@@ -16,38 +16,6 @@ DynaStore::~DynaStore() {
   });
 }
 
-Record* DynaStore::mutable_record(std::uint64_t key) {
-  return tree_.find(key).record;
-}
-
-DynaStore::ScanResult DynaStore::scan(std::uint64_t start_key,
-                                      std::size_t limit) {
-  ScanResult result;
-  const auto probe = tree_.find(start_key);
-  const std::uint32_t hot = probe.depth > 1 ? probe.depth - 1 : 0;
-  double ns = profile().cpu_read_ns + index_walk_ns(hot, 1);
-  tree_.for_each_from(start_key, [&](std::uint64_t key, const Record& rec) {
-    if (result.keys.size() >= limit) return false;
-    if (rec.expired(now_ns())) return true;  // skip dead items
-    result.keys.push_back(key);
-    // Sequential leaf walk: each item streams its payload once, without
-    // the dependent-descent latency of point gets.
-    const auto access =
-        payload_access(key, rec.size, hybridmem::MemOp::kRead);
-    ns += access.ns + profile().cpu_per_probe_ns;
-    return true;
-  });
-  const OpResult finalized = finalize(true, ns, false);
-  result.service_ns = finalized.service_ns;
-  ++stats_.gets;
-  if (!result.keys.empty()) {
-    ++stats_.hits;
-  } else {
-    ++stats_.misses;
-  }
-  return result;
-}
-
 OpResult DynaStore::get(std::uint64_t key, const KeyHints& /*hints*/) {
   ++stats_.gets;
   auto found = tree_.find(key);
@@ -56,16 +24,6 @@ OpResult DynaStore::get(std::uint64_t key, const KeyHints& /*hints*/) {
   const std::uint32_t hot = found.depth > 1 ? found.depth - 1 : 0;
   double ns = profile().cpu_read_ns + index_walk_ns(hot, 2);
   if (found.record == nullptr) {
-    ++stats_.misses;
-    return finalize(false, ns, false);
-  }
-  if (check_expired(*found.record)) {
-    // DynamoDB TTL semantics: expired items vanish from reads; the
-    // background sweeper reclaims them (here: immediately).
-    (void)tree_.erase(key);
-    journal_.append(key, 0);
-    memory().remove(key);
-    sync_overhead_accounting(overhead_bytes());
     ++stats_.misses;
     return finalize(false, ns, false);
   }

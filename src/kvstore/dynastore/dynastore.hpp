@@ -43,22 +43,9 @@ class DynaStore final : public KeyValueStore {
     return journal_;
   }
 
-  /// Ordered range scan (DynamoDB Query/Scan over the key range): visits
-  /// up to `limit` live records with keys >= `start_key` in key order and
-  /// returns their keys. The simulated cost (one tree descent plus a
-  /// sequential leaf walk streaming each record) is reported through
-  /// `service_ns`.
-  struct ScanResult {
-    std::vector<std::uint64_t> keys;
-    double service_ns = 0.0;
-  };
-  ScanResult scan(std::uint64_t start_key, std::size_t limit);
-
- protected:
-  Record* mutable_record(std::uint64_t key) override;
-
  private:
-  /// Per-item metadata block (version vector, TTL, attribute map header).
+  /// Per-item metadata block a DynamoDB item carries (version vector, TTL
+  /// attribute, attribute map header), priced as overhead bytes only.
   static constexpr std::uint64_t kItemMetadataBytes = 256;
 
   dynastore::BPlusTree tree_;

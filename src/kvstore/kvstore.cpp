@@ -1,9 +1,6 @@
 #include "kvstore/kvstore.hpp"
 
-#include <algorithm>
 #include <atomic>
-
-#include "util/assert.hpp"
 
 namespace mnemo::kvstore {
 
@@ -34,18 +31,6 @@ KeyValueStore::~KeyValueStore() {
   // Release the overhead accounting object; record objects are owned by
   // the concrete store and removed in its destructor.
   if (accounted_overhead_ > 0) memory_.remove(overhead_object_id_);
-}
-
-OpResult KeyValueStore::put_ttl(std::uint64_t key, std::uint64_t value_size,
-                                double ttl_ns) {
-  MNEMO_EXPECTS(ttl_ns > 0.0);
-  const OpResult result = put(key, value_size);
-  if (result.ok) {
-    Record* rec = mutable_record(key);
-    MNEMO_ASSERT(rec != nullptr);
-    rec->expires_at_ns = now_ns() + ttl_ns;
-  }
-  return result;
 }
 
 void KeyValueStore::sync_overhead_accounting(std::uint64_t new_bytes) {

@@ -33,7 +33,6 @@ struct StoreStats {
   std::uint64_t hits = 0;       ///< gets that found the key
   std::uint64_t misses = 0;     ///< gets that did not
   std::uint64_t evictions = 0;  ///< records dropped for capacity (Cachet)
-  std::uint64_t expirations = 0;  ///< records lazily reclaimed past TTL
   double busy_ns = 0.0;         ///< total simulated service time
 
   [[nodiscard]] std::uint64_t ops() const noexcept {
@@ -51,7 +50,7 @@ struct StoreConfig {
   /// Disable service-time jitter and tail spikes (ablation).
   bool deterministic_service = false;
   /// Optional backing for the store's internal flat tables (slot pools,
-  /// bucket arrays, access stamps): a campaign cell's arena when one is
+  /// bucket arrays, LRU lists): a campaign cell's arena when one is
   /// plumbed through (DESIGN.md §12), the default heap when null. Not
   /// owned; must outlive the store.
   std::pmr::memory_resource* table_memory = nullptr;
@@ -158,11 +157,6 @@ class KeyValueStore {
   /// the modelled overhead accounting). Default: no-op.
   virtual void reserve_keys(std::size_t /*keys*/) {}
 
-  /// put() with a time-to-live on the store's simulated clock (now() +
-  /// ttl_ns). Expired keys are lazily reclaimed by the next get().
-  OpResult put_ttl(std::uint64_t key, std::uint64_t value_size,
-                   double ttl_ns);
-
   /// Delete `key`. ok == false if absent.
   virtual OpResult erase(std::uint64_t key) = 0;
 
@@ -186,11 +180,6 @@ class KeyValueStore {
   [[nodiscard]] PayloadMode payload_mode() const noexcept {
     return config_.payload_mode;
   }
-
-  /// The store's simulated clock: total service time it has performed.
-  /// TTLs are expressed against this (single-threaded server semantics:
-  /// time advances as requests are served).
-  [[nodiscard]] double now_ns() const noexcept { return stats_.busy_ns; }
 
   /// Skeleton tap for a placement group's leader (DESIGN.md §14): while
   /// armed, finalize() records each operation's deterministic pre-noise
@@ -219,19 +208,6 @@ class KeyValueStore {
     ns = noise_.apply(ns);
     stats_.busy_ns += ns;
     return OpResult{ok, ns, llc_hit, fault};
-  }
-
-  /// Access to the stored record for TTL stamping; nullptr if absent.
-  /// Implementations may advance internal maintenance state (incremental
-  /// rehash etc.), mirroring a real lookup.
-  virtual Record* mutable_record(std::uint64_t key) = 0;
-
-  /// True (and counts the expiration) if `rec` is past its TTL at the
-  /// store's current clock — callers then drop the record and miss.
-  bool check_expired(const Record& rec) {
-    if (!rec.expired(now_ns())) return false;
-    ++stats_.expirations;
-    return true;
   }
 
   /// Price an index walk: `hot_probes` structure touches expected to be

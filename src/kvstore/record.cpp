@@ -20,21 +20,6 @@ std::uint64_t checksum_bytes(const std::vector<std::byte>& bytes) {
   return h;
 }
 
-std::uint64_t expected_checksum(std::uint64_t key, std::uint64_t size) {
-  // Must match the pattern emitted by make_record in kStored mode: we use
-  // a closed form over the generator stream rather than materializing it.
-  std::uint64_t h = kFnvOffset;
-  std::uint64_t state = util::record_digest(key, size);
-  for (std::uint64_t i = 0; i < size; ++i) {
-    if (i % 8 == 0) state = util::mix64(state + 1);
-    const auto byte = static_cast<std::uint64_t>((state >> ((i % 8) * 8)) &
-                                                 0xff);
-    h ^= byte;
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
 Record make_record(std::uint64_t key, std::uint64_t size, PayloadMode mode) {
   return make_record(key, size, mode, util::record_digest(key, size));
 }

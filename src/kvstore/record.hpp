@@ -17,16 +17,9 @@ enum class PayloadMode : std::uint8_t { kStored = 0, kSynthetic = 1 };
 struct Record {
   std::uint64_t size = 0;
   std::uint64_t checksum = 0;
-  /// Absolute expiry on the owning store's simulated clock; 0 = never.
-  /// (All three paper stores support per-item TTLs: Redis EXPIRE,
-  /// Memcached exptime, DynamoDB TTL attributes.)
-  double expires_at_ns = 0.0;
   std::vector<std::byte> bytes;
 
   [[nodiscard]] bool stored() const noexcept { return !bytes.empty(); }
-  [[nodiscard]] bool expired(double now_ns) const noexcept {
-    return expires_at_ns > 0.0 && now_ns >= expires_at_ns;
-  }
 };
 
 /// Deterministically generate the canonical payload for (key, size): a
@@ -40,10 +33,6 @@ Record make_record(std::uint64_t key, std::uint64_t size, PayloadMode mode);
 /// size) is a contract violation.
 Record make_record(std::uint64_t key, std::uint64_t size, PayloadMode mode,
                    std::uint64_t digest);
-
-/// The checksum make_record would produce for (key, size) — lets synthetic
-/// mode verify integrity without materializing bytes.
-std::uint64_t expected_checksum(std::uint64_t key, std::uint64_t size);
 
 /// FNV-1a over a byte buffer.
 std::uint64_t checksum_bytes(const std::vector<std::byte>& bytes);

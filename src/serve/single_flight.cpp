@@ -69,9 +69,4 @@ void MeasureCache::abandon(const std::string& key) {
   for (const std::shared_ptr<Waiter>& w : waiters) w->fire();
 }
 
-std::size_t MeasureCache::memo_size() const {
-  std::lock_guard lock(mu_);
-  return done_.size();
-}
-
 }  // namespace mnemo::serve

@@ -58,9 +58,6 @@ class MeasureCache {
   /// promoted; each request still fails (or retries) independently.
   void abandon(const std::string& key);
 
-  /// Distinct keys memoized so far.
-  [[nodiscard]] std::size_t memo_size() const;
-
  private:
   /// One parked try_acquire() caller. `fire()` is idempotent and safe
   /// from any thread: whichever of publish/abandon/cancel gets there

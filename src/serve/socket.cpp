@@ -1,5 +1,7 @@
 #include "serve/socket.hpp"
 
+#include <fcntl.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -7,12 +9,13 @@
 #include <cerrno>
 #include <cstring>
 #include <istream>
+#include <list>
 #include <mutex>
 #include <ostream>
 #include <streambuf>
+#include <system_error>
 #include <thread>
 #include <utility>
-#include <vector>
 
 namespace mnemo::serve {
 
@@ -77,9 +80,24 @@ class FdBuf : public std::streambuf {
 }  // namespace
 
 SocketEndpoint::SocketEndpoint(Server& server, std::string path)
-    : server_(server), path_(std::move(path)) {}
+    : server_(server), path_(std::move(path)) {
+  // Non-blocking both ways: a signal handler's wake() must never block on
+  // a full pipe, and serve() drains it without blocking. On failure the
+  // ends stay -1 and serve() reports it.
+  if (::pipe2(wake_, O_CLOEXEC | O_NONBLOCK) != 0) wake_[0] = wake_[1] = -1;
+}
+
+SocketEndpoint::~SocketEndpoint() {
+  for (const int fd : wake_) {
+    if (fd >= 0) ::close(fd);
+  }
+}
 
 util::Status SocketEndpoint::serve() {
+  if (wake_[0] < 0) {
+    return util::Error{util::ErrorCode::kFailedPrecondition,
+                       "socket: no wake-up pipe for " + path_};
+  }
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
   if (path_.size() >= sizeof(addr.sun_path)) {
@@ -88,7 +106,10 @@ util::Status SocketEndpoint::serve() {
   }
   std::memcpy(addr.sun_path, path_.c_str(), path_.size() + 1);
 
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  // Non-blocking: poll() may report a connection the client has already
+  // abandoned, and accept must then fail instead of blocking the loop.
+  const int fd =
+      ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK, 0);
   if (fd < 0) {
     return util::Error{util::ErrorCode::kFailedPrecondition,
                        std::string("socket: ") + std::strerror(errno)};
@@ -102,53 +123,102 @@ util::Status SocketEndpoint::serve() {
     return util::Error{util::ErrorCode::kFailedPrecondition,
                        "bind/listen " + path_ + ": " + std::strerror(err)};
   }
-  listen_fd_.store(fd, std::memory_order_release);
 
-  std::mutex conns_mu;
-  std::vector<int> conn_fds;
-  std::vector<std::thread> conn_threads;
+  // Every connection not yet reaped. A connection closes its own fd under
+  // `mu` and marks it -1, so the shutdown below never touches a number the
+  // process may have handed out again.
+  struct Connection {
+    int fd;
+    std::thread thread;
+  };
+  std::mutex mu;
+  std::list<Connection> conns;
 
+  const auto reap_ended = [&] {
+    std::list<Connection> ended;
+    {
+      std::lock_guard lock(mu);
+      for (auto it = conns.begin(); it != conns.end();) {
+        const auto next = std::next(it);
+        if (it->fd < 0) ended.splice(ended.end(), conns, it);
+        it = next;
+      }
+    }
+    for (Connection& c : ended) c.thread.join();
+  };
+
+  pollfd polled[2] = {{fd, POLLIN, 0}, {wake_[0], POLLIN, 0}};
   while (!stopping_.load(std::memory_order_acquire)) {
-    const int conn = ::accept(fd, nullptr, nullptr);
-    if (conn < 0) {
-      if (stopping_.load(std::memory_order_acquire)) break;
+    if (::poll(polled, 2, -1) < 0) {
       if (errno == EINTR) continue;
       break;
     }
-    {
-      std::lock_guard lock(conns_mu);
-      conn_fds.push_back(conn);
+    if (polled[1].revents != 0) {
+      char drained[64];
+      while (::read(wake_[0], drained, sizeof(drained)) > 0) {
+      }
+      reap_ended();
     }
-    conn_threads.emplace_back([this, conn] {
-      FdBuf buf(conn);
-      std::istream in(&buf);
-      std::ostream out(&buf);
-      server_.serve_stream(in, out);
+    if (polled[0].revents == 0) continue;
+    const int conn = ::accept4(fd, nullptr, nullptr, SOCK_CLOEXEC);
+    if (conn < 0) {
+      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR ||
+          errno == ECONNABORTED) {
+        continue;
+      }
+      break;
+    }
+    std::lock_guard lock(mu);
+    Connection& c = conns.emplace_back(Connection{conn, {}});
+    try {
+      c.thread = std::thread([this, conn, &c, &mu] {
+        {
+          FdBuf buf(conn);
+          std::istream in(&buf);
+          std::ostream out(&buf);
+          server_.serve_stream(in, out);
+        }
+        {
+          std::lock_guard done(mu);
+          ::close(conn);
+          c.fd = -1;
+        }
+        wake();  // serve() joins this thread next
+      });
+    } catch (const std::system_error&) {
+      // No thread to serve it: hang up on this client, keep serving.
       ::close(conn);
-    });
+      conns.pop_back();
+    }
   }
 
   // Shutdown: kick every open connection so its serve_stream sees EOF,
   // then join. Admitted requests still complete (graceful drain) — only
   // unread input is abandoned.
   {
-    std::lock_guard lock(conns_mu);
-    for (const int conn : conn_fds) ::shutdown(conn, SHUT_RDWR);
+    std::lock_guard lock(mu);
+    for (const Connection& c : conns) {
+      if (c.fd >= 0) ::shutdown(c.fd, SHUT_RDWR);
+    }
   }
-  for (std::thread& t : conn_threads) t.join();
+  for (Connection& c : conns) c.thread.join();
   ::close(fd);
-  listen_fd_.store(-1, std::memory_order_release);
   ::unlink(path_.c_str());
   return {};
 }
 
 void SocketEndpoint::stop() {
-  // Async-signal-safe: one atomic store plus shutdown(2). The accept loop
-  // wakes with an error, observes stopping_, and does the cleanup on its
-  // own thread.
+  // Async-signal-safe: one atomic store plus write(2). The poll loop wakes,
+  // observes stopping_, and does the cleanup on its own thread.
   stopping_.store(true, std::memory_order_release);
-  const int fd = listen_fd_.load(std::memory_order_acquire);
-  if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
+  wake();
+}
+
+void SocketEndpoint::wake() noexcept {
+  const char byte = 0;
+  if (::write(wake_[1], &byte, 1) < 0) {
+    // EAGAIN: the pipe is full, so a wake-up is already pending.
+  }
 }
 
 }  // namespace mnemo::serve

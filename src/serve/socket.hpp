@@ -12,11 +12,14 @@ namespace mnemo::serve {
 /// `path` and runs the line protocol (Server::serve_stream) on each, one
 /// thread per connection. All connections share the Server — and thus
 /// the artifact store, the single-flight memo, and the backpressure
-/// budget.
+/// budget. A connection's thread is joined and its fd closed as soon as
+/// the connection ends, so a long-running endpoint holds state only for
+/// its open connections.
 class SocketEndpoint {
  public:
   /// Borrows `server`; it must outlive the endpoint.
   SocketEndpoint(Server& server, std::string path);
+  ~SocketEndpoint();
 
   SocketEndpoint(const SocketEndpoint&) = delete;
   SocketEndpoint& operator=(const SocketEndpoint&) = delete;
@@ -33,10 +36,17 @@ class SocketEndpoint {
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
 
  private:
+  /// Wake serve()'s poll loop: one byte into the wake-up pipe.
+  /// Async-signal-safe.
+  void wake() noexcept;
+
   Server& server_;
   std::string path_;
   std::atomic<bool> stopping_{false};
-  std::atomic<int> listen_fd_{-1};
+  /// Self-pipe serve() polls beside the listening socket: stop() and
+  /// every ending connection write to it. It lives as long as the
+  /// endpoint, so a late stop() never writes to a reused fd number.
+  int wake_[2] = {-1, -1};
 };
 
 }  // namespace mnemo::serve

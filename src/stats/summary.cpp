@@ -7,42 +7,6 @@
 
 namespace mnemo::stats {
 
-void Welford::add(double x) noexcept {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double Welford::variance() const noexcept {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double Welford::stddev() const noexcept { return std::sqrt(variance()); }
-
-void Welford::merge(const Welford& other) noexcept {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double delta = other.mean_ - mean_;
-  const auto na = static_cast<double>(n_);
-  const auto nb = static_cast<double>(other.n_);
-  const double n = na + nb;
-  mean_ += delta * nb / n;
-  m2_ += other.m2_ + delta * delta * na * nb / n;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  n_ += other.n_;
-}
-
 double percentile_sorted(std::span<const double> sorted, double q) {
   MNEMO_EXPECTS(!sorted.empty());
   MNEMO_EXPECTS(q >= 0.0 && q <= 1.0);
@@ -70,9 +34,11 @@ double mean(std::span<const double> xs) {
 double median(std::span<const double> xs) { return percentile(xs, 0.5); }
 
 double stddev(std::span<const double> xs) {
-  Welford w;
-  for (double x : xs) w.add(x);
-  return w.stddev();
+  if (xs.size() < 2) return 0.0;
+  const double m = mean(xs);
+  double m2 = 0.0;
+  for (double x : xs) m2 += (x - m) * (x - m);
+  return std::sqrt(m2 / static_cast<double>(xs.size() - 1));
 }
 
 BoxplotStats boxplot(std::span<const double> xs) {

@@ -6,31 +6,6 @@
 
 namespace mnemo::stats {
 
-/// Welford online accumulator for mean/variance without storing samples.
-/// Used by the sensitivity engine to aggregate per-request service times.
-class Welford {
- public:
-  void add(double x) noexcept;
-
-  [[nodiscard]] std::size_t count() const noexcept { return n_; }
-  [[nodiscard]] double mean() const noexcept { return mean_; }
-  /// Sample variance (n-1 denominator); 0 for fewer than two samples.
-  [[nodiscard]] double variance() const noexcept;
-  [[nodiscard]] double stddev() const noexcept;
-  [[nodiscard]] double min() const noexcept { return min_; }
-  [[nodiscard]] double max() const noexcept { return max_; }
-
-  /// Merge another accumulator (parallel reduction), Chan et al. update.
-  void merge(const Welford& other) noexcept;
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
 /// Exact quantile of a sample using linear interpolation between order
 /// statistics (type-7, the numpy/R default). q in [0, 1]. The input span is
 /// copied; use percentile_sorted to avoid the copy.
@@ -41,6 +16,8 @@ double percentile_sorted(std::span<const double> sorted, double q);
 
 double mean(std::span<const double> xs);
 double median(std::span<const double> xs);
+/// Sample standard deviation (n-1 denominator); 0 for fewer than two
+/// samples.
 double stddev(std::span<const double> xs);
 
 /// Five-number summary plus Tukey whiskers/outliers, matching what the

@@ -19,10 +19,6 @@ std::uint64_t UniformDistribution::next(util::Rng& rng) {
   return rng.uniform(0, n_ - 1);
 }
 
-std::unique_ptr<KeyDistribution> UniformDistribution::clone() const {
-  return std::make_unique<UniformDistribution>(*this);
-}
-
 // ---------------------------------------------------------------- zipfian
 
 double ZipfianDistribution::zeta(std::uint64_t n, double theta) {
@@ -55,10 +51,6 @@ std::uint64_t ZipfianDistribution::next(util::Rng& rng) {
   return rank >= n_ ? n_ - 1 : rank;
 }
 
-std::unique_ptr<KeyDistribution> ZipfianDistribution::clone() const {
-  return std::make_unique<ZipfianDistribution>(*this);
-}
-
 // ------------------------------------------------------ scrambled zipfian
 
 ScrambledZipfianDistribution::ScrambledZipfianDistribution(
@@ -68,10 +60,6 @@ ScrambledZipfianDistribution::ScrambledZipfianDistribution(
 std::uint64_t ScrambledZipfianDistribution::next(util::Rng& rng) {
   const std::uint64_t rank = base_.next(rng);
   return util::fnv1a64(rank) % base_.key_count();
-}
-
-std::unique_ptr<KeyDistribution> ScrambledZipfianDistribution::clone() const {
-  return std::make_unique<ScrambledZipfianDistribution>(*this);
 }
 
 // ----------------------------------------------------------------- latest
@@ -92,10 +80,6 @@ std::uint64_t LatestDistribution::next(util::Rng& rng) {
   ++requests_;
   const std::uint64_t pivot = (n - 1 + advance) % n;
   return (pivot + n - back % n) % n;
-}
-
-std::unique_ptr<KeyDistribution> LatestDistribution::clone() const {
-  return std::make_unique<LatestDistribution>(*this);
 }
 
 // ---------------------------------------------------------------- hotspot
@@ -127,10 +111,6 @@ std::uint64_t HotspotDistribution::next(util::Rng& rng) {
   return rng.uniform(hot_keys_, n_ - 1);
 }
 
-std::unique_ptr<KeyDistribution> HotspotDistribution::clone() const {
-  return std::make_unique<HotspotDistribution>(*this);
-}
-
 // ------------------------------------------------------------- sequential
 
 SequentialDistribution::SequentialDistribution(std::uint64_t key_count)
@@ -142,12 +122,6 @@ std::uint64_t SequentialDistribution::next(util::Rng& /*rng*/) {
   const std::uint64_t k = next_;
   next_ = (next_ + 1) % n_;
   return k;
-}
-
-std::unique_ptr<KeyDistribution> SequentialDistribution::clone() const {
-  auto copy = std::make_unique<SequentialDistribution>(n_);
-  copy->next_ = next_;
-  return copy;
 }
 
 // ---------------------------------------------------------------- factory

@@ -20,7 +20,6 @@ class KeyDistribution {
 
   [[nodiscard]] virtual std::string_view name() const = 0;
   [[nodiscard]] virtual std::uint64_t key_count() const = 0;
-  [[nodiscard]] virtual std::unique_ptr<KeyDistribution> clone() const = 0;
 };
 
 /// Every key equally likely.
@@ -30,7 +29,6 @@ class UniformDistribution final : public KeyDistribution {
   std::uint64_t next(util::Rng& rng) override;
   [[nodiscard]] std::string_view name() const override { return "uniform"; }
   [[nodiscard]] std::uint64_t key_count() const override { return n_; }
-  [[nodiscard]] std::unique_ptr<KeyDistribution> clone() const override;
 
  private:
   std::uint64_t n_;
@@ -47,7 +45,6 @@ class ZipfianDistribution final : public KeyDistribution {
   std::uint64_t next(util::Rng& rng) override;
   [[nodiscard]] std::string_view name() const override { return "zipfian"; }
   [[nodiscard]] std::uint64_t key_count() const override { return n_; }
-  [[nodiscard]] std::unique_ptr<KeyDistribution> clone() const override;
 
   [[nodiscard]] double theta() const noexcept { return theta_; }
 
@@ -76,7 +73,6 @@ class ScrambledZipfianDistribution final : public KeyDistribution {
   [[nodiscard]] std::uint64_t key_count() const override {
     return base_.key_count();
   }
-  [[nodiscard]] std::unique_ptr<KeyDistribution> clone() const override;
 
  private:
   ZipfianDistribution base_;
@@ -99,7 +95,6 @@ class LatestDistribution final : public KeyDistribution {
   [[nodiscard]] std::uint64_t key_count() const override {
     return base_.key_count();
   }
-  [[nodiscard]] std::unique_ptr<KeyDistribution> clone() const override;
 
   [[nodiscard]] double drift() const noexcept { return drift_; }
 
@@ -121,7 +116,6 @@ class HotspotDistribution final : public KeyDistribution {
   std::uint64_t next(util::Rng& rng) override;
   [[nodiscard]] std::string_view name() const override { return "hotspot"; }
   [[nodiscard]] std::uint64_t key_count() const override { return n_; }
-  [[nodiscard]] std::unique_ptr<KeyDistribution> clone() const override;
 
   [[nodiscard]] double hot_key_fraction() const noexcept {
     return hot_key_fraction_;
@@ -144,7 +138,6 @@ class SequentialDistribution final : public KeyDistribution {
   std::uint64_t next(util::Rng& rng) override;
   [[nodiscard]] std::string_view name() const override { return "sequential"; }
   [[nodiscard]] std::uint64_t key_count() const override { return n_; }
-  [[nodiscard]] std::unique_ptr<KeyDistribution> clone() const override;
 
  private:
   std::uint64_t n_;

@@ -21,10 +21,6 @@ std::uint64_t FixedSizeModel::size_of(std::uint64_t /*key*/) const {
   return bytes_;
 }
 
-std::unique_ptr<RecordSizeModel> FixedSizeModel::clone() const {
-  return std::make_unique<FixedSizeModel>(*this);
-}
-
 // -------------------------------------------------------------- lognormal
 
 LognormalSizeModel::LognormalSizeModel(std::uint64_t median_bytes,
@@ -50,10 +46,6 @@ std::uint64_t LognormalSizeModel::size_of(std::uint64_t key) const {
   const double v = static_cast<double>(median_) * std::exp(sigma_ * z);
   const auto bytes = static_cast<std::uint64_t>(std::llround(v));
   return std::clamp(bytes, min_, max_);
-}
-
-std::unique_ptr<RecordSizeModel> LognormalSizeModel::clone() const {
-  return std::make_unique<LognormalSizeModel>(*this);
 }
 
 // ---------------------------------------------------------------- mixture
@@ -82,10 +74,6 @@ std::uint64_t MixtureSizeModel::size_of(std::uint64_t key) const {
     if (u < acc) return c.model->size_of(key);
   }
   return components_.back().model->size_of(key);
-}
-
-std::unique_ptr<RecordSizeModel> MixtureSizeModel::clone() const {
-  return std::make_unique<MixtureSizeModel>(*this);
 }
 
 // ------------------------------------------------------------ paper types

@@ -19,7 +19,6 @@ class RecordSizeModel {
   [[nodiscard]] virtual std::uint64_t size_of(std::uint64_t key) const = 0;
 
   [[nodiscard]] virtual std::string_view name() const = 0;
-  [[nodiscard]] virtual std::unique_ptr<RecordSizeModel> clone() const = 0;
 };
 
 /// All records the same size.
@@ -28,7 +27,6 @@ class FixedSizeModel final : public RecordSizeModel {
   explicit FixedSizeModel(std::uint64_t bytes);
   [[nodiscard]] std::uint64_t size_of(std::uint64_t key) const override;
   [[nodiscard]] std::string_view name() const override { return "fixed"; }
-  [[nodiscard]] std::unique_ptr<RecordSizeModel> clone() const override;
 
  private:
   std::uint64_t bytes_;
@@ -44,7 +42,6 @@ class LognormalSizeModel final : public RecordSizeModel {
                      std::uint64_t seed = 0xface);
   [[nodiscard]] std::uint64_t size_of(std::uint64_t key) const override;
   [[nodiscard]] std::string_view name() const override { return "lognormal"; }
-  [[nodiscard]] std::unique_ptr<RecordSizeModel> clone() const override;
 
   [[nodiscard]] std::uint64_t median_bytes() const { return median_; }
 
@@ -70,7 +67,6 @@ class MixtureSizeModel final : public RecordSizeModel {
                    std::uint64_t seed = 0x5eed);
   [[nodiscard]] std::uint64_t size_of(std::uint64_t key) const override;
   [[nodiscard]] std::string_view name() const override { return name_; }
-  [[nodiscard]] std::unique_ptr<RecordSizeModel> clone() const override;
 
  private:
   std::string name_;

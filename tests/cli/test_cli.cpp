@@ -442,5 +442,20 @@ TEST(Cli, UnknownWorkloadExitsOneOnEveryCommand) {
   }
 }
 
+// With both flags bad, a pipeline command parses its session config before
+// it loads the workload, so the --store error is the one reported.
+TEST(Cli, PipelineCommandsReportABadStoreBeforeABadWorkload) {
+  for (const std::string command :
+       {"run", "characterize", "measure", "advise", "report"}) {
+    const CliResult r =
+        run_cli({command, "--workload", "nosuch", "--store", "nosuch"});
+    EXPECT_EQ(r.code, 1) << command;
+    EXPECT_EQ(r.err,
+              "error: --store: expected vermilion, cachet or dynastore, "
+              "got nosuch\n")
+        << command;
+  }
+}
+
 }  // namespace
 }  // namespace mnemo::cli

@@ -28,7 +28,7 @@ struct Fixture {
 TEST(SloAdvisor, PicksCheapestPointMeetingSlo) {
   const Fixture f;
   const SloAdvisor advisor(0.10);  // floor: 900 ops/s
-  const auto choice = advisor.choose(f.curve, f.baselines);
+  const auto choice = advisor.advise(f.curve, f.baselines).choice;
   ASSERT_TRUE(choice.has_value());
   // First point with >= 900 ops/s is i=8 (900 exactly).
   EXPECT_EQ(choice->point.fast_keys, 8u);
@@ -40,7 +40,7 @@ TEST(SloAdvisor, PicksCheapestPointMeetingSlo) {
 TEST(SloAdvisor, ZeroToleranceRequiresFullThroughput) {
   const Fixture f;
   const SloAdvisor advisor(0.0);
-  const auto choice = advisor.choose(f.curve, f.baselines);
+  const auto choice = advisor.advise(f.curve, f.baselines).choice;
   ASSERT_TRUE(choice.has_value());
   EXPECT_EQ(choice->point.fast_keys, 10u);
   EXPECT_DOUBLE_EQ(choice->cost_factor, 1.0);
@@ -49,7 +49,7 @@ TEST(SloAdvisor, ZeroToleranceRequiresFullThroughput) {
 TEST(SloAdvisor, LooseToleranceReachesTheFloor) {
   const Fixture f;
   const SloAdvisor advisor(0.55);  // floor 450 < slow-only 500
-  const auto choice = advisor.choose(f.curve, f.baselines);
+  const auto choice = advisor.advise(f.curve, f.baselines).choice;
   ASSERT_TRUE(choice.has_value());
   EXPECT_EQ(choice->point.fast_keys, 0u);
   EXPECT_DOUBLE_EQ(choice->cost_factor, 0.2);
@@ -61,7 +61,7 @@ TEST(SloAdvisor, UnreachableSloReturnsNullopt) {
   // Demand more than any point offers.
   f.baselines.fast.throughput_ops = 5000.0;
   const SloAdvisor advisor(0.01);
-  EXPECT_FALSE(advisor.choose(f.curve, f.baselines).has_value());
+  EXPECT_FALSE(advisor.advise(f.curve, f.baselines).choice.has_value());
 }
 
 TEST(SloAdvisor, NonMonotoneCurveStillFindsGlobalCheapest)  {
@@ -70,7 +70,7 @@ TEST(SloAdvisor, NonMonotoneCurveStillFindsGlobalCheapest)  {
   Fixture f;
   f.curve.points[9].est_throughput_ops = 400.0;  // dip
   const SloAdvisor advisor(0.10);
-  const auto choice = advisor.choose(f.curve, f.baselines);
+  const auto choice = advisor.advise(f.curve, f.baselines).choice;
   ASSERT_TRUE(choice.has_value());
   EXPECT_EQ(choice->point.fast_keys, 8u);
 }
@@ -124,16 +124,6 @@ TEST(SloAdvisor, CostTiesBreakTowardTheSmallerFastMemFootprint) {
   EXPECT_EQ(result.choice->point.fast_keys, 8u);
   EXPECT_LT(result.choice->point.fast_bytes,
             f.curve.points[9].fast_bytes);
-}
-
-TEST(SloAdvisor, ChooseMatchesAdvise) {
-  const Fixture f;
-  const SloAdvisor advisor(0.10);
-  const auto choice = advisor.choose(f.curve, f.baselines);
-  const SloResult result = advisor.advise(f.curve, f.baselines);
-  ASSERT_TRUE(choice.has_value());
-  ASSERT_TRUE(result.choice.has_value());
-  EXPECT_TRUE(*choice == *result.choice);
 }
 
 }  // namespace

@@ -34,24 +34,6 @@ TEST(HybridMemory, PlaceFailsWhenNodeFull) {
   EXPECT_TRUE(mem.place(2, 2 * util::kMiB, NodeId::kSlow));
 }
 
-TEST(HybridMemory, MigrateMovesBytesBetweenNodes) {
-  HybridMemory mem(small_profile());
-  ASSERT_TRUE(mem.place(1, 5000, NodeId::kFast));
-  EXPECT_TRUE(mem.migrate(1, NodeId::kSlow));
-  EXPECT_EQ(mem.locate(1), NodeId::kSlow);
-  EXPECT_EQ(mem.node(NodeId::kFast).used_bytes(), 0u);
-  EXPECT_EQ(mem.node(NodeId::kSlow).used_bytes(), 5000u);
-  EXPECT_TRUE(mem.migrate(1, NodeId::kSlow)) << "same-node migrate is ok";
-}
-
-TEST(HybridMemory, MigrateFailsWithoutDestinationCapacity) {
-  HybridMemory mem(small_profile());
-  ASSERT_TRUE(mem.place(1, 6 * util::kMiB, NodeId::kFast));
-  ASSERT_TRUE(mem.place(2, 6 * util::kMiB, NodeId::kSlow));
-  EXPECT_FALSE(mem.migrate(1, NodeId::kSlow));
-  EXPECT_EQ(mem.locate(1), NodeId::kFast) << "object stays put on failure";
-}
-
 TEST(HybridMemory, ResizeAdjustsAccounting) {
   HybridMemory mem(small_profile());
   ASSERT_TRUE(mem.place(1, 1000, NodeId::kFast));

@@ -191,11 +191,14 @@ TEST(Cachet, EvictsFromLruWhenNodeIsFull) {
 TEST(Vermilion, PutFailsWhenNodeFullWithoutEviction) {
   HybridMemory memory(test_profile(1 * kMiB));
   auto store = make_store(StoreKind::kVermilion, memory, test_config());
-  bool failed = false;
-  for (std::uint64_t k = 0; k < 20 && !failed; ++k) {
-    failed = !store->put(k, 100 * kKiB).ok;
+  std::uint64_t accepted = 0;
+  for (std::uint64_t k = 0; k < 30; ++k) {
+    if (store->put(k, 100 * kKiB).ok) ++accepted;
   }
-  EXPECT_TRUE(failed) << "Redis-like stores reject writes beyond capacity";
+  EXPECT_LT(accepted, 30u) << "Redis-like stores reject writes beyond capacity";
+  // A rejected insert leaves no record behind and evicts nothing.
+  EXPECT_EQ(store->stats().evictions, 0u);
+  EXPECT_EQ(store->record_count(), accepted);
 }
 
 TEST(DynaStore, JournalGrowsWithWrites) {

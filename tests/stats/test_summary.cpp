@@ -2,65 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <vector>
 
 #include "util/rng.hpp"
 
 namespace mnemo::stats {
 namespace {
-
-TEST(Welford, MatchesDirectComputation) {
-  const std::vector<double> xs = {1.0, 2.0, 3.0, 4.0, 10.0};
-  Welford w;
-  for (const double x : xs) w.add(x);
-  EXPECT_EQ(w.count(), xs.size());
-  EXPECT_DOUBLE_EQ(w.mean(), 4.0);
-  EXPECT_DOUBLE_EQ(w.min(), 1.0);
-  EXPECT_DOUBLE_EQ(w.max(), 10.0);
-  // Sample variance: sum((x-4)^2)/(n-1) = (9+4+1+0+36)/4 = 12.5
-  EXPECT_DOUBLE_EQ(w.variance(), 12.5);
-  EXPECT_DOUBLE_EQ(w.stddev(), std::sqrt(12.5));
-}
-
-TEST(Welford, SingleAndEmptyVariance) {
-  Welford w;
-  EXPECT_EQ(w.variance(), 0.0);
-  w.add(5.0);
-  EXPECT_EQ(w.variance(), 0.0);
-  EXPECT_EQ(w.mean(), 5.0);
-}
-
-TEST(Welford, MergeEqualsSequential) {
-  util::Rng rng(5);
-  Welford all;
-  Welford left;
-  Welford right;
-  for (int i = 0; i < 10'000; ++i) {
-    const double x = rng.gaussian() * 3.0 + 7.0;
-    all.add(x);
-    (i % 2 == 0 ? left : right).add(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), all.count());
-  EXPECT_NEAR(left.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), all.variance(), 1e-6);
-  EXPECT_DOUBLE_EQ(left.min(), all.min());
-  EXPECT_DOUBLE_EQ(left.max(), all.max());
-}
-
-TEST(Welford, MergeWithEmptySides) {
-  Welford a;
-  Welford b;
-  b.add(1.0);
-  b.add(3.0);
-  a.merge(b);  // empty.merge(nonempty)
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-  Welford c;
-  a.merge(c);  // nonempty.merge(empty)
-  EXPECT_EQ(a.count(), 2u);
-}
 
 TEST(Percentile, KnownOrderStatistics) {
   const std::vector<double> xs = {4.0, 1.0, 3.0, 2.0, 5.0};

@@ -41,18 +41,6 @@ TEST_P(AnyDistribution, SameSeedIsDeterministic) {
   }
 }
 
-TEST_P(AnyDistribution, CloneContinuesIdentically) {
-  auto dist = make_distribution(GetParam(), kKeys);
-  util::Rng rng(5);
-  for (int i = 0; i < 100; ++i) dist->next(rng);
-  auto copy = dist->clone();
-  util::Rng ra(6);
-  util::Rng rb(6);
-  for (int i = 0; i < 1000; ++i) {
-    ASSERT_EQ(dist->next(ra), copy->next(rb));
-  }
-}
-
 TEST_P(AnyDistribution, ReportsKeyCountAndName) {
   auto dist = make_distribution(GetParam(), kKeys);
   EXPECT_EQ(dist->key_count(), kKeys);
@@ -175,15 +163,6 @@ TEST(Sequential, CyclesThroughKeySpace) {
       ASSERT_EQ(dist.next(rng), k);
     }
   }
-}
-
-TEST(Sequential, CloneResumesPosition) {
-  SequentialDistribution dist(10);
-  util::Rng rng(0);
-  dist.next(rng);
-  dist.next(rng);
-  auto copy = dist.clone();
-  EXPECT_EQ(copy->next(rng), 2u);
 }
 
 }  // namespace
