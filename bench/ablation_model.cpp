@@ -4,7 +4,6 @@
 //   2. Service jitter on/off — noise contribution to estimate error.
 //   3. Greedy (accesses/size) vs exact 0/1-knapsack tiering — captured
 //      accesses under tight FastMem budgets.
-//   4. Stored vs synthetic payloads — simulated results must be identical.
 
 #include <algorithm>
 #include <cmath>
@@ -15,7 +14,6 @@
 #include "stats/summary.hpp"
 #include "util/bytes.hpp"
 #include "util/table.hpp"
-#include "workload/compiled_trace.hpp"
 #include "workload/suite.hpp"
 
 namespace {
@@ -144,39 +142,7 @@ int main() {
         "the two agree within ~1%% at every budget (the DP is exact on "
         "512-byte-quantized sizes, which costs it a sliver on sub-cell "
         "records) — why MnemoT and the solutions it mirrors use the "
-        "simple weight ordering.\n\n");
-  }
-
-  // ---- 4: stored vs synthetic payloads --------------------------------
-  {
-    workload::WorkloadSpec spec = workload::paper_workload("timeline");
-    spec.key_count = 500;
-    spec.request_count = 5'000;
-    const workload::Trace trace = workload::Trace::generate(spec);
-
-    core::SensitivityConfig stored_cfg;
-    stored_cfg.repeats = 1;
-    stored_cfg.payload_mode = kvstore::PayloadMode::kStored;
-    core::SensitivityConfig synth_cfg = stored_cfg;
-    synth_cfg.payload_mode = kvstore::PayloadMode::kSynthetic;
-
-    const core::SensitivityEngine stored(stored_cfg);
-    const core::SensitivityEngine synth(synth_cfg);
-    const hybridmem::Placement all_fast(trace.key_count(),
-                                        hybridmem::NodeId::kFast);
-    const workload::CompiledTrace compiled(trace);
-    const double stored_runtime =
-        stored.run_once(compiled, all_fast).runtime_ns;
-    const double synth_runtime =
-        synth.run_once(compiled, all_fast).runtime_ns;
-    std::printf("-- stored vs synthetic payloads --\n");
-    std::printf("simulated runtime stored:    %s\n",
-                util::format_ns(stored_runtime).c_str());
-    std::printf("simulated runtime synthetic: %s\n",
-                util::format_ns(synth_runtime).c_str());
-    std::printf("identical: %s (all timing comes from the simulated clock; "
-                "synthetic mode only skips wall-clock memcpy)\n",
-                stored_runtime == synth_runtime ? "yes" : "NO — BUG");
+        "simple weight ordering.\n");
   }
   return 0;
 }

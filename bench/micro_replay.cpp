@@ -112,12 +112,11 @@ CellResult run_cell(const workload::CompiledTrace& compiled,
     const std::span<const workload::OpType> ops = compiled.ops();
     const std::span<const std::uint32_t> keys = compiled.keys();
     const std::span<const std::uint64_t> hashes = compiled.key_hashes();
-    const std::span<const std::uint64_t> digests = compiled.key_digests();
     timer.reset();
     for (std::size_t i = 0; i < ops.size(); ++i) {
       const std::uint32_t key = keys[i];
       const util::Result<kvstore::OpResult> served =
-          servers.execute(ops[i], key, {hashes[key], digests[key]});
+          servers.execute(ops[i], key, {hashes[key]});
       if (!served.ok() || !served.value().ok) {
         std::fprintf(stderr, "micro_replay: execute failed\n");
         std::exit(1);

@@ -181,7 +181,7 @@ struct Grid {
 };
 
 /// Plans a grid: its placement groups and result slots, and the trace
-/// compiled once for every cell — the per-key hashes/digests/byte streams
+/// compiled once for every cell — the per-key hashes and byte streams
 /// are placement- and repeat-invariant, so every cell shares one read-only
 /// artifact (DESIGN.md §12). With skeleton sharing, every cell joins the
 /// group of the first earlier cell with an equal placement — content

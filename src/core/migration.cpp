@@ -18,23 +18,13 @@ namespace mnemo::core {
 
 DynamicTierer::DynamicTierer(SensitivityConfig sensitivity,
                              MigrationConfig migration)
-    : sensitivity_(std::move(sensitivity)), migration_(migration) {
+    : engine_(std::move(sensitivity)), migration_(migration) {
   MNEMO_EXPECTS(migration_.fast_budget_bytes > 0);
   MNEMO_EXPECTS(migration_.epoch_requests > 0);
   MNEMO_EXPECTS(migration_.ewma_alpha > 0.0 && migration_.ewma_alpha <= 1.0);
 }
 
 namespace {
-
-hybridmem::EmulationProfile sized_platform(
-    const hybridmem::EmulationProfile& base, const workload::Trace& trace) {
-  hybridmem::EmulationProfile platform = base;
-  const std::uint64_t need = std::max<std::uint64_t>(
-      trace.dataset_bytes() * 2, 64ULL * 1024 * 1024);
-  platform.fast.capacity_bytes = std::max(platform.fast.capacity_bytes, need);
-  platform.slow.capacity_bytes = std::max(platform.slow.capacity_bytes, need);
-  return platform;
-}
 
 /// Circular mean position of the epoch's accesses over the key ring
 /// [0, n): keys are mapped to angles so wrap-around (key n-1 -> key 0)
@@ -82,12 +72,11 @@ RunMeasurement summarize(std::vector<double>& latencies,
 
 MigrationResult DynamicTierer::run(const workload::Trace& trace) const {
   const workload::CompiledTrace compiled(trace);
+  const SensitivityConfig& sensitivity = engine_.config();
   hybridmem::HybridMemory memory(
-      sized_platform(sensitivity_.platform, trace));
-  kvstore::StoreConfig store_cfg;
-  store_cfg.payload_mode = sensitivity_.payload_mode;
-  store_cfg.seed = sensitivity_.seed;
-  kvstore::DualServer servers(memory, sensitivity_.store, store_cfg);
+      engine_.sized_platform(compiled.dataset_bytes()));
+  kvstore::DualServer servers(memory, sensitivity.store,
+                              engine_.store_config(0, nullptr));
 
   // Initial placement: fill the budget in key-ID order (no foresight).
   std::vector<std::uint64_t> id_order(trace.key_count());
@@ -102,8 +91,8 @@ MigrationResult DynamicTierer::run(const workload::Trace& trace) const {
   // Same convention as the Sensitivity Engine: faults hit the serving
   // window, not the load phase. The dynamic tierer uses one deployment
   // for the whole trace, so a single stream suffices.
-  if (!sensitivity_.faults.empty()) {
-    memory.arm_faults(sensitivity_.faults, 0);
+  if (!sensitivity.faults.empty()) {
+    memory.arm_faults(sensitivity.faults, 0);
   }
 
   MigrationResult result;
@@ -245,8 +234,8 @@ MigrationResult DynamicTierer::run(const workload::Trace& trace) const {
     const workload::OpType op = ops[i];
     const std::uint32_t key = keys[i];
     if (op == workload::OpType::kInsert) live_keys = key + 1;
-    const util::Result<kvstore::OpResult> served = servers.execute(
-        op, key, {compiled.key_hash(key), compiled.key_digest(key)});
+    const util::Result<kvstore::OpResult> served =
+        servers.execute(op, key, {compiled.key_hash(key)});
     if (!served.ok()) {
       // Transient retries exhausted: the request is dropped, but the
       // access still informs the tiering scores — the client did ask.
@@ -282,7 +271,7 @@ RunMeasurement DynamicTierer::run_static_oracle(
       order, trace.key_sizes(), migration_.fast_budget_bytes);
   // The oracle is the *healthy* static reference: comparing a degraded
   // dynamic run against a degraded oracle would hide the fault penalty.
-  SensitivityConfig healthy = sensitivity_;
+  SensitivityConfig healthy = engine_.config();
   healthy.faults = faultinject::FaultPlan{};
   const SensitivityEngine engine(healthy);
   return engine.run_once(workload::CompiledTrace(trace), placement);

@@ -70,7 +70,8 @@ class DynamicTierer {
   }
 
  private:
-  SensitivityConfig sensitivity_;
+  /// Builds the tierer's deployment by the engine's own recipe.
+  SensitivityEngine engine_;
   MigrationConfig migration_;
 };
 

@@ -28,9 +28,9 @@ enum class OrderingPolicy {
 std::string_view to_string(OrderingPolicy policy);
 
 /// Full configuration of a Mnemo profiling session: the measurement
-/// settings (store, platform, payload mode, repeats, seed, threads, fault
-/// plan — SensitivityConfig, so a MnemoConfig is the Sensitivity Engine's
-/// config as-is) plus the analysis knobs.
+/// settings (store, platform, repeats, seed, threads, fault plan —
+/// SensitivityConfig, so a MnemoConfig is the Sensitivity Engine's config
+/// as-is) plus the analysis knobs.
 struct MnemoConfig : SensitivityConfig {
   double price_factor = CostModel::kPaperPriceFactor;
   OrderingPolicy ordering = OrderingPolicy::kTouchOrder;

@@ -39,7 +39,6 @@ hybridmem::EmulationProfile SensitivityEngine::sized_platform(
 kvstore::StoreConfig SensitivityEngine::store_config(
     int repeat, std::pmr::memory_resource* memory) const {
   kvstore::StoreConfig store_cfg;
-  store_cfg.payload_mode = config_.payload_mode;
   store_cfg.seed = config_.seed + static_cast<std::uint64_t>(repeat) * 0x9e37;
   store_cfg.table_memory = memory;
   return store_cfg;
@@ -219,7 +218,6 @@ util::Result<RunMeasurement> SensitivityEngine::try_run_once(
   m.requests = compiled.request_count();
   CompiledSamples samples(compiled, cell_memory);
   const std::span<const std::uint64_t> hashes = compiled.key_hashes();
-  const std::span<const std::uint64_t> digests = compiled.key_digests();
   // Replay off the compiled flat streams (1-byte ops + 4-byte keys) rather
   // than the Trace's Request structs, through the unchecked execute form —
   // every key was bounds-validated once when the Trace was built.
@@ -227,9 +225,8 @@ util::Result<RunMeasurement> SensitivityEngine::try_run_once(
   const std::span<const std::uint32_t> keys = compiled.keys();
   for (std::size_t i = 0; i < ops.size(); ++i) {
     const std::uint32_t key = keys[i];
-    const kvstore::KeyHints hints{hashes[key], digests[key]};
     const util::Result<kvstore::OpResult> served =
-        servers.execute(ops[i], key, hints);
+        servers.execute(ops[i], key, {hashes[key]});
     if (!served.ok()) return served.error();
     const kvstore::OpResult r = served.value();
     MNEMO_ASSERT(r.ok && "all requested keys were populated");

@@ -29,7 +29,6 @@ namespace mnemo::core {
 struct SensitivityConfig {
   kvstore::StoreKind store = kvstore::StoreKind::kVermilion;
   hybridmem::EmulationProfile platform;  ///< default: paper testbed
-  kvstore::PayloadMode payload_mode = kvstore::PayloadMode::kSynthetic;
   int repeats = 3;       ///< paper: "mean of multiple experiment runs"
   std::uint64_t seed = 0xbea5;
   /// Worker threads for the {placement × repeat} measurement campaigns
@@ -81,8 +80,8 @@ class SensitivityEngine {
 
   /// Execute the compiled trace once against a fresh deployment with the
   /// given placement (seed-shifted by `repeat`), returning the client
-  /// view. Each request's precomputed hash/digest passes through to the
-  /// stores (DESIGN.md §12), and `arena` (optional) backs every per-cell
+  /// view. Each request's precomputed hash passes through to the stores
+  /// (DESIGN.md §12), and `arena` (optional) backs every per-cell
   /// allocation — platform tables, store slot pools, latency vectors. The
   /// arena is an allocation strategy, never a behaviour change; the caller
   /// owns its reset cycle (reset between cells, after the cell's state is
@@ -130,7 +129,6 @@ class SensitivityEngine {
     return config_;
   }
 
- private:
   /// Node capacity big enough for the dataset plus engine overhead so
   /// either extreme placement fits on one node.
   [[nodiscard]] hybridmem::EmulationProfile sized_platform(
@@ -141,6 +139,7 @@ class SensitivityEngine {
   [[nodiscard]] kvstore::StoreConfig store_config(
       int repeat, std::pmr::memory_resource* memory) const;
 
+ private:
   SensitivityConfig config_;
 };
 

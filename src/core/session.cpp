@@ -134,7 +134,10 @@ std::string Session::measure_key() const {
   h.str(trace_key_);
   h.str(kvstore::to_string(config_.mnemo.store));
   hash_platform(h, config_.mnemo.platform);
-  h.u8(static_cast<std::uint8_t>(config_.mnemo.payload_mode));
+  // Where earlier builds hashed their payload-mode setting, the value
+  // every production run had: their keys keep addressing their artifacts
+  // (tests/fixtures/golden_cache_keys.txt pins them).
+  h.u8(1);
   h.i32(config_.mnemo.repeats);
   h.u64(config_.mnemo.seed);
   hash_fault_plan(h, config_.mnemo.faults);

@@ -49,8 +49,8 @@ struct StageTrace {
 /// a content hash of everything its output depends on. The measure stage
 /// — the only one that touches the emulator — keys on the materialized
 /// trace bytes, the store kind, the platform constants, the campaign grid
-/// shape (payload mode, repeats, seed) and the fault plan; NOT on the
-/// thread count (results are bit-identical at any count, DESIGN.md §6)
+/// shape (repeats, seed) and the fault plan; NOT on the thread count
+/// (results are bit-identical at any count, DESIGN.md §6)
 /// and NOT on presentation knobs like the fail policy. Downstream keys
 /// chain on their upstream keys, so changing the SLO or the price factor
 /// re-runs only the cheap analytic stages against a warm grid: a second

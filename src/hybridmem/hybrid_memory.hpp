@@ -4,7 +4,6 @@
 #include <memory>
 #include <memory_resource>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "faultinject/fault_injector.hpp"
@@ -13,7 +12,6 @@
 #include "hybridmem/llc_model.hpp"
 #include "hybridmem/memory_node.hpp"
 #include "util/assert.hpp"
-#include "util/flat_lru.hpp"
 
 namespace mnemo::hybridmem {
 
@@ -30,8 +28,7 @@ class HybridMemory {
  public:
   /// `memory` (optional) backs the platform's flat tables (object table,
   /// LLC recency) — a campaign cell's arena when one is plumbed through
-  /// (DESIGN.md §12), the default heap otherwise. The rare overflow map
-  /// for tagged overhead IDs stays on the heap either way.
+  /// (DESIGN.md §12), the default heap otherwise.
   explicit HybridMemory(const EmulationProfile& profile,
                         std::pmr::memory_resource* memory = nullptr);
 
@@ -49,9 +46,9 @@ class HybridMemory {
     ObjectInfo* info = find_object(object_id);
     MNEMO_EXPECTS(info != nullptr);
     if (new_bytes > info->bytes) {
-      if (!node(info->node).grow(new_bytes - info->bytes)) return false;
+      if (!node(info->node).allocate(new_bytes - info->bytes)) return false;
     } else if (new_bytes < info->bytes) {
-      node(info->node).shrink(info->bytes - new_bytes);
+      node(info->node).release(info->bytes - new_bytes);
     }
     info->bytes = new_bytes;
     llc_.invalidate(object_id);
@@ -108,7 +105,6 @@ class HybridMemory {
       // leave the line cached — a retry has to face the medium again.
       if (result.failed) llc_.invalidate(object_id);
     }
-    node(info->node).note_traffic(op, effective.streamed_bytes);
     return result;
   }
 
@@ -126,9 +122,6 @@ class HybridMemory {
   [[nodiscard]] const LlcModel& llc() const noexcept { return llc_; }
   [[nodiscard]] const EmulationProfile& profile() const noexcept {
     return profile_;
-  }
-  [[nodiscard]] std::size_t object_count() const noexcept {
-    return object_count_;
   }
 
   /// Pre-size the object table and LLC for `max_objects` dense IDs so the
@@ -170,32 +163,23 @@ class HybridMemory {
     bool present = false;
   };
 
-  // Object IDs are dense [0, key_count) for records (a Placement
+  // Object IDs are record keys, dense [0, key_count) (a Placement
   // guarantee), so the table is a flat vector indexed by ID with a
-  // presence flag — no hashing on the access hot path. Tagged IDs at or
-  // above util::kDenseIdCap (per-store overhead objects) take the
-  // overflow map; they see only place/resize/remove, never access().
+  // presence flag — no hashing on the access hot path.
   [[nodiscard]] ObjectInfo* find_object(std::uint64_t object_id) {
-    if (object_id < dense_objects_.size()) {
-      ObjectInfo& info = dense_objects_[static_cast<std::size_t>(object_id)];
-      return info.present ? &info : nullptr;
-    }
-    return find_object_slow(object_id);
+    if (object_id >= objects_.size()) return nullptr;
+    ObjectInfo& info = objects_[static_cast<std::size_t>(object_id)];
+    return info.present ? &info : nullptr;
   }
   [[nodiscard]] const ObjectInfo* find_object(std::uint64_t object_id) const {
     return const_cast<HybridMemory*>(this)->find_object(object_id);
   }
-  [[nodiscard]] ObjectInfo* find_object_slow(std::uint64_t object_id);
-  ObjectInfo& insert_object(std::uint64_t object_id);
-  void erase_object(std::uint64_t object_id);
 
   EmulationProfile profile_;
   MemoryNode fast_;
   MemoryNode slow_;
   LlcModel llc_;
-  std::pmr::vector<ObjectInfo> dense_objects_;
-  std::unordered_map<std::uint64_t, ObjectInfo> overflow_objects_;
-  std::size_t object_count_ = 0;
+  std::pmr::vector<ObjectInfo> objects_;
   std::unique_ptr<faultinject::FaultInjector> injector_;
 };
 

@@ -24,9 +24,8 @@ struct NodeSpec {
   }
 };
 
-/// One memory component with capacity accounting. Allocation is
-/// object-granular (the emulator tracks whole key-value records); the node
-/// only checks capacity and keeps usage statistics.
+/// One memory component: it prices raw accesses and accounts capacity as
+/// used bytes.
 class MemoryNode {
  public:
   explicit MemoryNode(NodeSpec spec);
@@ -36,35 +35,17 @@ class MemoryNode {
   [[nodiscard]] std::uint64_t free_bytes() const noexcept {
     return spec_.capacity_bytes - used_;
   }
-  [[nodiscard]] std::uint64_t object_count() const noexcept { return objects_; }
 
   /// Reserve `bytes`; returns false (and changes nothing) if it would
   /// exceed capacity.
   [[nodiscard]] bool allocate(std::uint64_t bytes) noexcept {
     if (bytes > free_bytes()) return false;
     used_ += bytes;
-    ++objects_;
     return true;
   }
 
   /// Release `bytes` previously allocated. Requires bytes <= used_bytes().
   void release(std::uint64_t bytes) noexcept {
-    MNEMO_EXPECTS(bytes <= used_);
-    MNEMO_EXPECTS(objects_ > 0);
-    used_ -= bytes;
-    --objects_;
-  }
-
-  /// Grow an existing object by `bytes` without changing the object count.
-  /// Returns false if it would exceed capacity.
-  [[nodiscard]] bool grow(std::uint64_t bytes) noexcept {
-    if (bytes > free_bytes()) return false;
-    used_ += bytes;
-    return true;
-  }
-
-  /// Shrink an existing object by `bytes` without changing the object count.
-  void shrink(std::uint64_t bytes) noexcept {
     MNEMO_EXPECTS(bytes <= used_);
     used_ -= bytes;
   }
@@ -89,28 +70,9 @@ class MemoryNode {
     return ns;
   }
 
-  /// Lifetime traffic statistics.
-  [[nodiscard]] std::uint64_t reads() const noexcept { return reads_; }
-  [[nodiscard]] std::uint64_t writes() const noexcept { return writes_; }
-  [[nodiscard]] std::uint64_t bytes_streamed() const noexcept {
-    return bytes_streamed_;
-  }
-  void note_traffic(MemOp op, std::uint64_t bytes) noexcept {
-    if (op == MemOp::kRead) {
-      ++reads_;
-    } else {
-      ++writes_;
-    }
-    bytes_streamed_ += bytes;
-  }
-
  private:
   NodeSpec spec_;
   std::uint64_t used_ = 0;
-  std::uint64_t objects_ = 0;
-  std::uint64_t reads_ = 0;
-  std::uint64_t writes_ = 0;
-  std::uint64_t bytes_streamed_ = 0;
 };
 
 }  // namespace mnemo::hybridmem

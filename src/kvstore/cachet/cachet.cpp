@@ -66,11 +66,8 @@ OpResult Cachet::get(std::uint64_t key, const KeyHints& hints) {
   }
   ++stats_.hits;
   lru_touch(*found.item);
-  const Record& rec = found.item->value;
-  if (rec.stored()) {
-    MNEMO_ASSERT(checksum_bytes(rec.bytes) == rec.checksum);
-  }
-  const auto access = payload_access(key, rec.size, MemOp::kRead);
+  const auto access =
+      payload_access(key, found.item->value.size, MemOp::kRead);
   ns += access.ns;
   return finalize(true, ns, access.llc_hit);
 }
@@ -85,6 +82,11 @@ OpResult Cachet::put(std::uint64_t key, std::uint64_t value_size,
   ns += index_walk_ns(1, found.probes);
   if (found.item != nullptr) {
     const std::size_t new_cls = slabs_.class_for(value_size);
+    // Resize first: an update the node cannot fit leaves the item in its
+    // slab class, untouched.
+    if (!memory().resize(key, slabs_.chunk_bytes(new_cls, value_size))) {
+      return finalize(false, ns, false);
+    }
     if (new_cls != found.item->slab_class) {
       // Item migrates slab class: release old chunk, take a new one.
       slabs_.give_back(found.item->slab_class, found.item->value.size);
@@ -93,10 +95,7 @@ OpResult Cachet::put(std::uint64_t key, std::uint64_t value_size,
       lru_[new_cls].push_front(key, {});
       found.item->slab_class = new_cls;
     }
-    if (!memory().resize(key, slabs_.chunk_bytes(new_cls, value_size))) {
-      return finalize(false, ns, false);
-    }
-    found.item->value = make_record(key, value_size, payload_mode(), hints.digest);
+    found.item->value = Record{value_size};
     lru_touch(*found.item);
     const auto access = payload_access(key, value_size, MemOp::kWrite);
     ns += access.ns;
@@ -114,7 +113,7 @@ OpResult Cachet::put(std::uint64_t key, std::uint64_t value_size,
   slabs_.take(cls, value_size);
   Item item;
   item.key = key;
-  item.value = make_record(key, value_size, payload_mode(), hints.digest);
+  item.value = Record{value_size};
   item.slab_class = cls;
   lru_[cls].push_front(key, {});
   std::uint32_t probes = 0;
@@ -134,14 +133,6 @@ OpResult Cachet::erase(std::uint64_t key) {
   drop_item(key);
   sync_overhead_accounting(overhead_bytes());
   return finalize(true, ns, false);
-}
-
-bool Cachet::contains(std::uint64_t key) const {
-  bool found = false;
-  assoc_.for_each([&](const Item& item) {
-    if (item.key == key) found = true;
-  });
-  return found;
 }
 
 }  // namespace mnemo::kvstore

@@ -32,7 +32,6 @@ class Cachet final : public KeyValueStore {
 
   void reserve_keys(std::size_t keys) override;
 
-  [[nodiscard]] bool contains(std::uint64_t key) const override;
   [[nodiscard]] std::size_t record_count() const override {
     return assoc_.size();
   }

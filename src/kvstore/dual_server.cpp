@@ -36,13 +36,11 @@ util::Status DualServer::populate(const workload::CompiledTrace& compiled,
   fast_->reserve_keys(static_cast<std::size_t>(placement.key_count()));
   slow_->reserve_keys(static_cast<std::size_t>(placement.key_count()));
   const std::span<const std::uint64_t> hashes = compiled.key_hashes();
-  const std::span<const std::uint64_t> digests = compiled.key_digests();
   // Only keys that exist before the run are loaded; keys beyond
   // initial_key_count() arrive via kInsert requests during execution.
   for (std::uint64_t key = 0; key < trace.initial_key_count(); ++key) {
     KeyValueStore& server = route(key);
-    const KeyHints hints{hashes[key], digests[key]};
-    const OpResult r = server.put(key, key_sizes_[key], hints);
+    const OpResult r = server.put(key, key_sizes_[key], {hashes[key]});
     if (!r.ok) {
       util::Error e;
       e.code = util::ErrorCode::kCapacityExhausted;

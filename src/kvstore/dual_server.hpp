@@ -32,7 +32,7 @@ class DualServer {
 
   /// Load every key of the compiled trace into the server its placement
   /// names (DESIGN.md §12). Population happens in key order (the paper's
-  /// load phase), each put carrying the key's precomputed hash/digest, and
+  /// load phase), each put carrying the key's precomputed hash, and
   /// each instance's slot pools are pre-sized (an allocation hint only;
   /// bucket growth schedules are part of the model and stay untouched). On
   /// capacity failure the typed error carries the offending key, the bytes
@@ -52,12 +52,12 @@ class DualServer {
   /// (the move and remap costs charged to this request); a read whose
   /// transient retries exhaust is a typed error carrying the key.
   ///
-  /// `hints` must be the KeyHints of `key` (CompiledTrace::key_hash /
-  /// key_digest). Unchecked: `key` must be a key of the populated trace —
-  /// the replay loops iterate CompiledTrace's flat streams, whose keys the
-  /// Trace validated once. Defined inline — this is the replay loop's
-  /// single entry point (DESIGN.md §8); the rare fault-recovery tail lives
-  /// out of line.
+  /// `hints` must be the KeyHints of `key` (CompiledTrace::key_hash).
+  /// Unchecked: `key` must be a key of the populated trace — the replay
+  /// loops iterate CompiledTrace's flat streams, whose keys the Trace
+  /// validated once. Defined inline — this is the replay loop's single
+  /// entry point (DESIGN.md §8); the rare fault-recovery tail lives out of
+  /// line.
   [[nodiscard]] util::Result<OpResult> execute(workload::OpType op,
                                                std::uint64_t key,
                                                const KeyHints& hints) {

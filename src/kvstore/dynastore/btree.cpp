@@ -24,15 +24,15 @@ std::uint64_t BPlusTree::overhead_bytes() const noexcept {
 }
 
 bool BPlusTree::insert_into(Node& node, std::uint64_t key, Record&& value,
-                            std::uint32_t* depth, bool* existed,
-                            SplitResult* split) {
-  ++*depth;
+                            UpsertResult* result, SplitResult* split) {
+  ++result->depth;
   if (node.is_leaf) {
     auto& leaf = static_cast<Leaf&>(node);
     const std::size_t idx = lower_idx(leaf.keys, leaf.nkeys, key);
     if (idx < leaf.nkeys && leaf.keys[idx] == key) {
       leaf.values[idx] = std::move(value);
-      *existed = true;
+      result->existed = true;
+      result->record = &leaf.values[idx];
       return false;
     }
     for (std::size_t i = leaf.nkeys; i > idx; --i) leaf.keys[i] = leaf.keys[i - 1];
@@ -66,7 +66,7 @@ bool BPlusTree::insert_into(Node& node, std::uint64_t key, Record&& value,
   const std::size_t child_idx = upper_idx(internal.keys, internal.nkeys, key);
   SplitResult child_split;
   if (!insert_into(*internal.children[child_idx], key, std::move(value),
-                   depth, existed, &child_split)) {
+                   result, &child_split)) {
     return false;
   }
   // Insert the separator at child_idx and the new right child after the
@@ -101,8 +101,7 @@ bool BPlusTree::insert_into(Node& node, std::uint64_t key, Record&& value,
 BPlusTree::UpsertResult BPlusTree::upsert(std::uint64_t key, Record value) {
   UpsertResult result;
   SplitResult split;
-  if (insert_into(*root_, key, std::move(value), &result.depth,
-                  &result.existed, &split)) {
+  if (insert_into(*root_, key, std::move(value), &result, &split)) {
     auto new_root = std::make_unique<Internal>();
     new_root->nkeys = 1;
     new_root->keys[0] = split.separator;

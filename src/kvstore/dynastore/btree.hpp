@@ -52,6 +52,9 @@ class BPlusTree {
   struct UpsertResult {
     bool existed = false;
     std::uint32_t depth = 0;
+    /// The overwritten record when `existed` (invalidated by the next
+    /// mutation); null for a fresh insert.
+    Record* record = nullptr;
   };
   UpsertResult upsert(std::uint64_t key, Record value);
 
@@ -155,7 +158,7 @@ class BPlusTree {
   }
 
   bool insert_into(Node& node, std::uint64_t key, Record&& value,
-                   std::uint32_t* depth, bool* existed, SplitResult* split);
+                   UpsertResult* result, SplitResult* split);
   void check_node(const Node& node, std::uint64_t lo, std::uint64_t hi,
                   std::uint32_t depth, std::uint32_t expected_leaf_depth) const;
 

@@ -1,7 +1,5 @@
 #include "kvstore/dynastore/dynastore.hpp"
 
-#include "util/assert.hpp"
-
 namespace mnemo::kvstore {
 
 using hybridmem::MemOp;
@@ -28,32 +26,29 @@ OpResult DynaStore::get(std::uint64_t key, const KeyHints& /*hints*/) {
     return finalize(false, ns, false);
   }
   ++stats_.hits;
-  if (found.record->stored()) {
-    MNEMO_ASSERT(checksum_bytes(found.record->bytes) ==
-                 found.record->checksum);
-  }
   const auto access = payload_access(key, found.record->size, MemOp::kRead);
   ns += access.ns;
   return finalize(true, ns, access.llc_hit);
 }
 
 OpResult DynaStore::put(std::uint64_t key, std::uint64_t value_size,
-                        const KeyHints& hints) {
+                        const KeyHints& /*hints*/) {
   ++stats_.puts;
-  Record rec = make_record(key, value_size, payload_mode(), hints.digest);
 
   // 1. Journal append (WAL discipline: log before applying).
   const auto logged = journal_.append(key, value_size);
   (void)logged;
 
   // 2. Apply to the tree.
-  const auto up = tree_.upsert(key, std::move(rec));
+  const auto up = tree_.upsert(key, Record{value_size});
   const std::uint32_t hot = up.depth > 1 ? up.depth - 1 : 0;
   double ns = profile().cpu_write_ns + index_walk_ns(hot, 3);
 
   // 3. Capacity accounting for the record payload.
   if (up.existed) {
     if (!memory().resize(key, value_size)) {
+      // The node still accounts the old size: restore it in the tree.
+      up.record->size = *memory().object_size(key);
       return finalize(false, ns, false);
     }
   } else if (!memory().place(key, value_size, node())) {
@@ -77,14 +72,6 @@ OpResult DynaStore::erase(std::uint64_t key) {
   memory().remove(key);
   sync_overhead_accounting(overhead_bytes());
   return finalize(true, ns, false);
-}
-
-bool DynaStore::contains(std::uint64_t key) const {
-  bool found = false;
-  tree_.for_each([&](std::uint64_t k, const Record&) {
-    if (k == key) found = true;
-  });
-  return found;
 }
 
 }  // namespace mnemo::kvstore

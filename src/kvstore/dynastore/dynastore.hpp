@@ -21,13 +21,12 @@ class DynaStore final : public KeyValueStore {
   using KeyValueStore::get;
   using KeyValueStore::put;
   /// DynaStore does no key hashing (the B+-tree compares keys directly),
-  /// so a get ignores its hints and a put reads only the record digest.
+  /// so it ignores its hints.
   OpResult get(std::uint64_t key, const KeyHints& hints) override;
   OpResult put(std::uint64_t key, std::uint64_t value_size,
                const KeyHints& hints) override;
   OpResult erase(std::uint64_t key) override;
 
-  [[nodiscard]] bool contains(std::uint64_t key) const override;
   [[nodiscard]] std::size_t record_count() const override {
     return tree_.size();
   }

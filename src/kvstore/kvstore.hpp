@@ -43,10 +43,7 @@ struct StoreStats {
 /// Construction-time options shared by all store architectures.
 struct StoreConfig {
   hybridmem::NodeId node = hybridmem::NodeId::kFast;
-  PayloadMode payload_mode = PayloadMode::kSynthetic;
   std::uint64_t seed = 0x5706e;
-  /// Override the architecture's calibrated profile (tests/ablations).
-  const ServiceProfile* profile_override = nullptr;
   /// Disable service-time jitter and tail spikes (ablation).
   bool deterministic_service = false;
   /// Optional backing for the store's internal flat tables (slot pools,
@@ -60,12 +57,10 @@ struct StoreConfig {
 /// replay into every cell (workload::CompiledTrace, DESIGN.md §12). The
 /// values MUST equal what the store would compute itself — they are an
 /// optimization contract, not an override: `hash` is util::mix64(key)
-/// (the bucket hash of both chained tables) and `digest` is
-/// util::record_digest(key, size) (the payload-generator seed). Probe
-/// counts, chain order and rehash schedule are therefore untouched.
+/// (the bucket hash of both chained tables). Probe counts, chain order
+/// and rehash schedule are therefore untouched.
 struct KeyHints {
   std::uint64_t hash = 0;
-  std::uint64_t digest = 0;
 };
 
 /// The stochastic service-time tail every operation passes through
@@ -88,9 +83,7 @@ class ServiceNoise {
   /// and rng seeding KeyValueStore's constructor performs.
   [[nodiscard]] static ServiceNoise for_instance(const StoreConfig& config,
                                                  StoreKind kind) {
-    return ServiceNoise(config.profile_override ? *config.profile_override
-                                                : default_profile(kind),
-                        config.deterministic_service,
+    return ServiceNoise(default_profile(kind), config.deterministic_service,
                         config.seed ^ (static_cast<std::uint64_t>(kind) << 56));
   }
 
@@ -132,23 +125,22 @@ class KeyValueStore {
   KeyValueStore(const KeyValueStore&) = delete;
   KeyValueStore& operator=(const KeyValueStore&) = delete;
 
-  /// Fetch the value for `key`. ok == false if absent. In kStored mode the
-  /// payload checksum is verified end-to-end. `hints` must follow the
-  /// KeyHints contract above; a get reads only `hints.hash`.
+  /// Fetch the value for `key`. ok == false if absent. `hints` must
+  /// follow the KeyHints contract above.
   virtual OpResult get(std::uint64_t key, const KeyHints& hints) = 0;
 
   /// Insert or update `key` with a `value_size`-byte value; `hints` must
-  /// follow the KeyHints contract for (key, value_size). ok == false if
-  /// the node lacks capacity and nothing could be evicted.
+  /// follow the KeyHints contract. ok == false if the node lacks capacity
+  /// and nothing could be evicted; the key's record and its node
+  /// accounting then stay as they were.
   virtual OpResult put(std::uint64_t key, std::uint64_t value_size,
                        const KeyHints& hints) = 0;
 
   /// get/put for callers without precomputed hints: derive them by the
   /// KeyHints contract, so both forms are the same operation.
-  OpResult get(std::uint64_t key) { return get(key, {util::mix64(key), 0}); }
+  OpResult get(std::uint64_t key) { return get(key, {util::mix64(key)}); }
   OpResult put(std::uint64_t key, std::uint64_t value_size) {
-    return put(key, value_size,
-               {util::mix64(key), util::record_digest(key, value_size)});
+    return put(key, value_size, {util::mix64(key)});
   }
 
   /// Pre-size internal tables for `keys` dense keys so populate/replay
@@ -160,7 +152,6 @@ class KeyValueStore {
   /// Delete `key`. ok == false if absent.
   virtual OpResult erase(std::uint64_t key) = 0;
 
-  [[nodiscard]] virtual bool contains(std::uint64_t key) const = 0;
   [[nodiscard]] virtual std::size_t record_count() const = 0;
 
   /// Bytes of index/metadata overhead this engine currently maintains (in
@@ -177,9 +168,6 @@ class KeyValueStore {
     return profile_;
   }
   [[nodiscard]] hybridmem::HybridMemory& memory() noexcept { return memory_; }
-  [[nodiscard]] PayloadMode payload_mode() const noexcept {
-    return config_.payload_mode;
-  }
 
   /// Skeleton tap for a placement group's leader (DESIGN.md §14): while
   /// armed, finalize() records each operation's deterministic pre-noise
@@ -247,13 +235,9 @@ class KeyValueStore {
     return access;
   }
 
-  /// Keep the node-side accounting of index/journal overhead in sync.
-  /// `overhead_object_id` must be unique per store instance.
+  /// Keep the node-side accounting of index/journal overhead in sync:
+  /// charge or release the difference to `new_bytes` on the store's node.
   void sync_overhead_accounting(std::uint64_t new_bytes);
-
-  [[nodiscard]] std::uint64_t overhead_object_id() const noexcept {
-    return overhead_object_id_;
-  }
 
   StoreStats stats_;
 
@@ -264,8 +248,7 @@ class KeyValueStore {
   ServiceProfile profile_;
   ServiceNoise noise_;
   double** skeleton_tap_ = nullptr;
-  std::uint64_t overhead_object_id_;
-  std::uint64_t accounted_overhead_ = 0;
+  std::uint64_t accounted_overhead_ = 0;  ///< charged to the node
   /// Fault absorbed by payload_access since the last finalize (sticky,
   /// worst-wins) — lets finalize stamp the OpResult without every store
   /// architecture threading fault state through its own paths.

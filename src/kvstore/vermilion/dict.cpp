@@ -144,7 +144,6 @@ Dict::EraseResult Dict::erase(std::uint64_t key) {
       ++result.probes;
       if (node.entry.key == key) {
         *link = node.next;
-        node.entry.value = Record{};  // release any payload promptly
         node.next = free_;
         free_ = n;
         --used_;

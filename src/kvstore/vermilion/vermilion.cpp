@@ -1,7 +1,5 @@
 #include "kvstore/vermilion/vermilion.hpp"
 
-#include "util/assert.hpp"
-
 namespace mnemo::kvstore {
 
 using hybridmem::MemOp;
@@ -26,12 +24,8 @@ OpResult Vermilion::get(std::uint64_t key, const KeyHints& hints) {
     return finalize(false, ns, false);
   }
   ++stats_.hits;
-  const Record& rec = found.entry->value;
-  if (rec.stored()) {
-    // End-to-end integrity: the payload really round-trips.
-    MNEMO_ASSERT(checksum_bytes(rec.bytes) == rec.checksum);
-  }
-  const auto access = payload_access(key, rec.size, MemOp::kRead);
+  const auto access =
+      payload_access(key, found.entry->value.size, MemOp::kRead);
   ns += access.ns;
   return finalize(true, ns, access.llc_hit);
 }
@@ -39,14 +33,14 @@ OpResult Vermilion::get(std::uint64_t key, const KeyHints& hints) {
 OpResult Vermilion::put(std::uint64_t key, std::uint64_t value_size,
                         const KeyHints& hints) {
   ++stats_.puts;
-  Record rec = make_record(key, value_size, payload_mode(), hints.digest);
-  const auto up = dict_.upsert(key, std::move(rec), hints.hash);
+  const auto up = dict_.upsert(key, Record{value_size}, hints.hash);
   double ns = profile().cpu_write_ns + index_walk_ns(1, up.probes);
 
   if (up.existed) {
     if (!memory().resize(key, value_size)) {
-      // Rollback is unnecessary: the old accounting stands; report
-      // failure so the caller can react.
+      // The node still accounts the old size: restore it in the entry
+      // (a second lookup would advance the incremental rehash).
+      up.entry->value.size = *memory().object_size(key);
       return finalize(false, ns, false);
     }
   } else if (!memory().place(key, value_size, node())) {
@@ -67,15 +61,6 @@ OpResult Vermilion::erase(std::uint64_t key) {
   memory().remove(key);
   sync_overhead_accounting(dict_.overhead_bytes());
   return finalize(true, ns, false);
-}
-
-bool Vermilion::contains(std::uint64_t key) const {
-  // find() advances rehash state; use a const-safe walk instead.
-  bool found = false;
-  dict_.for_each([&](const vermilion::Dict::Entry& e) {
-    if (e.key == key) found = true;
-  });
-  return found;
 }
 
 }  // namespace mnemo::kvstore

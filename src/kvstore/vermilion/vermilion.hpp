@@ -26,7 +26,6 @@ class Vermilion final : public KeyValueStore {
 
   void reserve_keys(std::size_t keys) override { dict_.reserve(keys); }
 
-  [[nodiscard]] bool contains(std::uint64_t key) const override;
   [[nodiscard]] std::size_t record_count() const override {
     return dict_.size();
   }

@@ -1,7 +1,6 @@
 #include "stats/summary.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/assert.hpp"
 
@@ -32,14 +31,6 @@ double mean(std::span<const double> xs) {
 }
 
 double median(std::span<const double> xs) { return percentile(xs, 0.5); }
-
-double stddev(std::span<const double> xs) {
-  if (xs.size() < 2) return 0.0;
-  const double m = mean(xs);
-  double m2 = 0.0;
-  for (double x : xs) m2 += (x - m) * (x - m);
-  return std::sqrt(m2 / static_cast<double>(xs.size() - 1));
-}
 
 BoxplotStats boxplot(std::span<const double> xs) {
   MNEMO_EXPECTS(!xs.empty());

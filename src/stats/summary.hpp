@@ -16,9 +16,6 @@ double percentile_sorted(std::span<const double> sorted, double q);
 
 double mean(std::span<const double> xs);
 double median(std::span<const double> xs);
-/// Sample standard deviation (n-1 denominator); 0 for fewer than two
-/// samples.
-double stddev(std::span<const double> xs);
 
 /// Five-number summary plus Tukey whiskers/outliers, matching what the
 /// paper's Fig 8a boxplots display.

@@ -9,16 +9,6 @@
 
 namespace mnemo::util {
 
-/// Boundary between the dense-ID fast path and the overflow hash map for
-/// the flat tables on the replay hot path (FlatLru below, and the object
-/// table in HybridMemory). IDs below this index a flat vector directly;
-/// rarer IDs above it (tagged namespaces like per-store overhead objects,
-/// see kvstore.cpp) fall back to a hash map, so correctness never depends
-/// on density — only speed does. 2^20 comfortably covers every trace the
-/// repo generates while bounding the table size even for adversarial
-/// sparse IDs.
-inline constexpr std::uint64_t kDenseIdCap = 1ULL << 20;
-
 /// Payload type for FlatLru users that only need recency order (e.g. the
 /// per-slab-class LRUs in Cachet, where the key itself is the value).
 struct NoPayload {};
@@ -32,10 +22,9 @@ struct NoPayload {};
 /// the pool has grown to the working-set size (reserve() up front makes
 /// steady state allocation-free).
 ///
-/// IDs below kAutoDenseCap index a flat table directly; rarer IDs above it
-/// (tagged namespaces like per-store overhead objects, see kvstore.cpp)
-/// fall back to a small overflow hash map, so correctness never depends on
-/// density — only speed does.
+/// IDs below kAutoDenseCap index a flat table directly; keys at or above
+/// it fall back to a small overflow hash map, so correctness never depends
+/// on density — only speed does.
 ///
 /// Order semantics are exactly those of the std::list-based LRUs this
 /// replaces: push_front/touch make an entry most-recent, back() is the
@@ -44,8 +33,10 @@ template <typename Payload>
 class FlatLru {
  public:
   /// IDs below this are indexed by a flat vector (grown on demand, at most
-  /// 4 bytes per ID); IDs at or above it go to the overflow map.
-  static constexpr std::uint64_t kAutoDenseCap = kDenseIdCap;
+  /// 4 bytes per ID); IDs at or above it go to the overflow map. 2^20
+  /// covers every trace the repo generates while bounding each index at
+  /// 4 MiB even for sparse IDs (Cachet keeps one index per slab class).
+  static constexpr std::uint64_t kAutoDenseCap = 1ULL << 20;
 
   /// The slot pool and dense index allocate from `memory` — a campaign
   /// cell's arena when one is plumbed through (DESIGN.md §12), the default

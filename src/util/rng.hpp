@@ -137,17 +137,6 @@ inline std::uint64_t mix64(std::uint64_t x) noexcept {
   return x;
 }
 
-/// Canonical digest of a (key, record size) pair: the seed of the
-/// deterministic payload generator and, in synthetic mode, the record
-/// checksum itself (kvstore::make_record). Lives here rather than in
-/// kvstore because it is placement- and repeat-invariant, so
-/// workload::CompiledTrace precomputes it once per key per campaign and
-/// hands it back to the stores (DESIGN.md §12).
-inline std::uint64_t record_digest(std::uint64_t key,
-                                   std::uint64_t size) noexcept {
-  return mix64(key ^ (size * 0x9e3779b97f4a7c15ULL));
-}
-
 /// FNV-1a 64-bit hash of an integer key, as used by YCSB's scrambled
 /// zipfian ("FNVhash64").
 inline std::uint64_t fnv1a64(std::uint64_t v) noexcept {

@@ -18,12 +18,9 @@ CompiledTrace::CompiledTrace(const Trace& trace) : trace_(&trace) {
   key_sizes_ = std::span<const std::uint64_t>(trace.key_sizes());
   const std::size_t num_keys = key_sizes_.size();
   key_hashes_.resize(num_keys);
-  key_digests_.resize(num_keys);
   for (std::size_t key = 0; key < num_keys; ++key) {
-    const std::uint64_t size = key_sizes_[key];
     key_hashes_[key] = util::mix64(key);
-    key_digests_[key] = util::record_digest(key, size);
-    dataset_bytes_ += size;
+    dataset_bytes_ += key_sizes_[key];
   }
 
   // The byte streams the service-vs-bytes fit consumes, split by request

@@ -29,9 +29,8 @@ struct ServiceFitMoments {
 ///
 ///  - flat SoA request streams (op, dense key id, record size as the
 ///    double fed to the service-vs-bytes regression),
-///  - per-key tables: record size, util::mix64 bucket hash (the Vermilion
-///    dict hash and the Cachet assoc hash are the same value) and the
-///    util::record_digest record-generator seed,
+///  - per-key tables: record size and util::mix64 bucket hash (the
+///    Vermilion dict hash and the Cachet assoc hash are the same value),
 ///  - the per-op byte streams split by request class (read_bytes /
 ///    write_bytes) that fit_service_line consumes, and
 ///  - dataset_bytes(), an O(keys) sum every cell used to recompute.
@@ -97,17 +96,8 @@ class CompiledTrace {
   [[nodiscard]] std::uint64_t key_hash(std::uint64_t key) const noexcept {
     return key_hashes_[static_cast<std::size_t>(key)];
   }
-  /// util::record_digest(key, size_of(key)): the payload-generator seed /
-  /// synthetic checksum. Invariant because a key's record size is fixed
-  /// for the whole trace (updates rewrite the same size).
-  [[nodiscard]] std::uint64_t key_digest(std::uint64_t key) const noexcept {
-    return key_digests_[static_cast<std::size_t>(key)];
-  }
   [[nodiscard]] std::span<const std::uint64_t> key_hashes() const noexcept {
     return key_hashes_;
-  }
-  [[nodiscard]] std::span<const std::uint64_t> key_digests() const noexcept {
-    return key_digests_;
   }
 
  private:
@@ -123,7 +113,6 @@ class CompiledTrace {
   ServiceFitMoments write_fit_;
   std::span<const std::uint64_t> key_sizes_;
   std::vector<std::uint64_t> key_hashes_;
-  std::vector<std::uint64_t> key_digests_;
 };
 
 }  // namespace mnemo::workload

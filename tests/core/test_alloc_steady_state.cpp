@@ -93,8 +93,7 @@ void expect_steady_state_allocation_free(kvstore::StoreKind kind) {
   ASSERT_TRUE(servers.populate(compiled, placement).ok());
   const auto serve = [&](std::size_t i) {
     const std::uint32_t key = compiled.keys()[i];
-    return servers.execute(compiled.ops()[i], key,
-                           {compiled.key_hash(key), compiled.key_digest(key)});
+    return servers.execute(compiled.ops()[i], key, {compiled.key_hash(key)});
   };
 
   // Warm-up pass: any remaining growth (LRU slot pools, dense stamp

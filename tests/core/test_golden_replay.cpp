@@ -6,11 +6,13 @@
 // formatting — the CSV by byte count and digest — and pinned to fixture
 // files. Any change to simulated results — an RNG stream, an
 // eviction order, an accounting rule — shows up here as a fixture
-// mismatch. Campaign snapshots are checked at every thread count in
-// {1, 2, 8}. Every replay fixture also held under the raw-Trace replay
-// that the compiled replay superseded, so they stand in for it as the
-// equivalence oracle; the CSV fixture was generated before the renderer
-// moved from util::csv::Writer to std::to_chars.
+// mismatch. The sessions' cache keys are pinned the same way. Campaign
+// snapshots are checked at every thread count in {1, 2, 8}. Every replay
+// fixture also held under the raw-Trace replay that the compiled replay
+// superseded, so they stand in for it as the equivalence oracle; the CSV
+// fixture was generated before the renderer moved from util::csv::Writer
+// to std::to_chars, and the cache-key fixture by a build that still
+// hashed a payload-mode setting into the measure key.
 //
 // Regenerate (only for an *intentional* semantics change, and say so in
 // the commit):  MNEMO_WRITE_GOLDEN=1 ./tests_golden
@@ -281,6 +283,27 @@ std::string report_csv_snapshot(const workload::Trace& trace,
   return out.str();
 }
 
+/// The six stage keys of a session per store: the names every user's
+/// artifact cache files are stored under (DESIGN.md §9).
+std::string cache_keys_snapshot(const workload::Trace& trace,
+                                std::size_t threads) {
+  std::ostringstream out;
+  for (const kvstore::StoreKind store : kvstore::kAllStoreKinds) {
+    SessionConfig sc;
+    sc.mnemo.store = store;
+    sc.mnemo.threads = threads;
+    const Session session(trace, sc);
+    const std::string name(kvstore::to_string(store));
+    out << name << " trace " << session.trace_key() << "\n"
+        << name << " characterize " << session.characterize_key() << "\n"
+        << name << " measure " << session.measure_key() << "\n"
+        << name << " estimate " << session.estimate_key() << "\n"
+        << name << " advise " << session.advise_key() << "\n"
+        << name << " report " << session.report_key() << "\n";
+  }
+  return out.str();
+}
+
 std::string fixture_path(const std::string& name) {
   return std::string(MNEMO_FIXTURE_DIR) + "/" + name;
 }
@@ -349,6 +372,15 @@ TEST(GoldenReplay, ReportCsvByteIdenticalOnEveryStore) {
   const workload::Trace trace = golden_trace();
   check_golden("golden_report_csv.txt", [&](std::size_t threads) {
     return report_csv_snapshot(trace, threads);
+  });
+}
+
+// Cache keys are an on-disk format: a changed key orphans every cached
+// artifact, so they are pinned like the replay results.
+TEST(GoldenReplay, CacheKeysStableAcrossThreadCountsAndBuilds) {
+  const workload::Trace trace = golden_trace();
+  check_golden("golden_cache_keys.txt", [&](std::size_t threads) {
+    return cache_keys_snapshot(trace, threads);
   });
 }
 

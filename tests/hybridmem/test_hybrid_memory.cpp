@@ -19,7 +19,6 @@ TEST(HybridMemory, PlaceLocateRemove) {
   EXPECT_EQ(mem.locate(1), NodeId::kFast);
   EXPECT_EQ(mem.locate(2), NodeId::kSlow);
   EXPECT_EQ(mem.object_size(1), 1000u);
-  EXPECT_EQ(mem.object_count(), 2u);
   EXPECT_EQ(mem.total_used_bytes(), 3000u);
   mem.remove(1);
   EXPECT_FALSE(mem.locate(1).has_value());
@@ -104,18 +103,6 @@ TEST(HybridMemory, MetadataOnlyAccessStreamsObjectSize) {
   expl.streamed_bytes = big;
   EXPECT_NEAR(mem.access(1, MemOp::kRead, zero).ns,
               mem.raw_access_ns(NodeId::kFast, expl, MemOp::kRead), 1e-9);
-}
-
-TEST(HybridMemory, TrafficAccounting) {
-  HybridMemory mem(small_profile());
-  const std::uint64_t big = 100 * util::kKiB;
-  ASSERT_TRUE(mem.place(1, big, NodeId::kSlow));
-  AccessTraits t;
-  mem.access(1, MemOp::kRead, t);
-  mem.access(1, MemOp::kWrite, t);
-  EXPECT_EQ(mem.node(NodeId::kSlow).reads(), 1u);
-  EXPECT_EQ(mem.node(NodeId::kSlow).writes(), 1u);
-  EXPECT_EQ(mem.node(NodeId::kSlow).bytes_streamed(), 2 * big);
 }
 
 }  // namespace

@@ -26,7 +26,7 @@ TEST(MemoryNode, AllocationRespectsCapacity) {
   EXPECT_FALSE(node.allocate(41));
   EXPECT_EQ(node.used_bytes(), 60u) << "failed alloc must not change state";
   EXPECT_TRUE(node.allocate(40));
-  EXPECT_EQ(node.object_count(), 2u);
+  EXPECT_EQ(node.free_bytes(), 0u);
 }
 
 TEST(MemoryNode, ReleaseReturnsCapacity) {
@@ -34,20 +34,7 @@ TEST(MemoryNode, ReleaseReturnsCapacity) {
   ASSERT_TRUE(node.allocate(80));
   node.release(80);
   EXPECT_EQ(node.used_bytes(), 0u);
-  EXPECT_EQ(node.object_count(), 0u);
   EXPECT_TRUE(node.allocate(100));
-}
-
-TEST(MemoryNode, GrowShrinkKeepObjectCount) {
-  MemoryNode node(NodeSpec{"n", 10.0, 1.0, 100});
-  ASSERT_TRUE(node.allocate(50));
-  EXPECT_TRUE(node.grow(30));
-  EXPECT_EQ(node.used_bytes(), 80u);
-  EXPECT_EQ(node.object_count(), 1u);
-  EXPECT_FALSE(node.grow(21));
-  node.shrink(60);
-  EXPECT_EQ(node.used_bytes(), 20u);
-  EXPECT_EQ(node.object_count(), 1u);
 }
 
 TEST(MemoryNode, AccessCostLatencyOnly) {
@@ -97,16 +84,6 @@ TEST(MemoryNode, LatencySensitivityScalesLatency) {
   t.latency_touches = 2;
   t.latency_sensitivity = 1.5;
   EXPECT_NEAR(node.access_ns(t, MemOp::kRead), 2 * 1.5 * 65.7, 1e-9);
-}
-
-TEST(MemoryNode, TrafficCounters) {
-  MemoryNode node(fast_spec());
-  node.note_traffic(MemOp::kRead, 100);
-  node.note_traffic(MemOp::kWrite, 50);
-  node.note_traffic(MemOp::kRead, 10);
-  EXPECT_EQ(node.reads(), 2u);
-  EXPECT_EQ(node.writes(), 1u);
-  EXPECT_EQ(node.bytes_streamed(), 160u);
 }
 
 TEST(EmulationProfile, PaperFactorsMatchTableI) {

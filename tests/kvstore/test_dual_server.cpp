@@ -36,8 +36,7 @@ StoreConfig quiet_config() {
 util::Result<OpResult> serve(DualServer& servers,
                              const workload::CompiledTrace& compiled,
                              workload::OpType op, std::uint64_t key) {
-  return servers.execute(op, key,
-                         {compiled.key_hash(key), compiled.key_digest(key)});
+  return servers.execute(op, key, {compiled.key_hash(key)});
 }
 
 /// Serve request `i` of the compiled trace.

@@ -20,11 +20,9 @@ EmulationProfile test_profile(std::uint64_t node_bytes = 64 * kMiB) {
   return hybridmem::paper_testbed_with_capacity(node_bytes);
 }
 
-StoreConfig test_config(NodeId node = NodeId::kFast,
-                        PayloadMode mode = PayloadMode::kSynthetic) {
+StoreConfig test_config(NodeId node = NodeId::kFast) {
   StoreConfig cfg;
   cfg.node = node;
-  cfg.payload_mode = mode;
   cfg.deterministic_service = true;  // exact comparisons in unit tests
   return cfg;
 }
@@ -38,7 +36,7 @@ TEST_P(AnyStore, PutGetEraseSemantics) {
   auto store = make_store(GetParam(), memory_, test_config());
   EXPECT_FALSE(store->get(1).ok);
   EXPECT_TRUE(store->put(1, 4096).ok);
-  EXPECT_TRUE(store->contains(1));
+  EXPECT_EQ(memory_.locate(1), NodeId::kFast);
   EXPECT_EQ(store->record_count(), 1u);
 
   const OpResult got = store->get(1);
@@ -46,7 +44,7 @@ TEST_P(AnyStore, PutGetEraseSemantics) {
   EXPECT_GT(got.service_ns, 0.0);
 
   EXPECT_TRUE(store->erase(1).ok);
-  EXPECT_FALSE(store->contains(1));
+  EXPECT_FALSE(memory_.locate(1).has_value());
   EXPECT_FALSE(store->erase(1).ok);
   EXPECT_EQ(store->record_count(), 0u);
 }
@@ -100,18 +98,6 @@ TEST_P(AnyStore, SlowNodeIsSlowerForBigRecords) {
   EXPECT_GT(slow_ns, fast_ns);
 }
 
-TEST_P(AnyStore, StoredPayloadRoundTripsWithChecksum) {
-  auto store = make_store(GetParam(), memory_,
-                          test_config(NodeId::kFast, PayloadMode::kStored));
-  // Checksums are MNEMO_ASSERTed inside get(); surviving is the test.
-  for (std::uint64_t k = 0; k < 50; ++k) {
-    ASSERT_TRUE(store->put(k, 1000 + k * 13).ok);
-  }
-  for (std::uint64_t k = 0; k < 50; ++k) {
-    ASSERT_TRUE(store->get(k).ok);
-  }
-}
-
 TEST_P(AnyStore, UpdateChangesSizeAccounting) {
   auto store = make_store(GetParam(), memory_, test_config());
   store->put(1, 10 * kKiB);
@@ -119,6 +105,36 @@ TEST_P(AnyStore, UpdateChangesSizeAccounting) {
   EXPECT_TRUE(store->put(1, 40 * kKiB).ok);
   EXPECT_GT(memory_.total_used_bytes(), small);
   EXPECT_EQ(store->record_count(), 1u);
+}
+
+TEST_P(AnyStore, FailedGrowingUpdateLeavesTheStoreAsItWas) {
+  HybridMemory memory(test_profile(1 * kMiB));
+  auto store = make_store(GetParam(), memory, test_config());
+  // Fill the node: DynaStore's journal overhead leaves room for fewer
+  // than eight records, and key 0 must not be evicted.
+  for (std::uint64_t k = 0; k < 8; ++k) store->put(k, 100 * kKiB);
+  ASSERT_TRUE(memory.locate(0).has_value());
+  ASSERT_EQ(store->stats().evictions, 0u);
+  const auto cold_get = [&] {
+    memory.drop_caches();
+    return store->get(0).service_ns;
+  };
+  const double get_ns = cold_get();
+  const auto size = memory.object_size(0);
+  const std::uint64_t used = memory.node(NodeId::kFast).used_bytes();
+  const std::size_t records = store->record_count();
+  const std::uint64_t overhead = store->overhead_bytes();
+
+  EXPECT_FALSE(store->put(0, 900 * kKiB).ok) << "the node cannot fit it";
+
+  EXPECT_EQ(cold_get(), get_ns) << "a get still streams the old size";
+  EXPECT_EQ(memory.object_size(0), size);
+  EXPECT_EQ(memory.node(NodeId::kFast).used_bytes(), used);
+  EXPECT_EQ(store->record_count(), records);
+  // DynaStore's write-ahead journal logs the attempt before applying it.
+  if (GetParam() != StoreKind::kDynaStore) {
+    EXPECT_EQ(store->overhead_bytes(), overhead);
+  }
 }
 
 TEST_P(AnyStore, OverheadBytesReported) {
@@ -184,8 +200,8 @@ TEST(Cachet, EvictsFromLruWhenNodeIsFull) {
   EXPECT_GT(store->stats().evictions, 0u);
   EXPECT_LT(store->record_count(), 100u);
   // The most recently inserted key survived; the very first was evicted.
-  EXPECT_TRUE(store->contains(99));
-  EXPECT_FALSE(store->contains(0));
+  EXPECT_TRUE(memory.locate(99).has_value());
+  EXPECT_FALSE(memory.locate(0).has_value());
 }
 
 TEST(Vermilion, PutFailsWhenNodeFullWithoutEviction) {

@@ -126,17 +126,17 @@ TEST(FlatLru, SlotsAreReusedAfterErase) {
 }
 
 TEST(FlatLru, OverflowIdsAboveDenseCapWork) {
-  // Tagged IDs (e.g. per-store overhead objects) sit far above the dense
-  // cap and take the overflow-map path; semantics must be identical.
-  const std::uint64_t tagged = (1ULL << 56) | 42;
+  // IDs far above the dense cap take the overflow-map path; semantics
+  // must be identical.
+  const std::uint64_t sparse = (1ULL << 56) | 42;
   FlatLru<std::uint64_t> lru;
-  lru.push_front(tagged, 1);
+  lru.push_front(sparse, 1);
   lru.push_front(5, 2);
-  EXPECT_EQ(*lru.find(tagged), 1u);
-  ASSERT_NE(lru.touch(tagged), nullptr);
+  EXPECT_EQ(*lru.find(sparse), 1u);
+  ASSERT_NE(lru.touch(sparse), nullptr);
   EXPECT_EQ(lru.back_id(), 5u);
-  EXPECT_TRUE(lru.erase(tagged));
-  EXPECT_EQ(lru.find(tagged), nullptr);
+  EXPECT_TRUE(lru.erase(sparse));
+  EXPECT_EQ(lru.find(sparse), nullptr);
   EXPECT_EQ(lru.size(), 1u);
 }
 
