@@ -92,32 +92,40 @@ void hash_fault_plan(util::StableHasher& h,
 
 }  // namespace
 
-Session::Session(workload::Trace trace, SessionConfig config)
+KeyedTrace::KeyedTrace(workload::Trace trace)
+    : trace_(std::make_shared<const workload::Trace>(std::move(trace))) {
+  util::StableHasher h;
+  hash_trace(h, *trace_);
+  key_ = h.hex();
+}
+
+Session::Session(KeyedTrace trace, SessionConfig config)
     : trace_(std::move(trace)),
       config_(std::move(config)),
       store_(config_.cache_dir) {
-  util::StableHasher h;
-  hash_trace(h, trace_);
-  trace_key_ = h.hex();
   if (config_.mnemo.ordering == OrderingPolicy::kExternal) {
     MNEMO_EXPECTS(config_.external_order.has_value());
   }
   if (config_.external_order) {
-    MNEMO_EXPECTS(config_.external_order->size() == trace_.key_count());
+    MNEMO_EXPECTS(config_.external_order->size() ==
+                  trace_.trace().key_count());
   }
 }
+
+Session::Session(workload::Trace trace, SessionConfig config)
+    : Session(KeyedTrace(std::move(trace)), std::move(config)) {}
 
 OrderingPolicy Session::effective_ordering() const {
   return config_.external_order ? OrderingPolicy::kExternal
                                 : config_.mnemo.ordering;
 }
 
-std::string Session::trace_key() const { return trace_key_; }
+std::string Session::trace_key() const { return trace_.key(); }
 
 std::string Session::characterize_key() const {
   util::StableHasher h;
   h.str("characterize");
-  h.str(trace_key_);
+  h.str(trace_.key());
   h.str(to_string(effective_ordering()));
   if (config_.external_order) h.u64_span(*config_.external_order);
   return h.hex();
@@ -131,7 +139,7 @@ std::string Session::measure_key() const {
   // --threads 1 run.
   util::StableHasher h;
   h.str("measure");
-  h.str(trace_key_);
+  h.str(trace_.key());
   h.str(kvstore::to_string(config_.mnemo.store));
   hash_platform(h, config_.mnemo.platform);
   // Where earlier builds hashed their payload-mode setting, the value
@@ -216,7 +224,7 @@ const CharacterizeArtifact& Session::characterize() {
   if (probe(characterize_, &Session::characterize_key)) return *characterize_;
   CharacterizeArtifact a;
   a.ordering = effective_ordering();
-  a.pattern = PatternEngine::analyze(trace_);
+  a.pattern = PatternEngine::analyze(trace());
   switch (a.ordering) {
     case OrderingPolicy::kTouchOrder:
       a.order = a.pattern.touch_order;
@@ -242,7 +250,7 @@ const MeasureArtifact& Session::measure() {
   const SensitivityEngine sensitivity(config_.mnemo);
   CampaignRunner runner(config_.mnemo.threads, config_.mnemo.cancel);
   return install_measured_grid(runner.measure_grid_checked(
-      sensitivity, trace_, baseline_placements(trace_)));
+      sensitivity, trace(), baseline_placements(trace())));
 }
 
 void Session::measure_async(std::shared_ptr<util::TaskScheduler::Group> group,
@@ -265,7 +273,7 @@ void Session::measure_async(std::shared_ptr<util::TaskScheduler::Group> group,
   // session method: the async grid keeps it alive via shared_ptr.
   CampaignRunner::measure_grid_checked_async(
       std::make_shared<const SensitivityEngine>(config_.mnemo),
-      trace_, baseline_placements(trace_), config_.mnemo.cancel,
+      trace(), baseline_placements(trace()), config_.mnemo.cancel,
       std::move(group),
       [this, done = std::move(done)](CampaignRunner::AsyncOutcome outcome) {
         if (outcome.error == nullptr) {
@@ -324,7 +332,7 @@ const ReportArtifact& Session::report() {
   if (probe(report_, &Session::report_key)) return *report_;
   ReportArtifact a;
   std::ostringstream text;
-  text << "workload: " << trace_.name() << " on "
+  text << "workload: " << trace().name() << " on "
        << kvstore::to_string(config_.mnemo.store) << " ("
        << to_string(effective_ordering()) << " ordering, "
        << to_string(config_.mnemo.estimate_model) << " model)\n";
@@ -393,7 +401,7 @@ std::string Session::explain_cache() const {
 
 MnemoReport Session::to_report() {
   MnemoReport r;
-  r.workload = trace_.name();
+  r.workload = trace().name();
   r.store = config_.mnemo.store;
   const CharacterizeArtifact& c = characterize();
   r.ordering = c.ordering;

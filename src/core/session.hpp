@@ -40,6 +40,25 @@ struct StageTrace {
   LoadMiss rejected;    ///< reason kNone unless this records a rejection
 };
 
+/// A workload trace and its content key (DESIGN.md §9), hashed once: the
+/// only constructor hashes the trace it takes, so a key can never disagree
+/// with its trace. Immutable and cheap to copy — copies share one trace —
+/// so a server can keep one per workload spec and build every session on
+/// that spec from it without regenerating or rehashing anything.
+class KeyedTrace {
+ public:
+  explicit KeyedTrace(workload::Trace trace);
+
+  [[nodiscard]] const workload::Trace& trace() const noexcept {
+    return *trace_;
+  }
+  [[nodiscard]] const std::string& key() const noexcept { return key_; }
+
+ private:
+  std::shared_ptr<const workload::Trace> trace_;
+  std::string key_;
+};
+
 /// The consultant as an explicit staged pipeline:
 ///
 ///   characterize -> measure -> estimate -> advise -> report
@@ -61,6 +80,7 @@ struct StageTrace {
 /// a faulted grid into a clean one.
 class Session {
  public:
+  Session(KeyedTrace trace, SessionConfig config);
   Session(workload::Trace trace, SessionConfig config);
 
   /// Stage accessors: compute (or load) on first use, memoized after.
@@ -128,7 +148,7 @@ class Session {
     return config_;
   }
   [[nodiscard]] const workload::Trace& trace() const noexcept {
-    return trace_;
+    return trace_.trace();
   }
 
  private:
@@ -165,10 +185,9 @@ class Session {
   void trace_stage(std::string_view stage, const std::string& key,
                    bool from_cache, bool saved, bool joined = false);
 
-  workload::Trace trace_;
+  KeyedTrace trace_;
   SessionConfig config_;
   ArtifactStore store_;  ///< opened on config_.cache_dir
-  std::string trace_key_;  ///< hashed once in the constructor
 
   std::optional<CharacterizeArtifact> characterize_;
   std::optional<MeasureArtifact> measure_;

@@ -81,17 +81,25 @@ OpResult Cachet::put(std::uint64_t key, std::uint64_t value_size,
   auto found = assoc_.find(key, hints.hash);
   ns += index_walk_ns(1, found.probes);
   if (found.item != nullptr) {
+    const std::size_t old_cls = found.item->slab_class;
     const std::size_t new_cls = slabs_.class_for(value_size);
+    const std::uint64_t new_chunk = slabs_.chunk_bytes(new_cls, value_size);
     // Resize first: an update the node cannot fit leaves the item in its
     // slab class, untouched.
-    if (!memory().resize(key, slabs_.chunk_bytes(new_cls, value_size))) {
+    if (!memory().resize(key, new_chunk)) {
       return finalize(false, ns, false);
     }
-    if (new_cls != found.item->slab_class) {
-      // Item migrates slab class: release old chunk, take a new one.
-      slabs_.give_back(found.item->slab_class, found.item->value.size);
+    // A new chunk — another class, or a huge item whose page-rounded size
+    // changed: release the old one, take the new one, and charge the
+    // node for any slab page the new class opened.
+    if (new_cls != old_cls ||
+        new_chunk != slabs_.chunk_bytes(old_cls, found.item->value.size)) {
+      slabs_.give_back(old_cls, found.item->value.size);
       slabs_.take(new_cls, value_size);
-      (void)lru_[found.item->slab_class].erase(key);
+      sync_overhead_accounting(overhead_bytes());
+    }
+    if (new_cls != old_cls) {
+      (void)lru_[old_cls].erase(key);
       lru_[new_cls].push_front(key, {});
       found.item->slab_class = new_cls;
     }

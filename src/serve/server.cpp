@@ -24,16 +24,6 @@ namespace mnemo::serve {
 
 namespace {
 
-workload::Trace request_trace(const Request& req) {
-  // An unknown name throws std::invalid_argument: a typed
-  // invalid_argument response (response_for_exception).
-  workload::WorkloadSpec spec = workload::paper_workload(req.workload);
-  if (req.keys > 0) spec.key_count = req.keys;
-  if (req.requests > 0) spec.request_count = req.requests;
-  if (req.seed > 0) spec.seed = req.seed;
-  return workload::Trace::generate(spec);
-}
-
 /// The one exception -> typed response mapping of every request step.
 /// Must be called from inside a catch block.
 Response response_for_exception(const Request& request) {
@@ -79,6 +69,7 @@ std::string ServeStats::render() const {
       << "  canceled            " << canceled << "\n"
       << "  dropped connections " << disconnects << "\n"
       << "  cells run           " << cells_run << "\n"
+      << "  trace memo hits     " << trace_memo_hits << "\n"
       << std::fixed << std::setprecision(1)
       << "  queue wait ms (sum) " << queue_ms_total << "\n"
       << "  run time ms (sum)   " << run_ms_total << "\n";
@@ -128,6 +119,30 @@ Server::~Server() {
   // (declared last, destroyed first) joins its workers.
   std::unique_lock lock(mu_);
   drain_cv_.wait(lock, [this] { return pending_ == 0; });
+}
+
+core::KeyedTrace Server::keyed_trace(const Request& req) {
+  // An unknown name throws std::invalid_argument: a typed
+  // invalid_argument response (response_for_exception).
+  workload::WorkloadSpec spec = workload::paper_workload(req.workload);
+  if (req.keys > 0 || req.requests > 0 || req.seed > 0) {
+    if (req.keys > 0) spec.key_count = req.keys;
+    if (req.requests > 0) spec.request_count = req.requests;
+    if (req.seed > 0) spec.seed = req.seed;
+    return core::KeyedTrace(workload::Trace::generate(spec));
+  }
+  {
+    std::lock_guard lock(mu_);
+    const auto hit = default_traces_.find(spec.name);
+    if (hit != default_traces_.end()) {
+      ++stats_.trace_memo_hits;
+      return hit->second;
+    }
+  }
+  core::KeyedTrace trace(workload::Trace::generate(spec));
+  std::lock_guard lock(mu_);
+  return default_traces_.try_emplace(spec.name, std::move(trace))
+      .first->second;
 }
 
 core::SessionConfig Server::make_session_config(const Request& request,
@@ -221,7 +236,7 @@ void Server::start_request(const std::shared_ptr<RequestCtx>& ctx) {
       return;
     }
     ctx->session = std::make_unique<core::Session>(
-        request_trace(ctx->req),
+        keyed_trace(ctx->req),
         make_session_config(ctx->req, ctx->token.get()));
     if (ctx->req.op == RequestOp::kCharacterize) {
       finish(ctx);

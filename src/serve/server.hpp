@@ -6,19 +6,16 @@
 #include <functional>
 #include <future>
 #include <iosfwd>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 
+#include "core/session.hpp"
 #include "serve/protocol.hpp"
 #include "serve/single_flight.hpp"
 #include "util/cancel.hpp"
 #include "util/task_scheduler.hpp"
-
-namespace mnemo::core {
-class Session;
-struct SessionConfig;
-}  // namespace mnemo::core
 
 namespace mnemo::serve {
 
@@ -71,6 +68,7 @@ struct ServeStats {
   std::uint64_t canceled = 0;       ///< requests canceled for other reasons
   std::uint64_t disconnects = 0;    ///< clients that vanished mid-stream
   std::uint64_t cells_run = 0;      ///< campaign cells executed by requests
+  std::uint64_t trace_memo_hits = 0;  ///< traces served from the memo
   double queue_ms_total = 0.0;      ///< summed admission -> start waits
   double run_ms_total = 0.0;        ///< summed start -> settle times
 
@@ -137,6 +135,12 @@ class Server {
   void finish(const std::shared_ptr<RequestCtx>& ctx);
   void settle(const std::shared_ptr<RequestCtx>& ctx, Response resp);
 
+  /// The request's trace and its key. A Table III workload at its
+  /// default spec (no keys, requests or seed given) comes from the trace
+  /// memo, generated outside the lock on its first use; any other spec is
+  /// generated afresh and not kept. Two concurrent first uses of one
+  /// workload may both generate; the memo keeps the first.
+  [[nodiscard]] core::KeyedTrace keyed_trace(const Request& request);
   [[nodiscard]] core::SessionConfig make_session_config(
       const Request& request, util::CancelToken* cancel);
   void render_answer(const Request& request, core::Session& session,
@@ -147,10 +151,13 @@ class Server {
   ServeOptions options_;
   MeasureCache measures_;
 
-  mutable std::mutex mu_;  ///< guards stats_ and pending_
+  mutable std::mutex mu_;  ///< guards stats_, pending_ and the trace memo
   std::condition_variable drain_cv_;  ///< pending_ -> 0 (destructor)
   ServeStats stats_;
   std::size_t pending_ = 0;  ///< admitted, not yet settled
+  /// The trace memo: the Table III workloads' default-spec traces, by
+  /// workload name. At most five entries, so bounded by construction.
+  std::map<std::string, core::KeyedTrace> default_traces_;
 
   /// Declared last: destroyed first, draining outstanding tasks while
   /// the members above are still alive for them to use. Also hosts the

@@ -3,6 +3,7 @@
 #include <memory>
 
 #include "hybridmem/hybrid_memory.hpp"
+#include "kvstore/cachet/cachet.hpp"
 #include "kvstore/dynastore/dynastore.hpp"
 #include "kvstore/factory.hpp"
 #include "util/bytes.hpp"
@@ -202,6 +203,35 @@ TEST(Cachet, EvictsFromLruWhenNodeIsFull) {
   // The most recently inserted key survived; the very first was evicted.
   EXPECT_TRUE(memory.locate(99).has_value());
   EXPECT_FALSE(memory.locate(0).has_value());
+}
+
+TEST(Cachet, UpdateIntoAnotherClassChargesItsNewSlabPage) {
+  HybridMemory memory(test_profile());
+  auto base = make_store(StoreKind::kCachet, memory, test_config());
+  auto* store = dynamic_cast<Cachet*>(base.get());
+  ASSERT_NE(store, nullptr);
+  store->put(1, 10 * kKiB);
+  // 40 KiB lands in a class with no page yet: the update opens one.
+  ASSERT_TRUE(store->put(1, 40 * kKiB).ok);
+  EXPECT_EQ(memory.node(NodeId::kFast).used_bytes(),
+            store->slabs().used_chunk_bytes() + store->overhead_bytes());
+}
+
+TEST(Cachet, HugeItemUpdateKeepsTheSlabCountersRight) {
+  HybridMemory memory(test_profile());
+  auto base = make_store(StoreKind::kCachet, memory, test_config());
+  auto* store = dynamic_cast<Cachet*>(base.get());
+  ASSERT_NE(store, nullptr);
+  // Both sizes exceed a 1 MiB page: the item stays in the huge class while
+  // its page-rounded size grows from 2 to 4 MiB.
+  ASSERT_TRUE(store->put(1, 3 * kMiB / 2).ok);
+  ASSERT_TRUE(store->put(1, 7 * kMiB / 2).ok);
+  EXPECT_EQ(store->slabs().used_chunk_bytes(), 4 * kMiB);
+  EXPECT_EQ(memory.node(NodeId::kFast).used_bytes(),
+            store->slabs().used_chunk_bytes() + store->overhead_bytes());
+  ASSERT_TRUE(store->erase(1).ok);
+  EXPECT_EQ(store->slabs().pages_allocated_bytes(), 0u);
+  EXPECT_EQ(store->slabs().used_chunk_bytes(), 0u);
 }
 
 TEST(Vermilion, PutFailsWhenNodeFullWithoutEviction) {

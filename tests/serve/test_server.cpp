@@ -13,7 +13,9 @@
 
 #include "cli/cli.hpp"
 #include "core/campaign.hpp"
+#include "core/session.hpp"
 #include "serve/json.hpp"
+#include "workload/suite.hpp"
 
 namespace mnemo::serve {
 namespace {
@@ -302,6 +304,100 @@ TEST(ServeServer, SharedCacheDirWarmsAcrossServerInstances) {
     EXPECT_EQ(core::campaign_totals().cells, before);
   }
   fs::remove_all(dir);
+}
+
+/// A Table III workload at its default spec (paper scale, no keys,
+/// requests or seed given): the traffic the trace memo keeps.
+Request default_request(std::string id, RequestOp op) {
+  Request req;
+  req.id = std::move(id);
+  req.op = op;
+  req.repeats = 1;
+  return req;
+}
+
+TEST(ServeServer, SameSpecOnOtherStoresAndSlosReusesItsTrace) {
+  Server server(ServeOptions{});
+  Request first = default_request("first", RequestOp::kAdvise);
+  Request second = default_request("second", RequestOp::kAdvise);
+  second.store = "cachet";
+  second.slo = 0.2;
+  const std::string first_answer =
+      ask(server, first).find("output")->value.string;
+  const std::string second_answer =
+      ask(server, second).find("output")->value.string;
+  EXPECT_EQ(server.stats().trace_memo_hits, 1u);
+  // A memoized trace answers like a freshly generated one.
+  for (const auto& [req, answer] :
+       {std::pair{first, first_answer}, std::pair{second, second_answer}}) {
+    Server fresh(ServeOptions{});
+    EXPECT_EQ(ask(fresh, req).find("output")->value.string, answer)
+        << req.id;
+    EXPECT_EQ(fresh.stats().trace_memo_hits, 0u);
+  }
+}
+
+TEST(ServeServer, OnlyDefaultSpecsAreMemoized) {
+  Server server(ServeOptions{});
+  Request custom = small_advise("custom");  // keys and requests given
+  custom.op = RequestOp::kCharacterize;
+  Request reseeded = default_request("reseeded", RequestOp::kCharacterize);
+  reseeded.seed = 99;
+  for (const Request& req : {custom, reseeded, custom, reseeded}) {
+    ASSERT_TRUE(ask(server, req).find("ok")->value.boolean) << req.id;
+  }
+  Request unknown = default_request("unknown", RequestOp::kCharacterize);
+  unknown.workload = "no-such-workload";
+  Request one_key = small_advise("one-key");
+  one_key.keys = 1;  // a one-key hotspot
+  for (const Request& req : {unknown, one_key, unknown, one_key}) {
+    EXPECT_EQ(ask(server, req).find("error")->value.find("code")->value.string,
+              "invalid_argument")
+        << req.id;
+  }
+  EXPECT_EQ(server.stats().trace_memo_hits, 0u);
+  // Each Table III workload at its default spec is kept after its first use.
+  for (const std::string name : {"news_feed", "timeline", "news_feed"}) {
+    Request req = default_request(name, RequestOp::kCharacterize);
+    req.workload = name;
+    ASSERT_TRUE(ask(server, req).find("ok")->value.boolean) << name;
+  }
+  EXPECT_EQ(server.stats().trace_memo_hits, 1u);
+}
+
+TEST(ServeServer, ConcurrentFirstUsesShareOneMemoizedTrace) {
+  ServeOptions options;
+  options.threads = 4;
+  Server server(std::move(options));
+  const Request req = default_request("c", RequestOp::kCharacterize);
+  std::vector<std::future<std::string>> answers;
+  for (int i = 0; i < 8; ++i) {
+    answers.push_back(server.submit_line(req.to_json_line()));
+  }
+  std::string first;
+  for (std::future<std::string>& f : answers) {
+    const JsonValue v = json_parse(f.get());
+    ASSERT_TRUE(v.find("ok")->value.boolean);
+    if (first.empty()) first = v.find("output")->value.string;
+    EXPECT_EQ(v.find("output")->value.string, first);
+  }
+  // Concurrent misses may each generate, but the memo keeps one trace,
+  // and every later request takes it.
+  const std::uint64_t hits = server.stats().trace_memo_hits;
+  EXPECT_LT(hits, 8u);
+  ASSERT_TRUE(ask(server, req).find("ok")->value.boolean);
+  EXPECT_EQ(server.stats().trace_memo_hits, hits + 1);
+}
+
+TEST(ServeServer, MemoizedTraceKeysLikeAFreshOne) {
+  workload::WorkloadSpec spec = workload::paper_workload("trending");
+  spec.key_count = 150;
+  spec.request_count = 1500;
+  const workload::Trace trace = workload::Trace::generate(spec);
+  const core::Session fresh(trace, core::SessionConfig{});
+  const core::Session keyed(core::KeyedTrace(trace), core::SessionConfig{});
+  EXPECT_EQ(keyed.trace_key(), fresh.trace_key());
+  EXPECT_EQ(keyed.measure_key(), fresh.measure_key());
 }
 
 }  // namespace
