@@ -361,8 +361,8 @@ void submit(const std::shared_ptr<Grid>& g, std::function<void()> body) {
 /// skeleton lives in storage the group owns, not in the worker's arena —
 /// the next cell on this worker resets that arena while siblings may still
 /// be reading — and the last sibling task to finish frees it. A leader
-/// that failed, or whose run evicted or expired anything, publishes
-/// nothing: its siblings replay fully (reproducing its error, if any).
+/// that failed publishes nothing: its siblings replay fully, reproducing
+/// its error.
 void lead(const std::shared_ptr<Grid>& g, std::size_t group) {
   const std::vector<std::size_t>& members = g->groups[group];
   std::shared_ptr<ReplaySkeleton> skeleton;

@@ -237,8 +237,9 @@ MigrationResult DynamicTierer::run(const workload::Trace& trace) const {
     const util::Result<kvstore::OpResult> served =
         servers.execute(op, key, {compiled.key_hash(key)});
     if (!served.ok()) {
-      // Transient retries exhausted: the request is dropped, but the
-      // access still informs the tiering scores — the client did ask.
+      // Transient retries exhausted, or a write its node could not fit:
+      // the request is dropped, but the access still informs the tiering
+      // scores — the client did ask.
       ++result.failed_requests;
       ++epoch_counts[key];
     } else {

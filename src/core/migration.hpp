@@ -45,7 +45,8 @@ struct MigrationResult {
   double migration_ns = 0.0;           ///< simulated time spent migrating
   std::uint64_t rejected_moves = 0;    ///< destination-full promotions
   /// Requests dropped because their read exhausted the fault plan's
-  /// transient retries (always 0 without an armed fault plan).
+  /// transient retries, or because their write did not fit its node (0 on
+  /// a healthy platform whose nodes hold the dataset).
   std::uint64_t failed_requests = 0;
 };
 

@@ -239,8 +239,7 @@ util::Result<RunMeasurement> SensitivityEngine::try_run_once(
   if (record != nullptr) {
     MNEMO_ASSERT(tap == record->service_ns.data() + ops.size() &&
                  "one skeleton entry per replayed op");
-    record->shareable =
-        ReplaySkeleton::repeat_invariant(servers.combined_stats());
+    record->shareable = true;
     record->llc_hit_rate = m.llc_hit_rate;
     record->faults = m.faults;
   }

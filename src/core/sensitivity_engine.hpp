@@ -50,22 +50,11 @@ struct ReplaySkeleton {
   std::vector<double> service_ns;  ///< one entry per replayed op
   double llc_hit_rate = 0.0;
   faultinject::FaultStats faults;
-  /// Siblings may replay it: the leader succeeded on a fault-free
-  /// platform and its stores passed repeat_invariant().
+  /// Siblings may replay it: the leader finished on a fault-free platform.
+  /// Cells that share a placement and differ only in `repeat` run the same
+  /// deterministic state machine — the per-repeat seed feeds only the
+  /// service-noise rng, and no store path reads it.
   bool shareable = false;
-
-  /// Cells that share a placement and differ only in `repeat` run the
-  /// same deterministic state machine — the per-repeat seed feeds only the
-  /// service-noise rng — unless the run evicted a record. The only store
-  /// eviction left is Cachet's slab-class LRU, which draws no rng; the
-  /// guard stays so a future seed-dependent eviction path cannot silently
-  /// break sharing. Its trigger (capacity pressure) is seed-free, so zero
-  /// evictions over a finished run's combined store counters proves a
-  /// sibling's full replay could not have taken a path the leader did not.
-  [[nodiscard]] static bool repeat_invariant(
-      const kvstore::StoreStats& combined) noexcept {
-    return combined.evictions == 0;
-  }
 };
 
 /// The paper's Sensitivity Engine: a customized YCSB client that executes
@@ -96,7 +85,8 @@ class SensitivityEngine {
   /// stream derived from repeat and `attempt`, store seeds untouched — a
   /// retry redraws the fault sequence, never the workload service noise)
   /// and returns a typed error instead of aborting when the run fails (an
-  /// empty trace is kInvalidArgument). The measurement's `faults`
+  /// empty trace is kInvalidArgument; a record its node cannot fit, loaded
+  /// or inserted, is kCapacityExhausted). The measurement's `faults`
   /// counters report every event absorbed. With `record` set (fault-free
   /// engines only) the run also arms the skeleton tap and leaves its
   /// skeleton there for repeat siblings.

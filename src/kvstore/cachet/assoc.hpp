@@ -9,9 +9,7 @@
 
 namespace mnemo::kvstore::cachet {
 
-/// One cached item: payload plus the slab bookkeeping Cachet needs. LRU
-/// position lives in the per-class util::FlatLru keyed by `key`, so the
-/// item carries no iterator into an external list.
+/// One cached item: payload plus the slab class its chunk came from.
 struct Item {
   std::uint64_t key = 0;
   Record value;
@@ -76,7 +74,7 @@ class AssocTable {
   struct EraseResult {
     bool erased = false;
     std::uint32_t probes = 0;
-    Item item;  ///< the removed item (for slab/LRU cleanup), valid if erased
+    Item item;  ///< the removed item (for slab cleanup), valid if erased
   };
   EraseResult erase(std::uint64_t key);
 

@@ -1,23 +1,21 @@
 #pragma once
 
-#include <vector>
-
 #include "kvstore/cachet/assoc.hpp"
 #include "kvstore/cachet/slab.hpp"
 #include "kvstore/kvstore.hpp"
-#include "util/flat_lru.hpp"
 
 namespace mnemo::kvstore {
 
-/// Memcached-like store: slab allocation with size classes, per-class LRU
-/// eviction, and a power-of-two chained assoc table. Its multi-worker,
-/// prefetch-friendly pipeline overlaps most of the payload transfer with
-/// CPU work (profile bandwidth_overlap ≈ 0.9), which is why the paper
-/// finds Memcached "barely influenced" by SlowMem (Fig 8b / Fig 9).
+/// Memcached-like store: slab allocation with size classes and a
+/// power-of-two chained assoc table. Its multi-worker, prefetch-friendly
+/// pipeline overlaps most of the payload transfer with CPU work (profile
+/// bandwidth_overlap ≈ 0.9), which is why the paper finds Memcached
+/// "barely influenced" by SlowMem (Fig 8b / Fig 9).
 ///
 /// Capacity is consumed at slab-chunk granularity, so the node sees the
-/// allocator's internal fragmentation, and when a placement fails the
-/// store evicts from the item's own slab class LRU — memcached semantics.
+/// allocator's internal fragmentation. Nothing is evicted: every
+/// deployment Mnemo measures holds its whole dataset, so a put the node
+/// cannot fit fails and leaves the store as it was.
 class Cachet final : public KeyValueStore {
  public:
   Cachet(hybridmem::HybridMemory& memory, const StoreConfig& config);
@@ -30,7 +28,7 @@ class Cachet final : public KeyValueStore {
                const KeyHints& hints) override;
   OpResult erase(std::uint64_t key) override;
 
-  void reserve_keys(std::size_t keys) override;
+  void reserve_keys(std::size_t keys) override { assoc_.reserve(keys); }
 
   [[nodiscard]] std::size_t record_count() const override {
     return assoc_.size();
@@ -42,17 +40,8 @@ class Cachet final : public KeyValueStore {
   }
 
  private:
-  void lru_touch(cachet::Item& item);
-  void drop_item(std::uint64_t key);
-  /// Evict the LRU item of `cls`; returns false if the class is empty.
-  bool evict_one(std::size_t cls);
-
   cachet::AssocTable assoc_;
   cachet::SlabAllocator slabs_;
-  /// One LRU per slab class (+1 for the huge class); front = hottest.
-  /// Array-backed intrusive lists keyed by the (dense) record key, so a
-  /// touch is pointer-free index surgery (DESIGN.md §8).
-  std::vector<util::FlatLru<util::NoPayload>> lru_;
 };
 
 }  // namespace mnemo::kvstore

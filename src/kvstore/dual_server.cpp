@@ -40,20 +40,25 @@ util::Status DualServer::populate(const workload::CompiledTrace& compiled,
   // initial_key_count() arrive via kInsert requests during execution.
   for (std::uint64_t key = 0; key < trace.initial_key_count(); ++key) {
     KeyValueStore& server = route(key);
-    const OpResult r = server.put(key, key_sizes_[key], {hashes[key]});
-    if (!r.ok) {
-      util::Error e;
-      e.code = util::ErrorCode::kCapacityExhausted;
-      e.message = std::string("populate: ") +
-                  std::string(hybridmem::to_string(server.node())) +
-                  " cannot fit key";
-      e.key = key;
-      e.requested_bytes = key_sizes_[key];
-      e.available_bytes = server.memory().node(server.node()).free_bytes();
-      return e;
+    if (!server.put(key, key_sizes_[key], {hashes[key]}).ok) {
+      return capacity_error("populate", server, key);
     }
   }
   return {};
+}
+
+util::Error DualServer::capacity_error(std::string_view stage,
+                                       KeyValueStore& server,
+                                       std::uint64_t key) const {
+  util::Error e;
+  e.code = util::ErrorCode::kCapacityExhausted;
+  e.message = std::string(stage) + ": " +
+              std::string(hybridmem::to_string(server.node())) +
+              " cannot fit key";
+  e.key = key;
+  e.requested_bytes = key_sizes_[key];
+  e.available_bytes = server.memory().node(server.node()).free_bytes();
+  return e;
 }
 
 util::Result<OpResult> DualServer::recover_faulted_read(std::uint64_t key,
@@ -144,30 +149,10 @@ util::Result<double> DualServer::move_key(std::uint64_t key,
     // Destination full: put the record back where it was.
     const OpResult restore = src.put(key, key_sizes_[key]);
     MNEMO_ASSERT(restore.ok);
-    util::Error e;
-    e.code = util::ErrorCode::kCapacityExhausted;
-    e.message = std::string("move_key: ") +
-                std::string(hybridmem::to_string(to)) + " cannot fit key";
-    e.key = key;
-    e.requested_bytes = key_sizes_[key];
-    e.available_bytes = dst.memory().node(to).free_bytes();
-    return e;
+    return capacity_error("move_key", dst, key);
   }
   placement_.set(key, to);
   return cost + out.service_ns + in.service_ns;
-}
-
-StoreStats DualServer::combined_stats() const {
-  StoreStats s = fast_->stats();
-  const StoreStats& t = slow_->stats();
-  s.gets += t.gets;
-  s.puts += t.puts;
-  s.erases += t.erases;
-  s.hits += t.hits;
-  s.misses += t.misses;
-  s.evictions += t.evictions;
-  s.busy_ns += t.busy_ns;
-  return s;
 }
 
 }  // namespace mnemo::kvstore

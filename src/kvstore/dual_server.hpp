@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <span>
+#include <string_view>
 
 #include "hybridmem/placement.hpp"
 #include "kvstore/factory.hpp"
@@ -47,10 +48,12 @@ class DualServer {
                                       const hybridmem::Placement& placement);
 
   /// Execute one client request, routed by the placement given at
-  /// populate(). Updates keep the key on its assigned server. A read that
-  /// hits a poisoned SlowMem line is transparently remapped to FastMem
-  /// (the move and remap costs charged to this request); a read whose
-  /// transient retries exhaust is a typed error carrying the key.
+  /// populate(). Updates keep the key on its assigned server; a write the
+  /// server's node cannot fit is the same typed kCapacityExhausted error
+  /// populate() returns. A read that hits a poisoned SlowMem line is
+  /// transparently remapped to FastMem (the move and remap costs charged
+  /// to this request); a read whose transient retries exhaust is a typed
+  /// error carrying the key.
   ///
   /// `hints` must be the KeyHints of `key` (CompiledTrace::key_hash).
   /// Unchecked: `key` must be a key of the populated trace — the replay
@@ -64,8 +67,11 @@ class DualServer {
     KeyValueStore& server = route(key);
     if (op != workload::OpType::kRead) {
       // kUpdate overwrites in place; kInsert creates the key (same put path
-      // — the stores upsert). Writes are not fault targets.
-      return server.put(key, key_sizes_[key], hints);
+      // — the stores upsert). Writes are not fault targets, so a failed put
+      // is a full node.
+      const OpResult r = server.put(key, key_sizes_[key], hints);
+      if (!r.ok) [[unlikely]] return capacity_error("replay", server, key);
+      return r;
     }
     OpResult r = server.get(key, hints);
     if (r.fault == hybridmem::FaultKind::kNone) [[likely]] return r;
@@ -77,9 +83,6 @@ class DualServer {
   [[nodiscard]] const KeyValueStore& fast() const noexcept { return *fast_; }
   [[nodiscard]] const KeyValueStore& slow() const noexcept { return *slow_; }
   [[nodiscard]] StoreKind kind() const noexcept { return kind_; }
-
-  /// Combined op counters across both instances.
-  [[nodiscard]] StoreStats combined_stats() const;
 
   /// Move one key's record to the other tier (delete + re-insert, like a
   /// live migration between the two server processes). Returns the
@@ -107,6 +110,13 @@ class DualServer {
   /// exhaustion. Only reached when the read reported a fault.
   [[nodiscard]] util::Result<OpResult> recover_faulted_read(std::uint64_t key,
                                                             OpResult r);
+
+  /// The typed error of a put `server` could not fit: `stage` names the
+  /// caller, and the error carries the key, the bytes it needed and the
+  /// node's remaining capacity.
+  [[nodiscard]] util::Error capacity_error(std::string_view stage,
+                                           KeyValueStore& server,
+                                           std::uint64_t key) const;
 
   StoreKind kind_;
   std::unique_ptr<KeyValueStore> fast_;

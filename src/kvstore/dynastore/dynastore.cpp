@@ -15,26 +15,19 @@ DynaStore::~DynaStore() {
 }
 
 OpResult DynaStore::get(std::uint64_t key, const KeyHints& /*hints*/) {
-  ++stats_.gets;
   auto found = tree_.find(key);
   // Upper tree levels stay hot in cache; the leaf and the per-item
   // metadata block are dependent misses on the data's node.
   const std::uint32_t hot = found.depth > 1 ? found.depth - 1 : 0;
   double ns = profile().cpu_read_ns + index_walk_ns(hot, 2);
-  if (found.record == nullptr) {
-    ++stats_.misses;
-    return finalize(false, ns, false);
-  }
-  ++stats_.hits;
+  if (found.record == nullptr) return finalize(false, ns);
   const auto access = payload_access(key, found.record->size, MemOp::kRead);
   ns += access.ns;
-  return finalize(true, ns, access.llc_hit);
+  return finalize(true, ns);
 }
 
 OpResult DynaStore::put(std::uint64_t key, std::uint64_t value_size,
                         const KeyHints& /*hints*/) {
-  ++stats_.puts;
-
   // 1. Journal append (WAL discipline: log before applying).
   const auto logged = journal_.append(key, value_size);
   (void)logged;
@@ -49,29 +42,28 @@ OpResult DynaStore::put(std::uint64_t key, std::uint64_t value_size,
     if (!memory().resize(key, value_size)) {
       // The node still accounts the old size: restore it in the tree.
       up.record->size = *memory().object_size(key);
-      return finalize(false, ns, false);
+      return finalize(false, ns);
     }
   } else if (!memory().place(key, value_size, node())) {
     (void)tree_.erase(key);
-    return finalize(false, ns, false);
+    return finalize(false, ns);
   }
   sync_overhead_accounting(overhead_bytes());
 
   const auto access = payload_access(key, value_size, MemOp::kWrite);
   ns += access.ns;
-  return finalize(true, ns, access.llc_hit);
+  return finalize(true, ns);
 }
 
 OpResult DynaStore::erase(std::uint64_t key) {
-  ++stats_.erases;
   const auto er = tree_.erase(key);
   const std::uint32_t hot = er.depth > 1 ? er.depth - 1 : 0;
   double ns = profile().cpu_write_ns + index_walk_ns(hot, 2);
-  if (!er.erased) return finalize(false, ns, false);
+  if (!er.erased) return finalize(false, ns);
   journal_.append(key, 0);  // deletion marker
   memory().remove(key);
   sync_overhead_accounting(overhead_bytes());
-  return finalize(true, ns, false);
+  return finalize(true, ns);
 }
 
 }  // namespace mnemo::kvstore

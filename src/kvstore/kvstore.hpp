@@ -21,23 +21,7 @@ namespace mnemo::kvstore {
 struct OpResult {
   bool ok = false;
   double service_ns = 0.0;
-  bool llc_hit = false;
   hybridmem::FaultKind fault = hybridmem::FaultKind::kNone;
-};
-
-/// Lifetime operation counters for one store instance.
-struct StoreStats {
-  std::uint64_t gets = 0;
-  std::uint64_t puts = 0;
-  std::uint64_t erases = 0;
-  std::uint64_t hits = 0;       ///< gets that found the key
-  std::uint64_t misses = 0;     ///< gets that did not
-  std::uint64_t evictions = 0;  ///< records dropped for capacity (Cachet)
-  double busy_ns = 0.0;         ///< total simulated service time
-
-  [[nodiscard]] std::uint64_t ops() const noexcept {
-    return gets + puts + erases;
-  }
 };
 
 /// Construction-time options shared by all store architectures.
@@ -47,9 +31,9 @@ struct StoreConfig {
   /// Disable service-time jitter and tail spikes (ablation).
   bool deterministic_service = false;
   /// Optional backing for the store's internal flat tables (slot pools,
-  /// bucket arrays, LRU lists): a campaign cell's arena when one is
-  /// plumbed through (DESIGN.md §12), the default heap when null. Not
-  /// owned; must outlive the store.
+  /// bucket arrays): a campaign cell's arena when one is plumbed through
+  /// (DESIGN.md §12), the default heap when null. Not owned; must outlive
+  /// the store.
   std::pmr::memory_resource* table_memory = nullptr;
 };
 
@@ -130,9 +114,9 @@ class KeyValueStore {
   virtual OpResult get(std::uint64_t key, const KeyHints& hints) = 0;
 
   /// Insert or update `key` with a `value_size`-byte value; `hints` must
-  /// follow the KeyHints contract. ok == false if the node lacks capacity
-  /// and nothing could be evicted; the key's record and its node
-  /// accounting then stay as they were.
+  /// follow the KeyHints contract. ok == false if the node lacks capacity;
+  /// no store evicts, so the key's record and its node accounting then
+  /// stay as they were.
   virtual OpResult put(std::uint64_t key, std::uint64_t value_size,
                        const KeyHints& hints) = 0;
 
@@ -163,7 +147,6 @@ class KeyValueStore {
   [[nodiscard]] hybridmem::NodeId node() const noexcept {
     return config_.node;
   }
-  [[nodiscard]] const StoreStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const ServiceProfile& profile() const noexcept {
     return profile_;
   }
@@ -179,9 +162,9 @@ class KeyValueStore {
   void set_skeleton_tap(double** cursor) noexcept { skeleton_tap_ = cursor; }
 
  protected:
-  /// Apply jitter/tail noise, account busy time, and stamp the result.
-  /// Defined inline: it closes every operation on the replay hot path.
-  OpResult finalize(bool ok, double ns, bool llc_hit) {
+  /// Apply jitter/tail noise and stamp the result. Defined inline: it
+  /// closes every operation on the replay hot path.
+  OpResult finalize(bool ok, double ns) {
     const hybridmem::FaultKind fault = pending_fault_;
     // A read whose transient retries exhausted never delivered the data:
     // the operation fails regardless of what the store layer concluded.
@@ -193,9 +176,7 @@ class KeyValueStore {
     // client observes. The rng stream advances identically regardless of
     // data placement, so measured-vs-estimated differences reflect model
     // error, not divergent random sequences.
-    ns = noise_.apply(ns);
-    stats_.busy_ns += ns;
-    return OpResult{ok, ns, llc_hit, fault};
+    return OpResult{ok, noise_.apply(ns), fault};
   }
 
   /// Price an index walk: `hot_probes` structure touches expected to be
@@ -238,8 +219,6 @@ class KeyValueStore {
   /// Keep the node-side accounting of index/journal overhead in sync:
   /// charge or release the difference to `new_bytes` on the store's node.
   void sync_overhead_accounting(std::uint64_t new_bytes);
-
-  StoreStats stats_;
 
  private:
   hybridmem::HybridMemory& memory_;

@@ -11,7 +11,7 @@ namespace mnemo::kvstore {
 /// The three store architectures evaluated by the paper, as open-source
 /// analogues (see DESIGN.md §1 for the mapping rationale):
 ///   kVermilion — Redis-like single-threaded event-loop store
-///   kCachet    — Memcached-like slab/LRU store with overlapped transfers
+///   kCachet    — Memcached-like slab store with overlapped transfers
 ///   kDynaStore — DynamoDB-local-like B+-tree + journal store
 enum class StoreKind : std::uint8_t { kVermilion = 0, kCachet = 1, kDynaStore = 2 };
 

@@ -103,9 +103,11 @@ Server::Server(ServeOptions options)
     : options_(std::move(options)), scheduler_(options_.threads) {
   // Crash recovery before the first request: a cache dir damaged by a
   // previous crash (torn writes, dead writers' temps) is quarantined so
-  // every key degrades to a recomputable miss, never a poisoned answer.
+  // every key degrades to a recomputable miss, never a poisoned answer. A
+  // server that bypasses the cache never reads the dir, so it leaves it
+  // untouched.
   const core::ArtifactStore store(options_.cache_dir);
-  if (options_.fsck_on_start && store.enabled()) {
+  if (options_.fsck_on_start && options_.use_cache && store.enabled()) {
     const core::FsckReport report = store.fsck(/*repair=*/true);
     if (!report.clean()) {
       MNEMO_LOG_WARN("serve: startup fsck repaired %s:\n%s",

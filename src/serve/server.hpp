@@ -43,7 +43,8 @@ struct ServeOptions {
   std::uint64_t default_deadline_ms = 0;
   /// Run ArtifactStore::fsck over cache_dir before serving (crash
   /// recovery): torn or foreign files are quarantined so a damaged cache
-  /// degrades to cache misses instead of poisoning responses.
+  /// degrades to cache misses instead of poisoning responses. Skipped when
+  /// use_cache is false: that server never opens the dir.
   bool fsck_on_start = true;
   /// Test seam: runs on the scheduler thread just before a request is
   /// handled. Lets tests hold workers to make queue pressure

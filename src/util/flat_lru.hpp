@@ -2,16 +2,11 @@
 
 #include <cstdint>
 #include <memory_resource>
-#include <unordered_map>
 #include <vector>
 
 #include "util/assert.hpp"
 
 namespace mnemo::util {
-
-/// Payload type for FlatLru users that only need recency order (e.g. the
-/// per-slab-class LRUs in Cachet, where the key itself is the value).
-struct NoPayload {};
 
 /// Array-backed intrusive LRU keyed by 64-bit IDs, built for the replay
 /// hot path (DESIGN.md §8): the simulator guarantees record keys are dense
@@ -22,9 +17,8 @@ struct NoPayload {};
 /// the pool has grown to the working-set size (reserve() up front makes
 /// steady state allocation-free).
 ///
-/// IDs below kAutoDenseCap index a flat table directly; keys at or above
-/// it fall back to a small overflow hash map, so correctness never depends
-/// on density — only speed does.
+/// The ID index grows on demand to cover the largest ID seen (4 bytes per
+/// ID), so IDs must be dense — the LLC's record keys are.
 ///
 /// Order semantics are exactly those of the std::list-based LRUs this
 /// replaces: push_front/touch make an entry most-recent, back() is the
@@ -32,15 +26,9 @@ struct NoPayload {};
 template <typename Payload>
 class FlatLru {
  public:
-  /// IDs below this are indexed by a flat vector (grown on demand, at most
-  /// 4 bytes per ID); IDs at or above it go to the overflow map. 2^20
-  /// covers every trace the repo generates while bounding each index at
-  /// 4 MiB even for sparse IDs (Cachet keeps one index per slab class).
-  static constexpr std::uint64_t kAutoDenseCap = 1ULL << 20;
-
   /// The slot pool and dense index allocate from `memory` — a campaign
   /// cell's arena when one is plumbed through (DESIGN.md §12), the default
-  /// heap resource otherwise. The rare overflow map stays on the heap.
+  /// heap resource otherwise.
   FlatLru() = default;
   explicit FlatLru(std::pmr::memory_resource* memory)
       : slots_(memory != nullptr ? memory : std::pmr::get_default_resource()),
@@ -50,9 +38,7 @@ class FlatLru {
   /// Pre-size the dense index for IDs [0, ids) and the slot pool for
   /// `slots` resident entries, so steady-state operation never allocates.
   void reserve(std::size_t ids, std::size_t slots) {
-    const std::size_t dense =
-        ids < kAutoDenseCap ? ids : static_cast<std::size_t>(kAutoDenseCap);
-    if (dense > dense_.size()) dense_.resize(dense, kAbsent);
+    if (ids > dense_.size()) dense_.resize(ids, kAbsent);
     slots_.reserve(slots);
   }
 
@@ -131,7 +117,6 @@ class FlatLru {
     // Keep the grown capacity (dense table + slot pool) so a clear between
     // measurement phases does not re-trigger warm-up allocations.
     for (std::size_t i = 0; i < dense_.size(); ++i) dense_[i] = kAbsent;
-    overflow_.clear();
     slots_.clear();
     head_ = tail_ = free_ = kAbsent;
     size_ = 0;
@@ -148,34 +133,17 @@ class FlatLru {
   };
 
   [[nodiscard]] std::int32_t slot_of(std::uint64_t id) const {
-    if (id < dense_.size()) return dense_[static_cast<std::size_t>(id)];
-    if (id < kAutoDenseCap) return kAbsent;  // dense region not grown yet
-    const auto it = overflow_.find(id);
-    return it == overflow_.end() ? kAbsent : it->second;
+    return id < dense_.size() ? dense_[static_cast<std::size_t>(id)]
+                              : kAbsent;
   }
 
   void set_slot_of(std::uint64_t id, std::int32_t slot) {
-    if (id < kAutoDenseCap) {
-      if (id >= dense_.size()) {
-        std::size_t grown = dense_.empty() ? 64 : dense_.size() * 2;
-        while (grown <= id) grown *= 2;
-        if (grown > kAutoDenseCap) {
-          grown = static_cast<std::size_t>(kAutoDenseCap);
-        }
-        dense_.resize(grown, kAbsent);
-      }
-      dense_[static_cast<std::size_t>(id)] = slot;
-      return;
+    if (id >= dense_.size()) {
+      std::size_t grown = dense_.empty() ? 64 : dense_.size() * 2;
+      while (grown <= id) grown *= 2;
+      dense_.resize(grown, kAbsent);
     }
-    overflow_[id] = slot;
-  }
-
-  void clear_slot_of(std::uint64_t id) {
-    if (id < kAutoDenseCap) {
-      dense_[static_cast<std::size_t>(id)] = kAbsent;
-      return;
-    }
-    overflow_.erase(id);
+    dense_[static_cast<std::size_t>(id)] = slot;
   }
 
   void unlink(std::int32_t slot) {
@@ -206,7 +174,7 @@ class FlatLru {
   void erase_slot(std::int32_t slot) {
     unlink(slot);
     Slot& s = slots_[static_cast<std::size_t>(slot)];
-    clear_slot_of(s.id);
+    dense_[static_cast<std::size_t>(s.id)] = kAbsent;
     s.next = free_;
     free_ = slot;
     --size_;
@@ -214,7 +182,6 @@ class FlatLru {
 
   std::pmr::vector<Slot> slots_;                    ///< entry pool
   std::pmr::vector<std::int32_t> dense_;            ///< id → slot, -1 absent
-  std::unordered_map<std::uint64_t, std::int32_t> overflow_;
   std::int32_t head_ = kAbsent;  ///< MRU end
   std::int32_t tail_ = kAbsent;  ///< LRU end (eviction victim)
   std::int32_t free_ = kAbsent;  ///< slot free list, threaded via next

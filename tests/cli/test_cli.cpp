@@ -368,6 +368,33 @@ TEST(Cli, PlanAbortPolicyNamesWorkloadAndCell) {
   EXPECT_NE(r.err.find("cell #"), std::string::npos);
 }
 
+// Cachet keeps each 1 MiB record in a 2 MiB huge-class chunk, so 2048 of
+// them fill a paper-testbed node exactly and the last cannot be loaded.
+// No store evicts: the cell is quarantined with a typed capacity error
+// instead of aborting the run or measuring a smaller dataset.
+TEST(Cli, RunQuarantinesACellWhoseDatasetOverflowsItsNode) {
+  const std::string path = ::testing::TempDir() + "/cli_overflow_trace.csv";
+  {
+    constexpr int kKeys = 2048;
+    std::ofstream out(path);
+    out << "trace,overflow\nkey_count," << kKeys << "\nsizes";
+    for (int k = 0; k < kKeys; ++k) out << ",1048576";
+    out << "\n";
+    for (int k = 0; k < kKeys; ++k) out << k << ",read\n";
+  }
+  CliResult r = run_cli({"run", "--trace", path, "--store", "cachet",
+                         "--repeats", "1"});
+  EXPECT_EQ(r.code, 0) << r.err;
+  EXPECT_NE(r.out.find("capacity_exhausted"), std::string::npos) << r.out;
+
+  r = run_cli({"run", "--trace", path, "--store", "cachet", "--repeats", "1",
+               "--fail-policy", "abort"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("fault policy abort: cell #"), std::string::npos)
+      << r.err;
+  std::filesystem::remove(path);
+}
+
 TEST(Cli, BadFaultSpecFails) {
   const CliResult r = run_cli({"profile", "--workload", "trending",
                                "--keys", "100", "--requests", "1000",

@@ -2,7 +2,8 @@
 // exactly the per-key and per-request values the stores and the statistics
 // tail would compute, an arena-backed cell measures bit-identically to a
 // heap-backed one (field-for-field via RunMeasurement's defaulted
-// operator==), and a trace with no requests is a typed error either way.
+// operator==), a trace with no requests is a typed error either way, and
+// so is a dataset its node cannot hold.
 // Campaign grids over the compiled replay are pinned by the golden
 // fixtures (test_golden_replay) at every thread count in {1, 2, 8}.
 
@@ -13,6 +14,7 @@
 
 #include "core/sensitivity_engine.hpp"
 #include "util/arena.hpp"
+#include "util/bytes.hpp"
 #include "util/rng.hpp"
 #include "workload/compiled_trace.hpp"
 #include "workload/workload_spec.hpp"
@@ -98,6 +100,51 @@ TEST(CompiledReplay, ZeroRequestTraceIsTypedErrorOnBothPaths) {
   ASSERT_FALSE(arena_backed.ok());
   EXPECT_EQ(arena_backed.error().code, util::ErrorCode::kInvalidArgument);
   EXPECT_EQ(heap.error().message, arena_backed.error().message);
+}
+
+// Cachet keeps a 1 MiB record in a 2 MiB huge-class chunk, so 32 of them
+// overflow a 64 MiB node: the engine sizes nodes at twice the dataset's
+// payload bytes, not its chunks. No store evicts, so a deployment that
+// cannot hold its dataset is a typed capacity error naming the key that
+// did not fit, whether that key is loaded up front or inserted by the
+// replay, and never an abort or a measurement of a smaller dataset.
+TEST(CompiledReplay, NodeOverflowIsATypedCapacityError) {
+  constexpr std::uint64_t kKeys = 32;
+  const std::vector<std::uint64_t> sizes(kKeys, util::kMiB);
+  SensitivityConfig cfg;
+  cfg.store = kvstore::StoreKind::kCachet;
+  cfg.platform = hybridmem::paper_testbed_with_capacity(64 * util::kMiB);
+  const SensitivityEngine engine(cfg);
+  const hybridmem::Placement all_fast(kKeys, hybridmem::NodeId::kFast);
+
+  std::vector<workload::Request> reads;
+  for (std::uint32_t k = 0; k < kKeys; ++k) {
+    reads.push_back({k, workload::OpType::kRead});
+  }
+  const workload::Trace loaded("overflow", kKeys, reads, sizes);
+  const util::Result<RunMeasurement> populate =
+      engine.try_run_once(workload::CompiledTrace(loaded), all_fast);
+  ASSERT_FALSE(populate.ok());
+  EXPECT_EQ(populate.error().code, util::ErrorCode::kCapacityExhausted);
+  EXPECT_EQ(populate.error().key, kKeys - 1);
+  EXPECT_EQ(populate.error().message.rfind("populate: ", 0), 0u)
+      << populate.error().message;
+
+  // Half the keys loaded and read; the other half inserted afterwards.
+  std::vector<workload::Request> inserts(reads.begin(),
+                                         reads.begin() + kKeys / 2);
+  for (std::uint32_t k = kKeys / 2; k < kKeys; ++k) {
+    inserts.push_back({k, workload::OpType::kInsert});
+  }
+  const workload::Trace inserted("overflow_inserts", kKeys, inserts, sizes,
+                                 kKeys / 2);
+  const util::Result<RunMeasurement> replay =
+      engine.try_run_once(workload::CompiledTrace(inserted), all_fast);
+  ASSERT_FALSE(replay.ok());
+  EXPECT_EQ(replay.error().code, util::ErrorCode::kCapacityExhausted);
+  EXPECT_EQ(replay.error().key, kKeys - 1);
+  EXPECT_EQ(replay.error().message.rfind("replay: ", 0), 0u)
+      << replay.error().message;
 }
 
 }  // namespace

@@ -22,10 +22,7 @@
 #include "core/campaign.hpp"
 #include "core/sensitivity_engine.hpp"
 #include "faultinject/io_fault.hpp"
-#include "hybridmem/hybrid_memory.hpp"
-#include "kvstore/dual_server.hpp"
 #include "util/arena.hpp"
-#include "util/bytes.hpp"
 #include "util/cancel.hpp"
 #include "util/task_scheduler.hpp"
 #include "workload/compiled_trace.hpp"
@@ -434,30 +431,6 @@ TEST(GroupedReplay, LeaderErrorIsReproducedByItsFollowers) {
       EXPECT_EQ(f.attempts, 2);
     }
   }
-}
-
-// Evictions are the store path a seed-dependent policy could take; a
-// leader whose stores counted one publishes nothing. No engine grid
-// reaches them (the platform is sized at twice the dataset), so the rule
-// is checked on a deployment driven into Cachet's LRU eviction.
-TEST(GroupedReplay, EvictionsForbidSharing) {
-  kvstore::StoreConfig store_cfg;
-  store_cfg.deterministic_service = true;
-
-  hybridmem::HybridMemory healthy(
-      hybridmem::paper_testbed_with_capacity(64 * util::kMiB));
-  const kvstore::DualServer quiet(healthy, kvstore::StoreKind::kVermilion,
-                                  store_cfg);
-  EXPECT_TRUE(ReplaySkeleton::repeat_invariant(quiet.combined_stats()));
-
-  hybridmem::HybridMemory tight(
-      hybridmem::paper_testbed_with_capacity(4 * util::kMiB));
-  kvstore::DualServer evicting(tight, kvstore::StoreKind::kCachet, store_cfg);
-  for (std::uint64_t k = 0; k < 100; ++k) {
-    ASSERT_TRUE(evicting.slow().put(k, 100 * util::kKiB).ok);
-  }
-  ASSERT_GT(evicting.combined_stats().evictions, 0u);
-  EXPECT_FALSE(ReplaySkeleton::repeat_invariant(evicting.combined_stats()));
 }
 
 // Cancellation lands after the first leader settles and before any of its

@@ -74,13 +74,18 @@ TEST_P(DualServerTest, ExecuteRoutesByKeyPlacement) {
   placement.set(7, NodeId::kFast);
   ASSERT_TRUE(servers.populate(compiled, placement).ok());
 
-  const auto fast_gets_before = servers.fast().stats().gets;
-  ASSERT_TRUE(serve(servers, compiled, workload::OpType::kRead, 7).ok());
-  EXPECT_EQ(servers.fast().stats().gets, fast_gets_before + 1);
-
-  const auto slow_gets_before = servers.slow().stats().gets;
-  ASSERT_TRUE(serve(servers, compiled, workload::OpType::kRead, 8).ok());
-  EXPECT_EQ(servers.slow().stats().gets, slow_gets_before + 1);
+  // Each key lives on one instance only, so a read hits only if it was
+  // routed there.
+  EXPECT_FALSE(servers.slow().get(7).ok);
+  EXPECT_FALSE(servers.fast().get(8).ok);
+  const util::Result<OpResult> fast_read =
+      serve(servers, compiled, workload::OpType::kRead, 7);
+  ASSERT_TRUE(fast_read.ok());
+  EXPECT_TRUE(fast_read.value().ok);
+  const util::Result<OpResult> slow_read =
+      serve(servers, compiled, workload::OpType::kRead, 8);
+  ASSERT_TRUE(slow_read.ok());
+  EXPECT_TRUE(slow_read.value().ok);
 }
 
 TEST_P(DualServerTest, UpdatesStayOnAssignedServer) {
@@ -94,28 +99,6 @@ TEST_P(DualServerTest, UpdatesStayOnAssignedServer) {
   }
   EXPECT_EQ(servers.fast().record_count(), 0u);
   EXPECT_EQ(servers.slow().record_count(), trace.key_count());
-}
-
-TEST_P(DualServerTest, CombinedStatsSumBothInstances) {
-  DualServer servers(memory_, GetParam(), quiet_config());
-  const auto trace = small_trace();
-  const workload::CompiledTrace compiled(trace);
-  std::vector<std::uint64_t> order(trace.key_count());
-  std::iota(order.begin(), order.end(), 0);
-  ASSERT_TRUE(
-      servers.populate(compiled, Placement::from_order(order, 100)).ok());
-  for (std::size_t i = 0; i < compiled.request_count(); ++i) {
-    ASSERT_TRUE(serve(servers, compiled, i).ok());
-  }
-  const StoreStats combined = servers.combined_stats();
-  EXPECT_EQ(combined.gets,
-            servers.fast().stats().gets + servers.slow().stats().gets);
-  EXPECT_EQ(combined.puts,
-            servers.fast().stats().puts + servers.slow().stats().puts);
-  EXPECT_DOUBLE_EQ(
-      combined.busy_ns,
-      servers.fast().stats().busy_ns + servers.slow().stats().busy_ns);
-  EXPECT_EQ(combined.gets, trace.total_reads());
 }
 
 TEST_P(DualServerTest, AllRequestsSucceedAfterPopulate) {
@@ -149,6 +132,34 @@ TEST_P(DualServerTest, PopulateErrorCarriesKeyAndCapacity) {
   EXPECT_LT(st.error().available_bytes, tiny.slow.capacity_bytes);
   EXPECT_NE(st.error().to_string().find("capacity_exhausted"),
             std::string::npos);
+}
+
+TEST_P(DualServerTest, ExecuteWriteThatDoesNotFitIsATypedError) {
+  // Key 0 is loaded; key 1 arrives by insert and is bigger than SlowMem.
+  hybridmem::EmulationProfile tiny = hybridmem::paper_testbed_with_capacity(
+      64ULL * 1024 * 1024);
+  tiny.slow.capacity_bytes = 4ULL * 1024 * 1024;
+  hybridmem::HybridMemory memory(tiny);
+  DualServer servers(memory, GetParam(), quiet_config());
+  const workload::Trace trace(
+      "insert_overflow", 2,
+      {{0, workload::OpType::kRead}, {1, workload::OpType::kInsert}},
+      {1024, 8ULL * 1024 * 1024}, /*initial_key_count=*/1);
+  const workload::CompiledTrace compiled(trace);
+  ASSERT_TRUE(
+      servers.populate(compiled, Placement(trace.key_count(), NodeId::kSlow))
+          .ok());
+  ASSERT_TRUE(serve(servers, compiled, 0).value().ok);
+
+  const util::Result<OpResult> r = serve(servers, compiled, 1);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().code, util::ErrorCode::kCapacityExhausted);
+  EXPECT_EQ(r.error().key, 1u);
+  EXPECT_EQ(r.error().requested_bytes, trace.size_of(1));
+  EXPECT_LT(r.error().available_bytes, tiny.slow.capacity_bytes);
+  EXPECT_NE(r.error().message.find("SlowMem"), std::string::npos)
+      << r.error().message;
+  EXPECT_EQ(servers.slow().record_count(), 1u) << "the store is as it was";
 }
 
 TEST_P(DualServerTest, MoveKeyRetriesTransientFaultsWithBackoff) {

@@ -221,6 +221,40 @@ TEST(ServeChaos, ServerStartupFsckHealsADamagedCache) {
   fs::remove_all(dir);
 }
 
+TEST(ServeChaos, ServerWithoutCacheLeavesADamagedCacheUntouched) {
+  const fs::path dir = fresh_dir("mnemo_chaos_no_cache_fsck");
+  std::string clean_output;
+  {
+    ServeOptions options;
+    options.cache_dir = dir.string();
+    Server server(std::move(options));
+    const JsonValue resp = ask(server, small_advise("seed"));
+    ASSERT_TRUE(resp.find("ok")->value.boolean);
+    clean_output = resp.find("output")->value.string;
+  }
+  std::vector<fs::path> torn;
+  for (const auto& e : fs::directory_iterator(dir)) {
+    if (e.path().extension() == ".mna") {
+      fs::resize_file(e.path(), 2);
+      torn.push_back(e.path());
+    }
+  }
+  ASSERT_FALSE(torn.empty());
+  ServeOptions options;
+  options.cache_dir = dir.string();
+  options.use_cache = false;  // never reads the dir, so never scans it
+  Server bypassing(std::move(options));
+  const JsonValue resp = ask(bypassing, small_advise("after"));
+  ASSERT_TRUE(resp.find("ok")->value.boolean);
+  EXPECT_EQ(resp.find("output")->value.string, clean_output);
+  for (const fs::path& p : torn) {
+    EXPECT_TRUE(fs::exists(p)) << p;
+    EXPECT_EQ(fs::file_size(p), 2u) << p;
+  }
+  EXPECT_FALSE(fs::exists(dir / "quarantine"));
+  fs::remove_all(dir);
+}
+
 TEST(ServeChaos, ClientDisconnectIsCountedAndServiceContinues) {
   ServeOptions options;
   options.threads = 2;
