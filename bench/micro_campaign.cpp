@@ -2,8 +2,8 @@
 // §14): times the {placement × repeat} grid behind every sweep, baseline
 // and session, at the library's default repeats, two ways. The per-cell
 // arm replays every cell fully and serially — try_run_once on the shared
-// CompiledTrace, one arena reset per cell, each placement's repeats folded
-// with average_runs — the oracle test_grouped_replay builds, timed at
+// CompiledTrace, each placement's repeats folded with average_runs — the
+// oracle test_grouped_replay builds, timed at
 // threads 1. The grouped arm runs the same grid through
 // CampaignRunner::measure_grid at threads {1, 2, 8}: one leader per
 // placement, its repeat siblings replaying the leader's skeleton as tasks
@@ -27,7 +27,6 @@
 
 #include "core/campaign.hpp"
 #include "core/sensitivity_engine.hpp"
-#include "util/arena.hpp"
 #include "util/argparse.hpp"
 #include "util/timer.hpp"
 #include "workload/compiled_trace.hpp"
@@ -106,15 +105,12 @@ std::vector<core::RunMeasurement> per_cell_grid(
     const core::SensitivityEngine& engine, const workload::Trace& trace,
     const std::vector<hybridmem::Placement>& placements) {
   const workload::CompiledTrace compiled(trace);
-  util::Arena arena;
   std::vector<core::RunMeasurement> grid;
   std::vector<core::RunMeasurement> runs;
   for (const hybridmem::Placement& placement : placements) {
     runs.clear();
     for (int r = 0; r < engine.config().repeats; ++r) {
-      arena.reset();
-      runs.push_back(
-          engine.try_run_once(compiled, placement, r, 0, &arena).value());
+      runs.push_back(engine.try_run_once(compiled, placement, r).value());
     }
     grid.push_back(core::average_runs(runs));
   }

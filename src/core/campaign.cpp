@@ -10,7 +10,6 @@
 #include "faultinject/io_fault.hpp"
 #include "stats/log_histogram.hpp"
 #include "stats/summary.hpp"
-#include "util/arena.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 #include "workload/compiled_trace.hpp"
@@ -29,7 +28,6 @@ struct TotalsRegistry {
   std::size_t threads = 0;  ///< widest fan-out seen
   double wall_s = 0.0;
   double cpu_s = 0.0;
-  std::size_t arena_peak_bytes = 0;  ///< largest single-arena high-water
 };
 
 TotalsRegistry& totals_registry() {
@@ -45,24 +43,6 @@ void record_campaign(const CampaignStats& stats,
   reg.threads = std::max(reg.threads, stats.threads);
   reg.wall_s += stats.wall_s;
   reg.cpu_s += stats.cpu_s;
-  reg.arena_peak_bytes =
-      std::max(reg.arena_peak_bytes, stats.arena_peak_bytes);
-}
-
-/// Each worker owns one arena for every cell it runs; resetting rewinds
-/// the bump pointer while keeping the grown chunks, so only a worker's
-/// first cell pays allocation at all.
-util::Arena& worker_arena() {
-  thread_local util::Arena arena;
-  return arena;
-}
-
-/// Lock-free running max for the campaign-wide arena high-water mark.
-void raise_peak(std::atomic<std::size_t>& peak, std::size_t candidate) {
-  std::size_t seen = peak.load(std::memory_order_relaxed);
-  while (candidate > seen && !peak.compare_exchange_weak(
-                                 seen, candidate, std::memory_order_relaxed)) {
-  }
 }
 
 /// The repeat-major cell vector behind every measurement grid.
@@ -150,7 +130,6 @@ struct Grid {
   std::vector<std::optional<RunMeasurement>> slots;
   std::vector<std::optional<CellFailure>> failed;
   std::vector<double> cell_s;
-  std::atomic<std::size_t> arena_peak{0};
   std::atomic<std::size_t> remaining{0};  ///< tasks queued or running
   std::mutex error_mu;
   std::exception_ptr error;  ///< first exception a task let escape
@@ -220,36 +199,14 @@ struct Grid {
   return g;
 }
 
-/// One attempt at cell `cell`: a follower's skeleton replay when `follow`
-/// is set, else a full replay that records a skeleton into `record` when
-/// asked.
-util::Result<RunMeasurement> replay_cell(Grid& g, const CampaignCell& cell,
-                                         int attempt,
-                                         const ReplaySkeleton* follow,
-                                         ReplaySkeleton* record) {
-  // An attempt's state is fully torn down before the next starts, so the
-  // rewind is safe between attempts too.
-  util::Arena& arena = worker_arena();
-  arena.reset();
-  util::Result<RunMeasurement> run =
-      follow != nullptr
-          ? g.engine->replay_skeleton(*g.compiled, cell.placement, cell.repeat,
-                                      *follow, &arena)
-          : g.engine->try_run_once(*g.compiled, cell.placement, cell.repeat,
-                                   attempt, &arena, record);
-  // Deallocation is a no-op, so bytes_allocated() still reports the
-  // attempt's full footprint after its state is gone.
-  raise_peak(g.arena_peak, arena.bytes_allocated());
-  return run;
-}
-
 /// The one attempt rule every cell takes: a run is accepted only when it
 /// succeeded AND absorbed zero fault events — the condition under which it
 /// is bit-identical to the fault-free campaign, and what every successful
 /// cell of a fault-free engine satisfies on its first attempt. A rejected
 /// cell is retried once under an attempt-shifted fault stream, then
-/// quarantined. Only attempt 0 follows a skeleton or records one; a retry
-/// is always a full replay.
+/// quarantined. Attempt 0 is a follower's skeleton replay when `follow` is
+/// set, else a full replay that records a skeleton into `record` when
+/// asked; a retry is always a full replay.
 void run_cell(Grid& g, std::size_t i, const ReplaySkeleton* follow,
               ReplaySkeleton* record) {
   faultinject::chaos_cell_delay(i);
@@ -263,8 +220,11 @@ void run_cell(Grid& g, std::size_t i, const ReplaySkeleton* follow,
   faultinject::FaultStats last_stats;
   for (int attempt = 0; attempt < kAttempts; ++attempt) {
     util::Result<RunMeasurement> run =
-        replay_cell(g, cell, attempt, attempt == 0 ? follow : nullptr,
-                    attempt == 0 ? record : nullptr);
+        attempt == 0 && follow != nullptr
+            ? g.engine->replay_skeleton(*g.compiled, cell.placement,
+                                        cell.repeat, *follow)
+            : g.engine->try_run_once(*g.compiled, cell.placement, cell.repeat,
+                                     attempt, attempt == 0 ? record : nullptr);
     if (run.ok() && run.value().faults.events() == 0) {
       g.slots[i] = std::move(run.value());
       g.cell_s[i] = timer.elapsed_s();
@@ -300,8 +260,6 @@ CampaignRunner::AsyncOutcome settle(Grid& g) {
   CampaignRunner::AsyncOutcome outcome;
   outcome.stats = g.plan_stats();
   outcome.stats.wall_s = g.wall.elapsed_s();
-  outcome.stats.arena_peak_bytes =
-      g.arena_peak.load(std::memory_order_relaxed);
   if (g.canceled()) {
     outcome.error =
         std::make_exception_ptr(util::CanceledError(g.cancel->reason()));
@@ -358,11 +316,9 @@ void submit(const std::shared_ptr<Grid>& g, std::function<void()> body) {
 
 /// A placement group's leader task: replay the first cell fully with the
 /// skeleton tap armed, then queue each sibling as a task of its own. The
-/// skeleton lives in storage the group owns, not in the worker's arena —
-/// the next cell on this worker resets that arena while siblings may still
-/// be reading — and the last sibling task to finish frees it. A leader
-/// that failed publishes nothing: its siblings replay fully, reproducing
-/// its error.
+/// skeleton is shared by the group's tasks, and the last sibling task to
+/// finish frees it. A leader that failed publishes nothing: its siblings
+/// replay fully, reproducing its error.
 void lead(const std::shared_ptr<Grid>& g, std::size_t group) {
   const std::vector<std::size_t>& members = g->groups[group];
   std::shared_ptr<ReplaySkeleton> skeleton;
@@ -413,9 +369,6 @@ std::string CampaignStats::render(const std::string& title) const {
   util::TablePrinter table({title, "value"});
   table.add_row({"cells run", std::to_string(cells)});
   table.add_row({"threads", std::to_string(threads)});
-  table.add_row({"arena peak (KiB)",
-                 util::TablePrinter::num(
-                     static_cast<double>(arena_peak_bytes) / 1024.0, 1)});
   table.add_row({"wall time (ms)", util::TablePrinter::num(wall_s * 1e3, 1)});
   table.add_row({"cpu time (ms)", util::TablePrinter::num(cpu_s * 1e3, 1)});
   table.add_row(
@@ -522,7 +475,6 @@ CampaignStats campaign_totals() {
   totals.threads = reg.threads;
   totals.wall_s = reg.wall_s;
   totals.cpu_s = reg.cpu_s;
-  totals.arena_peak_bytes = reg.arena_peak_bytes;
   if (totals.cells > 0) {
     totals.cell_p50_s = reg.cell_ns.quantile(0.50) / 1e9;
     totals.cell_p95_s = reg.cell_ns.quantile(0.95) / 1e9;
@@ -537,7 +489,6 @@ void reset_campaign_totals() {
   reg.threads = 0;
   reg.wall_s = 0.0;
   reg.cpu_s = 0.0;
-  reg.arena_peak_bytes = 0;
 }
 
 }  // namespace mnemo::core

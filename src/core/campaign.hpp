@@ -20,7 +20,7 @@
 namespace mnemo::core {
 
 /// One cell of a measurement grid: execute `placement` once with the
-/// engine's seed shifted by `repeat` (exactly what run_once does).
+/// engine's seed shifted by `repeat` (exactly what try_run_once does).
 struct CampaignCell {
   hybridmem::Placement placement;
   int repeat = 0;
@@ -89,10 +89,6 @@ struct CampaignStats {
   double cpu_s = 0.0;       ///< sum of per-cell wall times
   double cell_p50_s = 0.0;  ///< median cell duration
   double cell_p95_s = 0.0;  ///< p95 cell duration
-  /// High-water mark of any single cell arena's bytes_allocated() across
-  /// the campaign — the grow-once footprint one cell of replay needs.
-  /// Max-merged; 0 when no cell ran.
-  std::size_t arena_peak_bytes = 0;
 
   /// cpu / wall: average number of cells in flight — the wall-clock
   /// speedup over running the same cells serially.

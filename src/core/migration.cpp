@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "core/pattern_engine.hpp"
@@ -21,10 +22,17 @@ DynamicTierer::DynamicTierer(SensitivityConfig sensitivity,
     : engine_(std::move(sensitivity)), migration_(migration) {
   MNEMO_EXPECTS(migration_.fast_budget_bytes > 0);
   MNEMO_EXPECTS(migration_.epoch_requests > 0);
-  MNEMO_EXPECTS(migration_.ewma_alpha > 0.0 && migration_.ewma_alpha <= 1.0);
 }
 
 namespace {
+
+/// Weight of the newest epoch in the decayed accesses/size scores.
+constexpr double kEwmaAlpha = 0.6;
+
+/// Hysteresis dead band: a currently-fast key is only demoted once it falls
+/// out of the top `kKeepFactor x budget` of the ranking, so borderline keys
+/// do not ping-pong between tiers every epoch.
+constexpr double kKeepFactor = 1.25;
 
 /// Circular mean position of the epoch's accesses over the key ring
 /// [0, n): keys are mapped to angles so wrap-around (key n-1 -> key 0)
@@ -76,7 +84,7 @@ MigrationResult DynamicTierer::run(const workload::Trace& trace) const {
   hybridmem::HybridMemory memory(
       engine_.sized_platform(compiled.dataset_bytes()));
   kvstore::DualServer servers(memory, sensitivity.store,
-                              engine_.store_config(0, nullptr));
+                              engine_.store_config(0));
 
   // Initial placement: fill the budget in key-ID order (no foresight).
   std::vector<std::uint64_t> id_order(trace.key_count());
@@ -85,7 +93,7 @@ MigrationResult DynamicTierer::run(const workload::Trace& trace) const {
       id_order, trace.key_sizes(), migration_.fast_budget_bytes);
   {
     const util::Status loaded = servers.populate(compiled, initial);
-    MNEMO_ASSERT(loaded.ok() && "budgeted initial placement must fit");
+    if (!loaded.ok()) throw std::runtime_error(loaded.error().to_string());
   }
   memory.drop_caches();
   // Same convention as the Sensitivity Engine: faults hit the serving
@@ -121,10 +129,9 @@ MigrationResult DynamicTierer::run(const workload::Trace& trace) const {
 
     // Decay history and absorb the finished epoch.
     for (std::uint64_t k = 0; k < trace.key_count(); ++k) {
-      scores[k] = (1.0 - migration_.ewma_alpha) * scores[k] +
-                  migration_.ewma_alpha *
-                      (static_cast<double>(epoch_counts[k]) /
-                       static_cast<double>(trace.size_of(k)));
+      scores[k] = (1.0 - kEwmaAlpha) * scores[k] +
+                  kEwmaAlpha * (static_cast<double>(epoch_counts[k]) /
+                                static_cast<double>(trace.size_of(k)));
       epoch_counts[k] = 0;
     }
 
@@ -162,8 +169,7 @@ MigrationResult DynamicTierer::run(const workload::Trace& trace) const {
     std::vector<bool> want_fast(trace.key_count(), false);
     std::vector<bool> want_keep(trace.key_count(), false);
     const auto keep_budget = static_cast<std::uint64_t>(
-        migration_.keep_factor *
-        static_cast<double>(migration_.fast_budget_bytes));
+        kKeepFactor * static_cast<double>(migration_.fast_budget_bytes));
     std::uint64_t strict_used = 0;
     std::uint64_t keep_used = 0;
     for (const std::uint64_t key : order) {
@@ -275,7 +281,10 @@ RunMeasurement DynamicTierer::run_static_oracle(
   SensitivityConfig healthy = engine_.config();
   healthy.faults = faultinject::FaultPlan{};
   const SensitivityEngine engine(healthy);
-  return engine.run_once(workload::CompiledTrace(trace), placement);
+  util::Result<RunMeasurement> run =
+      engine.try_run_once(workload::CompiledTrace(trace), placement);
+  if (!run.ok()) throw std::runtime_error(run.error().to_string());
+  return std::move(run.value());
 }
 
 }  // namespace mnemo::core

@@ -17,7 +17,6 @@ namespace mnemo::core {
 struct MigrationConfig {
   std::uint64_t fast_budget_bytes = 0;  ///< fixed FastMem capacity (required)
   std::size_t epoch_requests = 5'000;   ///< re-tier cadence
-  double ewma_alpha = 0.6;              ///< weight of the newest epoch
   /// Max bytes migrated per epoch (caps the disruption); 0 = unlimited.
   std::uint64_t migration_bytes_per_epoch = 0;
   /// Whether migrations stall the client (foreground) or only their
@@ -30,10 +29,6 @@ struct MigrationConfig {
   /// the recency-skewed mass of drifting (News-Feed-like) workloads.
   /// No-op on stationary workloads (estimated velocity ~ 0).
   bool predictive = true;
-  /// Hysteresis dead band: a currently-fast key is only demoted once it
-  /// falls out of the top `keep_factor x budget` of the ranking, so
-  /// borderline keys do not ping-pong between tiers every epoch.
-  double keep_factor = 1.25;
 };
 
 /// Outcome of a dynamically tiered run.
@@ -57,12 +52,16 @@ class DynamicTierer {
 
   /// Execute the trace with dynamic re-tiering. The initial placement
   /// fills the FastMem budget in key-ID order (no workload foresight —
-  /// the controller has to learn the hot set online).
+  /// the controller has to learn the hot set online). Throws
+  /// std::runtime_error carrying the typed error's text when that
+  /// placement's dataset overflows a node.
   [[nodiscard]] MigrationResult run(const workload::Trace& trace) const;
 
   /// Static reference point: the best *oracle* static placement for the
   /// same budget (whole-trace accesses/size priority), measured with the
-  /// same engine — what Mnemo/MnemoT would deploy.
+  /// same engine — what Mnemo/MnemoT would deploy. Throws
+  /// std::runtime_error carrying the typed error's text when the run
+  /// fails (a record its node cannot fit, loaded or inserted).
   [[nodiscard]] RunMeasurement run_static_oracle(
       const workload::Trace& trace) const;
 

@@ -1,7 +1,6 @@
 #include "core/sensitivity_engine.hpp"
 
 #include <algorithm>
-#include <memory_resource>
 #include <span>
 #include <vector>
 
@@ -9,7 +8,6 @@
 #include "hybridmem/hybrid_memory.hpp"
 #include "kvstore/dual_server.hpp"
 #include "stats/summary.hpp"
-#include "util/arena.hpp"
 #include "util/assert.hpp"
 #include "workload/compiled_trace.hpp"
 
@@ -36,22 +34,10 @@ hybridmem::EmulationProfile SensitivityEngine::sized_platform(
   return platform;
 }
 
-kvstore::StoreConfig SensitivityEngine::store_config(
-    int repeat, std::pmr::memory_resource* memory) const {
+kvstore::StoreConfig SensitivityEngine::store_config(int repeat) const {
   kvstore::StoreConfig store_cfg;
   store_cfg.seed = config_.seed + static_cast<std::uint64_t>(repeat) * 0x9e37;
-  store_cfg.table_memory = memory;
   return store_cfg;
-}
-
-RunMeasurement SensitivityEngine::run_once(
-    const workload::CompiledTrace& compiled,
-    const hybridmem::Placement& placement, int repeat,
-    util::Arena* arena) const {
-  util::Result<RunMeasurement> run =
-      try_run_once(compiled, placement, repeat, 0, arena);
-  MNEMO_ASSERT(run.ok() && "run_once requires a run that cannot fail");
-  return run.value();
 }
 
 namespace {
@@ -80,7 +66,7 @@ stats::Line fit_service_line(const workload::ServiceFitMoments& moments,
 /// arithmetic is identical to stats::percentile_sorted, so the result is
 /// the same double to the last bit. Mutates `scratch` (partial ordering);
 /// O(n) per call.
-double percentile_select(std::pmr::vector<double>& scratch, double q) {
+double percentile_select(std::vector<double>& scratch, double q) {
   MNEMO_EXPECTS(!scratch.empty());
   if (scratch.size() == 1) return scratch[0];
   const double pos = q * static_cast<double>(scratch.size() - 1);
@@ -104,15 +90,14 @@ util::Error empty_trace_error() {
 /// replay and skeleton replay feed, and the statistics tail they share —
 /// so the two paths cannot drift apart.
 struct CompiledSamples {
-  std::pmr::vector<double> read_lat;
-  std::pmr::vector<double> write_lat;
+  std::vector<double> read_lat;
+  std::vector<double> write_lat;
 
-  CompiledSamples(const workload::CompiledTrace& compiled,
-                  std::pmr::memory_resource* memory)
-      : read_lat(memory), write_lat(memory) {
+  explicit CompiledSamples(const workload::CompiledTrace& compiled) {
     // Exact counts are campaign invariants the compile step already paid
-    // for.
-    read_lat.reserve(compiled.read_count());
+    // for. The read stream also holds room for the writes derive()
+    // appends to it.
+    read_lat.reserve(compiled.request_count());
     write_lat.reserve(compiled.write_count());
   }
 
@@ -128,7 +113,8 @@ struct CompiledSamples {
   /// per-request byte streams are placement-invariant, so the compiled
   /// trace carries them pre-split, in the same order add() pushed. The two
   /// tail ranks are then extracted by selection over the concatenated
-  /// streams — the same doubles a sort would index, pinned by the golden
+  /// streams (the writes appended in place to the reads, which derive()
+  /// consumes) — the same doubles a sort would index, pinned by the golden
   /// fixtures.
   [[nodiscard]] util::Status derive(RunMeasurement& m,
                                     const workload::CompiledTrace& compiled) {
@@ -153,41 +139,24 @@ struct CompiledSamples {
     m.avg_latency_ns = m.runtime_ns / static_cast<double>(m.requests);
     m.throughput_ops =
         static_cast<double>(m.requests) / (m.runtime_ns / 1e9);
-    std::pmr::vector<double> merged(read_lat.size() + write_lat.size(),
-                                    read_lat.get_allocator());
-    const auto split =
-        std::copy(read_lat.begin(), read_lat.end(), merged.begin());
-    std::copy(write_lat.begin(), write_lat.end(), split);
-    m.p95_ns = percentile_select(merged, 0.95);
-    m.p99_ns = percentile_select(merged, 0.99);
+    read_lat.insert(read_lat.end(), write_lat.begin(), write_lat.end());
+    m.p95_ns = percentile_select(read_lat, 0.95);
+    m.p99_ns = percentile_select(read_lat, 0.99);
     return {};
   }
 };
-
-[[nodiscard]] std::pmr::memory_resource* cell_memory_of(util::Arena* arena) {
-  return arena != nullptr ? static_cast<std::pmr::memory_resource*>(arena)
-                          : std::pmr::get_default_resource();
-}
 
 }  // namespace
 
 util::Result<RunMeasurement> SensitivityEngine::try_run_once(
     const workload::CompiledTrace& compiled,
     const hybridmem::Placement& placement, int repeat, int attempt,
-    util::Arena* arena, ReplaySkeleton* record) const {
+    ReplaySkeleton* record) const {
   MNEMO_EXPECTS(record == nullptr || config_.faults.empty());
   if (compiled.request_count() == 0) return empty_trace_error();
 
-  // One resource backs every per-cell allocation below — the platform's
-  // flat tables, both stores' slot pools, and the latency streams. With an
-  // arena those become grow-once bump allocations the worker reuses across
-  // cells; without one they come from the default heap.
-  std::pmr::memory_resource* cell_memory = cell_memory_of(arena);
-
-  hybridmem::HybridMemory memory(sized_platform(compiled.dataset_bytes()),
-                                 cell_memory);
-  kvstore::DualServer servers(memory, config_.store,
-                              store_config(repeat, cell_memory));
+  hybridmem::HybridMemory memory(sized_platform(compiled.dataset_bytes()));
+  kvstore::DualServer servers(memory, config_.store, store_config(repeat));
   {
     util::Status loaded = servers.populate(compiled, placement);
     if (!loaded.ok()) return loaded.error();
@@ -216,7 +185,7 @@ util::Result<RunMeasurement> SensitivityEngine::try_run_once(
 
   RunMeasurement m;
   m.requests = compiled.request_count();
-  CompiledSamples samples(compiled, cell_memory);
+  CompiledSamples samples(compiled);
   const std::span<const std::uint64_t> hashes = compiled.key_hashes();
   // Replay off the compiled flat streams (1-byte ops + 4-byte keys) rather
   // than the Trace's Request structs, through the unchecked execute form —
@@ -249,14 +218,14 @@ util::Result<RunMeasurement> SensitivityEngine::try_run_once(
 util::Result<RunMeasurement> SensitivityEngine::replay_skeleton(
     const workload::CompiledTrace& compiled,
     const hybridmem::Placement& placement, int repeat,
-    const ReplaySkeleton& skeleton, util::Arena* arena) const {
+    const ReplaySkeleton& skeleton) const {
   MNEMO_EXPECTS(skeleton.shareable &&
                 skeleton.service_ns.size() == compiled.request_count());
   // The sibling's noise streams, reproduced instance-exactly: the same
   // profile resolution, seeds and rng type its own deployment would
   // construct (kvstore::ServiceNoise::for_instance is the one definition
   // both paths share).
-  const kvstore::StoreConfig fast_cfg = store_config(repeat, nullptr);
+  const kvstore::StoreConfig fast_cfg = store_config(repeat);
   kvstore::StoreConfig slow_cfg = fast_cfg;
   slow_cfg.seed ^= kvstore::DualServer::kSlowSeedMix;
   kvstore::ServiceNoise fast_noise =
@@ -276,7 +245,7 @@ util::Result<RunMeasurement> SensitivityEngine::replay_skeleton(
 
   RunMeasurement m;
   m.requests = compiled.request_count();
-  CompiledSamples samples(compiled, cell_memory_of(arena));
+  CompiledSamples samples(compiled);
   const std::span<const workload::OpType> ops = compiled.ops();
   const std::span<const std::uint32_t> keys = compiled.keys();
   for (std::size_t i = 0; i < ops.size(); ++i) {

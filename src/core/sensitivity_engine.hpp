@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory_resource>
 #include <vector>
 
 #include "core/baselines.hpp"
@@ -13,10 +12,6 @@
 #include "kvstore/service_profile.hpp"
 #include "util/status.hpp"
 #include "workload/trace.hpp"
-
-namespace mnemo::util {
-class Arena;
-}
 
 namespace mnemo::workload {
 class CompiledTrace;
@@ -70,18 +65,7 @@ class SensitivityEngine {
   /// Execute the compiled trace once against a fresh deployment with the
   /// given placement (seed-shifted by `repeat`), returning the client
   /// view. Each request's precomputed hash passes through to the stores
-  /// (DESIGN.md §12), and `arena` (optional) backs every per-cell
-  /// allocation — platform tables, store slot pools, latency vectors. The
-  /// arena is an allocation strategy, never a behaviour change; the caller
-  /// owns its reset cycle (reset between cells, after the cell's state is
-  /// gone). Asserting wrapper over try_run_once for healthy-platform
-  /// callers.
-  [[nodiscard]] RunMeasurement run_once(
-      const workload::CompiledTrace& compiled,
-      const hybridmem::Placement& placement, int repeat = 0,
-      util::Arena* arena = nullptr) const;
-
-  /// Fault-aware variant: arms config().faults on the deployment (fault
+  /// (DESIGN.md §12). Arms config().faults on the deployment (fault
   /// stream derived from repeat and `attempt`, store seeds untouched — a
   /// retry redraws the fault sequence, never the workload service noise)
   /// and returns a typed error instead of aborting when the run fails (an
@@ -93,17 +77,17 @@ class SensitivityEngine {
   [[nodiscard]] util::Result<RunMeasurement> try_run_once(
       const workload::CompiledTrace& compiled,
       const hybridmem::Placement& placement, int repeat = 0, int attempt = 0,
-      util::Arena* arena = nullptr, ReplaySkeleton* record = nullptr) const;
+      ReplaySkeleton* record = nullptr) const;
 
   /// A repeat sibling's replay: exactly what try_run_once(compiled,
-  /// placement, repeat, 0, arena) returns, derived from a sibling's
-  /// published skeleton — only the per-repeat service noise and the
-  /// statistics tail run, no deployment is built. Requires
-  /// `skeleton.shareable`, recorded over the same trace and placement.
+  /// placement, repeat) returns, derived from a sibling's published
+  /// skeleton — only the per-repeat service noise and the statistics tail
+  /// run, no deployment is built. Requires `skeleton.shareable`, recorded
+  /// over the same trace and placement.
   [[nodiscard]] util::Result<RunMeasurement> replay_skeleton(
       const workload::CompiledTrace& compiled,
       const hybridmem::Placement& placement, int repeat,
-      const ReplaySkeleton& skeleton, util::Arena* arena = nullptr) const;
+      const ReplaySkeleton& skeleton) const;
 
   /// Mean of `repeats` runs for one placement, fanned out as a
   /// measurement campaign over config().threads workers.
@@ -126,8 +110,7 @@ class SensitivityEngine {
 
   /// The store configuration of one cell's deployment: the repeat
   /// perturbs the service-noise seed and nothing else.
-  [[nodiscard]] kvstore::StoreConfig store_config(
-      int repeat, std::pmr::memory_resource* memory) const;
+  [[nodiscard]] kvstore::StoreConfig store_config(int repeat) const;
 
  private:
   SensitivityConfig config_;

@@ -55,11 +55,9 @@ inline constexpr std::string_view to_string(FaultKind f) {
 
 /// Outcome of pricing one access.
 struct AccessResult {
-  double ns = 0.0;     ///< simulated service time of the memory part
-  bool llc_hit = false;  ///< whole object was LLC-resident
+  double ns = 0.0;  ///< simulated service time of the memory part
   FaultKind fault = FaultKind::kNone;  ///< injected fault, if any
-  int fault_retries = 0;  ///< transient retry attempts absorbed
-  bool failed = false;    ///< retries exhausted; data not delivered
+  bool failed = false;  ///< retries exhausted; data not delivered
 };
 
 }  // namespace mnemo::hybridmem

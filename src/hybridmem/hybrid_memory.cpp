@@ -4,15 +4,12 @@
 
 namespace mnemo::hybridmem {
 
-HybridMemory::HybridMemory(const EmulationProfile& profile,
-                           std::pmr::memory_resource* memory)
+HybridMemory::HybridMemory(const EmulationProfile& profile)
     : profile_(profile),
       fast_(profile.fast),
       slow_(profile.slow),
       llc_(profile.llc_bytes, profile.llc_latency_ns,
-           profile.llc_bandwidth_gbps, profile.llc_bypass_fraction, memory),
-      objects_(memory != nullptr ? memory
-                                 : std::pmr::get_default_resource()) {}
+           profile.llc_bandwidth_gbps, profile.llc_bypass_fraction) {}
 
 std::uint64_t HybridMemory::total_used_bytes() const noexcept {
   return fast_.used_bytes() + slow_.used_bytes();

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <memory_resource>
 #include <optional>
 #include <vector>
 
@@ -26,11 +25,7 @@ namespace mnemo::hybridmem {
 /// the wall clock.
 class HybridMemory {
  public:
-  /// `memory` (optional) backs the platform's flat tables (object table,
-  /// LLC recency) — a campaign cell's arena when one is plumbed through
-  /// (DESIGN.md §12), the default heap otherwise.
-  explicit HybridMemory(const EmulationProfile& profile,
-                        std::pmr::memory_resource* memory = nullptr);
+  explicit HybridMemory(const EmulationProfile& profile);
 
   /// Place a new object. Returns false if the node is out of capacity.
   [[nodiscard]] bool place(std::uint64_t object_id, std::uint64_t bytes,
@@ -72,9 +67,7 @@ class HybridMemory {
     if (effective.streamed_bytes == 0) effective.streamed_bytes = info->bytes;
 
     AccessResult result;
-    const bool hit = llc_.access(object_id, info->bytes);
-    if (hit) {
-      result.llc_hit = true;
+    if (llc_.access(object_id, info->bytes)) {
       result.ns = llc_.hit_ns(effective.streamed_bytes) *
                   effective.latency_touches;
       if (op == MemOp::kWrite) result.ns *= effective.write_discount;
@@ -93,7 +86,6 @@ class HybridMemory {
           if (op == MemOp::kRead) {
             const auto outcome = injector_->on_slow_read();
             extra_ns = outcome.extra_ns;
-            result.fault_retries = outcome.retries;
             if (outcome.faulted) result.fault = FaultKind::kTransient;
             result.failed = outcome.failed;
           }
@@ -179,7 +171,7 @@ class HybridMemory {
   MemoryNode fast_;
   MemoryNode slow_;
   LlcModel llc_;
-  std::pmr::vector<ObjectInfo> objects_;
+  std::vector<ObjectInfo> objects_;
   std::unique_ptr<faultinject::FaultInjector> injector_;
 };
 

@@ -7,14 +7,12 @@
 namespace mnemo::hybridmem {
 
 LlcModel::LlcModel(std::uint64_t capacity_bytes, double hit_latency_ns,
-                   double hit_bandwidth_gbps, double bypass_fraction,
-                   std::pmr::memory_resource* memory)
+                   double hit_bandwidth_gbps, double bypass_fraction)
     : capacity_(capacity_bytes),
       hit_latency_ns_(hit_latency_ns),
       hit_bandwidth_gbps_(hit_bandwidth_gbps),
       bypass_threshold_(static_cast<std::uint64_t>(
-          static_cast<double>(capacity_bytes) * bypass_fraction)),
-      lru_(memory) {
+          static_cast<double>(capacity_bytes) * bypass_fraction)) {
   MNEMO_EXPECTS(capacity_bytes > 0);
   MNEMO_EXPECTS(hit_latency_ns > 0.0);
   MNEMO_EXPECTS(hit_bandwidth_gbps > 0.0);

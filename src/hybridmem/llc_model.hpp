@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory_resource>
 
 #include "util/flat_lru.hpp"
 
@@ -29,11 +28,8 @@ class LlcModel {
   /// be resident at once.
   static constexpr std::uint64_t kMinEntryBytes = 64;
 
-  /// `memory` (optional) backs the recency tables — a campaign cell's
-  /// arena when one is plumbed through, the default heap otherwise.
   LlcModel(std::uint64_t capacity_bytes, double hit_latency_ns,
-           double hit_bandwidth_gbps, double bypass_fraction = 0.25,
-           std::pmr::memory_resource* memory = nullptr);
+           double hit_bandwidth_gbps, double bypass_fraction = 0.25);
 
   /// Record an access to object `id` of `bytes` size. Returns true on hit.
   /// On miss the object is installed (evicting LRU victims) unless it

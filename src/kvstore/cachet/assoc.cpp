@@ -7,11 +7,7 @@
 
 namespace mnemo::kvstore::cachet {
 
-AssocTable::AssocTable(std::pmr::memory_resource* memory)
-    : pool_(memory != nullptr ? memory : std::pmr::get_default_resource()),
-      buckets_(pool_.get_allocator()) {
-  buckets_.assign(kInitialBuckets, kNil);
-}
+AssocTable::AssocTable() : buckets_(kInitialBuckets, kNil) {}
 
 std::uint64_t AssocTable::overhead_bytes() const noexcept {
   // One pointer per bucket head — the modelled server's layout, unchanged
@@ -40,9 +36,7 @@ void AssocTable::maybe_expand() {
       kMaxLoad * static_cast<double>(buckets_.size())) {
     return;
   }
-  // Same-resource construction keeps the final move-assign an O(1) steal.
-  std::pmr::vector<std::int32_t> bigger(buckets_.size() * 2, kNil,
-                                        buckets_.get_allocator());
+  std::vector<std::int32_t> bigger(buckets_.size() * 2, kNil);
   for (std::int32_t& head : buckets_) {
     // Pop each chain head-first onto the new chain heads — the same
     // order the forward_list splice_after expansion produced.

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory_resource>
 #include <vector>
 
 #include "kvstore/record.hpp"
@@ -29,9 +28,7 @@ class AssocTable {
   static constexpr std::size_t kInitialBuckets = 16;
   static constexpr double kMaxLoad = 1.5;
 
-  /// `memory` (optional) backs the slot pool and bucket array — a campaign
-  /// cell's arena when one is plumbed through, the heap otherwise.
-  explicit AssocTable(std::pmr::memory_resource* memory = nullptr);
+  AssocTable();
 
   struct FindResult {
     Item* item = nullptr;
@@ -105,9 +102,9 @@ class AssocTable {
   [[nodiscard]] std::int32_t alloc_node(Item&& item);
   void maybe_expand();
 
-  std::pmr::vector<Node> pool_;
+  std::vector<Node> pool_;
   std::int32_t free_ = kNil;  ///< recycled slots, threaded via next
-  std::pmr::vector<std::int32_t> buckets_;  ///< chain heads, kNil when empty
+  std::vector<std::int32_t> buckets_;  ///< chain heads, kNil when empty
   std::size_t used_ = 0;
 };
 

@@ -8,8 +8,7 @@ using cachet::Item;
 using hybridmem::MemOp;
 
 Cachet::Cachet(hybridmem::HybridMemory& memory, const StoreConfig& config)
-    : KeyValueStore(memory, config, StoreKind::kCachet),
-      assoc_(config.table_memory) {}
+    : KeyValueStore(memory, config, StoreKind::kCachet) {}
 
 Cachet::~Cachet() {
   assoc_.for_each([this](const Item& item) { this->memory().remove(item.key); });

@@ -30,9 +30,8 @@ util::Status DualServer::populate(const workload::CompiledTrace& compiled,
   fast_->memory().reserve_objects(
       static_cast<std::size_t>(placement.key_count()));
   // Allocation hint only: slot pools sized for the dense key range (a key
-  // lives on exactly one server, so this over-reserves each pool, which an
-  // arena-backed cell absorbs once); observable bucket/rehash growth
-  // schedules are never pre-sized.
+  // lives on exactly one server, so this over-reserves each pool);
+  // observable bucket/rehash growth schedules are never pre-sized.
   fast_->reserve_keys(static_cast<std::size_t>(placement.key_count()));
   slow_->reserve_keys(static_cast<std::size_t>(placement.key_count()));
   const std::span<const std::uint64_t> hashes = compiled.key_hashes();

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <memory_resource>
 #include <string>
 
 #include "hybridmem/hybrid_memory.hpp"
@@ -30,11 +29,6 @@ struct StoreConfig {
   std::uint64_t seed = 0x5706e;
   /// Disable service-time jitter and tail spikes (ablation).
   bool deterministic_service = false;
-  /// Optional backing for the store's internal flat tables (slot pools,
-  /// bucket arrays): a campaign cell's arena when one is plumbed through
-  /// (DESIGN.md §12), the default heap when null. Not owned; must outlive
-  /// the store.
-  std::pmr::memory_resource* table_memory = nullptr;
 };
 
 /// Campaign-invariant per-key values a caller may precompute once and

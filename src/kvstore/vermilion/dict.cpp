@@ -5,11 +5,7 @@
 
 namespace mnemo::kvstore::vermilion {
 
-Dict::Dict(std::pmr::memory_resource* memory)
-    : pool_(memory != nullptr ? memory : std::pmr::get_default_resource()),
-      tables_{Table(pool_.get_allocator()), Table(pool_.get_allocator())} {
-  tables_[0].assign(kInitialBuckets, kNil);
-}
+Dict::Dict() { tables_[0].assign(kInitialBuckets, kNil); }
 
 std::size_t Dict::bucket_count() const noexcept {
   return tables_[0].size() + tables_[1].size();

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory_resource>
 #include <vector>
 
 #include "kvstore/record.hpp"
@@ -28,9 +27,7 @@ class Dict {
   static constexpr std::size_t kInitialBuckets = 16;
   static constexpr std::size_t kRehashBucketsPerOp = 2;
 
-  /// `memory` (optional) backs the slot pool and bucket arrays — a
-  /// campaign cell's arena when one is plumbed through, the heap otherwise.
-  explicit Dict(std::pmr::memory_resource* memory = nullptr);
+  Dict();
 
   struct Entry {
     std::uint64_t key;
@@ -123,7 +120,7 @@ class Dict {
   };
 
   /// Bucket = index of its chain head in the pool (kNil when empty).
-  using Table = std::pmr::vector<std::int32_t>;
+  using Table = std::vector<std::int32_t>;
 
   [[nodiscard]] static std::size_t bucket_of(std::uint64_t key,
                                              std::size_t buckets) {
@@ -134,7 +131,7 @@ class Dict {
   void maybe_start_rehash();
   void rehash_step();
 
-  std::pmr::vector<Node> pool_;
+  std::vector<Node> pool_;
   std::int32_t free_ = kNil;  ///< recycled slots, threaded via next
   Table tables_[2];
   std::ptrdiff_t rehash_idx_ = -1;  ///< next bucket of tables_[0] to migrate

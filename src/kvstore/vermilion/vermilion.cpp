@@ -6,8 +6,7 @@ using hybridmem::MemOp;
 
 Vermilion::Vermilion(hybridmem::HybridMemory& memory,
                      const StoreConfig& config)
-    : KeyValueStore(memory, config, StoreKind::kVermilion),
-      dict_(config.table_memory) {}
+    : KeyValueStore(memory, config, StoreKind::kVermilion) {}
 
 Vermilion::~Vermilion() {
   dict_.for_each([this](const vermilion::Dict::Entry& e) {

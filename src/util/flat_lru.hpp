@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory_resource>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -26,15 +25,6 @@ namespace mnemo::util {
 template <typename Payload>
 class FlatLru {
  public:
-  /// The slot pool and dense index allocate from `memory` — a campaign
-  /// cell's arena when one is plumbed through (DESIGN.md §12), the default
-  /// heap resource otherwise.
-  FlatLru() = default;
-  explicit FlatLru(std::pmr::memory_resource* memory)
-      : slots_(memory != nullptr ? memory : std::pmr::get_default_resource()),
-        dense_(memory != nullptr ? memory : std::pmr::get_default_resource()) {
-  }
-
   /// Pre-size the dense index for IDs [0, ids) and the slot pool for
   /// `slots` resident entries, so steady-state operation never allocates.
   void reserve(std::size_t ids, std::size_t slots) {
@@ -180,8 +170,8 @@ class FlatLru {
     --size_;
   }
 
-  std::pmr::vector<Slot> slots_;                    ///< entry pool
-  std::pmr::vector<std::int32_t> dense_;            ///< id → slot, -1 absent
+  std::vector<Slot> slots_;          ///< entry pool
+  std::vector<std::int32_t> dense_;  ///< id → slot, -1 absent
   std::int32_t head_ = kAbsent;  ///< MRU end
   std::int32_t tail_ = kAbsent;  ///< LRU end (eviction victim)
   std::int32_t free_ = kAbsent;  ///< slot free list, threaded via next

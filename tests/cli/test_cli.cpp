@@ -370,18 +370,21 @@ TEST(Cli, PlanAbortPolicyNamesWorkloadAndCell) {
 
 // Cachet keeps each 1 MiB record in a 2 MiB huge-class chunk, so 2048 of
 // them fill a paper-testbed node exactly and the last cannot be loaded.
+// Writes that trace (every key read once) to `path`.
+void write_overflow_trace(const std::string& path) {
+  constexpr int kKeys = 2048;
+  std::ofstream out(path);
+  out << "trace,overflow\nkey_count," << kKeys << "\nsizes";
+  for (int k = 0; k < kKeys; ++k) out << ",1048576";
+  out << "\n";
+  for (int k = 0; k < kKeys; ++k) out << k << ",read\n";
+}
+
 // No store evicts: the cell is quarantined with a typed capacity error
 // instead of aborting the run or measuring a smaller dataset.
 TEST(Cli, RunQuarantinesACellWhoseDatasetOverflowsItsNode) {
   const std::string path = ::testing::TempDir() + "/cli_overflow_trace.csv";
-  {
-    constexpr int kKeys = 2048;
-    std::ofstream out(path);
-    out << "trace,overflow\nkey_count," << kKeys << "\nsizes";
-    for (int k = 0; k < kKeys; ++k) out << ",1048576";
-    out << "\n";
-    for (int k = 0; k < kKeys; ++k) out << k << ",read\n";
-  }
+  write_overflow_trace(path);
   CliResult r = run_cli({"run", "--trace", path, "--store", "cachet",
                          "--repeats", "1"});
   EXPECT_EQ(r.code, 0) << r.err;
@@ -392,6 +395,20 @@ TEST(Cli, RunQuarantinesACellWhoseDatasetOverflowsItsNode) {
   EXPECT_EQ(r.code, 1);
   EXPECT_NE(r.err.find("fault policy abort: cell #"), std::string::npos)
       << r.err;
+  std::filesystem::remove(path);
+}
+
+// A budget this small leaves every record on SlowMem, which cannot hold
+// them all: migrate names the typed capacity error and exits 1.
+TEST(Cli, MigrateReportsADatasetThatOverflowsItsNode) {
+  const std::string path =
+      ::testing::TempDir() + "/cli_migrate_overflow_trace.csv";
+  write_overflow_trace(path);
+  const CliResult r = run_cli({"migrate", "--trace", path, "--store",
+                               "cachet", "--budget", "0.0001"});
+  EXPECT_EQ(r.code, 1) << r.err;
+  EXPECT_EQ(r.err.rfind("error: ", 0), 0u) << r.err;
+  EXPECT_NE(r.err.find("capacity_exhausted"), std::string::npos) << r.err;
   std::filesystem::remove(path);
 }
 

@@ -35,7 +35,7 @@ workload::Trace zipfian_trace() {
   return workload::Trace::generate(spec);
 }
 
-/// The pre-campaign serial path: run_once per repeat, averaged in repeat
+/// The pre-campaign serial path: try_run_once per repeat, averaged in repeat
 /// order. This is the reference the runner must reproduce bit-for-bit.
 RunMeasurement serial_measure(const SensitivityEngine& engine,
                               const workload::Trace& trace,
@@ -43,7 +43,7 @@ RunMeasurement serial_measure(const SensitivityEngine& engine,
   const workload::CompiledTrace compiled(trace);
   std::vector<RunMeasurement> runs;
   for (int r = 0; r < engine.config().repeats; ++r) {
-    runs.push_back(engine.run_once(compiled, placement, r));
+    runs.push_back(engine.try_run_once(compiled, placement, r).value());
   }
   return average_runs(runs);
 }

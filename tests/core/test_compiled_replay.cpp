@@ -1,9 +1,8 @@
 // The compile-once replay path (DESIGN.md §12): a CompiledTrace hoists
 // exactly the per-key and per-request values the stores and the statistics
-// tail would compute, an arena-backed cell measures bit-identically to a
-// heap-backed one (field-for-field via RunMeasurement's defaulted
-// operator==), a trace with no requests is a typed error either way, and
-// so is a dataset its node cannot hold.
+// tail would compute, a trace with no requests is a typed error whether a
+// cell replays it directly or through a campaign grid, and so is a dataset
+// its node cannot hold.
 // Campaign grids over the compiled replay are pinned by the golden
 // fixtures (test_golden_replay) at every thread count in {1, 2, 8}.
 
@@ -12,8 +11,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/campaign.hpp"
 #include "core/sensitivity_engine.hpp"
-#include "util/arena.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
 #include "workload/compiled_trace.hpp"
@@ -60,23 +59,6 @@ TEST(CompiledTrace, HoistsExactlyWhatTheStoresWouldCompute) {
   EXPECT_EQ(compiled.write_bytes().size(), compiled.write_count());
 }
 
-TEST(CompiledReplay, DirectRunOnceWithExternalArenaMatchesHeap) {
-  const workload::Trace trace = small_trace();
-  const workload::CompiledTrace compiled(trace);
-  const hybridmem::Placement half(
-      trace.key_count(), hybridmem::NodeId::kFast);
-  SensitivityConfig cfg;
-  const SensitivityEngine engine(cfg);
-
-  const RunMeasurement heap = engine.run_once(compiled, half, 1);
-  util::Arena arena;
-  for (int cycle = 0; cycle < 3; ++cycle) {
-    arena.reset();
-    EXPECT_EQ(engine.run_once(compiled, half, 1, &arena), heap)
-        << "arena cycle " << cycle;
-  }
-}
-
 TEST(CompiledReplay, ZeroRequestTraceIsTypedErrorOnBothPaths) {
   // WorkloadSpec forbids generating an empty trace and Trace::load_csv
   // rejects one, but a library caller can still build (or downsample into)
@@ -89,17 +71,19 @@ TEST(CompiledReplay, ZeroRequestTraceIsTypedErrorOnBothPaths) {
   SensitivityConfig cfg;
   const SensitivityEngine engine(cfg);
 
-  const util::Result<RunMeasurement> heap =
+  const util::Result<RunMeasurement> direct =
       engine.try_run_once(compiled, placement);
-  ASSERT_FALSE(heap.ok());
-  EXPECT_EQ(heap.error().code, util::ErrorCode::kInvalidArgument);
+  ASSERT_FALSE(direct.ok());
+  EXPECT_EQ(direct.error().code, util::ErrorCode::kInvalidArgument);
 
-  util::Arena arena;
-  const util::Result<RunMeasurement> arena_backed =
-      engine.try_run_once(compiled, placement, 0, 0, &arena);
-  ASSERT_FALSE(arena_backed.ok());
-  EXPECT_EQ(arena_backed.error().code, util::ErrorCode::kInvalidArgument);
-  EXPECT_EQ(heap.error().message, arena_backed.error().message);
+  // A grid quarantines the cell with the same error.
+  CampaignRunner runner(1);
+  const CampaignResult grid =
+      runner.run_checked(engine, trace, {{placement, 0}});
+  ASSERT_EQ(grid.failures.size(), 1u);
+  EXPECT_EQ(grid.failures.front().error.code,
+            util::ErrorCode::kInvalidArgument);
+  EXPECT_EQ(grid.failures.front().error.message, direct.error().message);
 }
 
 // Cachet keeps a 1 MiB record in a 2 MiB huge-class chunk, so 32 of them

@@ -94,7 +94,7 @@ TEST(Determinism, DynamicTieringIsReproducible) {
 
 TEST(Determinism, ValidationRunsMatchAcrossProcessesOfTheSuite) {
   // The same (trace, placement, repeat) triple always measures the same:
-  // run_once is a pure function.
+  // try_run_once is a pure function.
   const auto trace = small_trace();
   SensitivityConfig cfg;
   cfg.repeats = 1;
@@ -103,8 +103,8 @@ TEST(Determinism, ValidationRunsMatchAcrossProcessesOfTheSuite) {
       hybridmem::Placement::from_order(
           PatternEngine::analyze(trace).touch_order, trace.key_count() / 2);
   const workload::CompiledTrace compiled(trace);
-  const RunMeasurement m1 = engine.run_once(compiled, half, 3);
-  const RunMeasurement m2 = engine.run_once(compiled, half, 3);
+  const RunMeasurement m1 = engine.try_run_once(compiled, half, 3).value();
+  const RunMeasurement m2 = engine.try_run_once(compiled, half, 3).value();
   EXPECT_EQ(m1.runtime_ns, m2.runtime_ns);
   EXPECT_EQ(m1.p99_ns, m2.p99_ns);
   EXPECT_EQ(m1.llc_hit_rate, m2.llc_hit_rate);

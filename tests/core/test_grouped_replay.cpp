@@ -22,7 +22,6 @@
 #include "core/campaign.hpp"
 #include "core/sensitivity_engine.hpp"
 #include "faultinject/io_fault.hpp"
-#include "util/arena.hpp"
 #include "util/cancel.hpp"
 #include "util/task_scheduler.hpp"
 #include "workload/compiled_trace.hpp"
@@ -303,30 +302,21 @@ TEST(GroupedReplay, FollowerMatchesTryRunOnce) {
       // is the unrecorded one, bit for bit.
       ReplaySkeleton skeleton;
       const util::Result<RunMeasurement> leader =
-          engine.try_run_once(compiled, placement, 0, 0, nullptr, &skeleton);
+          engine.try_run_once(compiled, placement, 0, 0, &skeleton);
       ASSERT_TRUE(leader.ok());
       EXPECT_EQ(leader.value(),
                 engine.try_run_once(compiled, placement, 0).value());
       ASSERT_TRUE(skeleton.shareable);
       ASSERT_EQ(skeleton.service_ns.size(), compiled.request_count());
 
-      // Siblings with and without arenas, across arena reuse cycles, and
-      // the degenerate sibling that shares the leader's own repeat.
-      util::Arena arena;
+      // Siblings, and the degenerate sibling that shares the leader's own
+      // repeat.
       for (const int repeat : {1, 2, 0}) {
-        const RunMeasurement expected =
-            engine.try_run_once(compiled, placement, repeat).value();
         EXPECT_EQ(engine.replay_skeleton(compiled, placement, repeat,
                                          skeleton)
                       .value(),
-                  expected)
+                  engine.try_run_once(compiled, placement, repeat).value())
             << kvstore::to_string(store) << " repeat " << repeat;
-        arena.reset();
-        EXPECT_EQ(engine.replay_skeleton(compiled, placement, repeat,
-                                         skeleton, &arena)
-                      .value(),
-                  expected)
-            << kvstore::to_string(store) << " repeat " << repeat << " arena";
       }
     }
   }
@@ -484,7 +474,7 @@ TEST(GroupedReplay, CancelBetweenLeaderAndFollowersLeavesNoPartialGrid) {
   EXPECT_EQ(campaign_totals().cells, recorded);
 }
 
-TEST(GroupedReplay, StatsReportFanOutAndArenaPeak) {
+TEST(GroupedReplay, StatsReportFanOut) {
   const workload::Trace trace = small_trace();
   const std::vector<hybridmem::Placement> placements =
       sweep_placements(trace);
@@ -498,14 +488,10 @@ TEST(GroupedReplay, StatsReportFanOutAndArenaPeak) {
   const CampaignStats& s = runner.stats();
   EXPECT_EQ(s.cells, 6u);
   EXPECT_EQ(s.threads, 3u);  // 6 cells, 3 shared groups
-  EXPECT_GT(s.arena_peak_bytes, 0u);
-  const std::string table = s.render("campaign");
-  EXPECT_EQ(table.find("lane width"), std::string::npos);
-  EXPECT_NE(table.find("arena peak (KiB)"), std::string::npos);
+  EXPECT_EQ(s.render("campaign").find("lane width"), std::string::npos);
 
   const CampaignStats totals = campaign_totals();
   EXPECT_EQ(totals.threads, 3u);
-  EXPECT_EQ(totals.arena_peak_bytes, s.arena_peak_bytes);
   reset_campaign_totals();
 }
 

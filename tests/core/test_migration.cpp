@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "util/bytes.hpp"
 #include "workload/suite.hpp"
 
 namespace mnemo::core {
@@ -38,6 +44,45 @@ SensitivityConfig quick_sensitivity() {
   SensitivityConfig cfg;
   cfg.repeats = 1;
   return cfg;
+}
+
+/// what() of the std::runtime_error `f` throws; empty if it returns.
+template <typename F>
+std::string thrown_text(F f) {
+  try {
+    (void)f();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return {};
+}
+
+// Cachet keeps a 1 MiB record in a 2 MiB huge-class chunk, so 32 of them
+// overflow a 64 MiB node: the engine sizes nodes at twice the dataset's
+// payload bytes. A budget below one record leaves them all on SlowMem, so
+// the dynamic run and the static oracle each throw the typed capacity
+// error's text instead of aborting.
+TEST(DynamicTierer, DatasetThatOverflowsItsNodeThrowsTheTypedError) {
+  constexpr std::uint32_t kKeys = 32;
+  std::vector<workload::Request> reads;
+  for (std::uint32_t k = 0; k < kKeys; ++k) {
+    reads.push_back({k, workload::OpType::kRead});
+  }
+  const workload::Trace trace("overflow", kKeys, reads,
+                              std::vector<std::uint64_t>(kKeys, util::kMiB));
+  SensitivityConfig sens = quick_sensitivity();
+  sens.store = kvstore::StoreKind::kCachet;
+  sens.platform = hybridmem::paper_testbed_with_capacity(64 * util::kMiB);
+  MigrationConfig mig;
+  mig.fast_budget_bytes = util::kKiB;
+  const DynamicTierer tierer(sens, mig);
+
+  const std::string oracle =
+      thrown_text([&] { return tierer.run_static_oracle(trace); });
+  EXPECT_EQ(oracle.rfind("capacity_exhausted: populate: ", 0), 0u) << oracle;
+  const std::string dynamic = thrown_text([&] { return tierer.run(trace); });
+  EXPECT_EQ(dynamic.rfind("capacity_exhausted: populate: ", 0), 0u)
+      << dynamic;
 }
 
 TEST(DynamicTierer, RunProducesCoherentResult) {

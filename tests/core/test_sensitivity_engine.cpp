@@ -30,8 +30,10 @@ TEST(SensitivityEngine, RunOnceProducesCoherentMeasurement) {
   const SensitivityEngine engine(fast_config());
   const auto trace = small_trace();
   const RunMeasurement m =
-      engine.run_once(workload::CompiledTrace(trace),
-                      Placement(trace.key_count(), NodeId::kFast));
+      engine
+          .try_run_once(workload::CompiledTrace(trace),
+                        Placement(trace.key_count(), NodeId::kFast))
+          .value();
   EXPECT_EQ(m.requests, trace.requests().size());
   EXPECT_EQ(m.reads + m.writes, m.requests);
   EXPECT_GT(m.runtime_ns, 0.0);
@@ -48,10 +50,10 @@ TEST(SensitivityEngine, RunOnceIsDeterministicPerRepeatIndex) {
   const auto trace = small_trace();
   const workload::CompiledTrace compiled(trace);
   const Placement placement(trace.key_count(), NodeId::kSlow);
-  const RunMeasurement a = engine.run_once(compiled, placement, 0);
-  const RunMeasurement b = engine.run_once(compiled, placement, 0);
+  const RunMeasurement a = engine.try_run_once(compiled, placement, 0).value();
+  const RunMeasurement b = engine.try_run_once(compiled, placement, 0).value();
   EXPECT_DOUBLE_EQ(a.runtime_ns, b.runtime_ns);
-  const RunMeasurement c = engine.run_once(compiled, placement, 1);
+  const RunMeasurement c = engine.try_run_once(compiled, placement, 1).value();
   EXPECT_NE(a.runtime_ns, c.runtime_ns) << "repeats use distinct seeds";
 }
 
@@ -61,8 +63,8 @@ TEST(SensitivityEngine, MeasureAveragesRepeats) {
   const Placement placement(trace.key_count(), NodeId::kFast);
   const RunMeasurement avg = engine.measure(trace, placement);
   const workload::CompiledTrace compiled(trace);
-  const RunMeasurement r0 = engine.run_once(compiled, placement, 0);
-  const RunMeasurement r1 = engine.run_once(compiled, placement, 1);
+  const RunMeasurement r0 = engine.try_run_once(compiled, placement, 0).value();
+  const RunMeasurement r1 = engine.try_run_once(compiled, placement, 1).value();
   EXPECT_NEAR(avg.runtime_ns, (r0.runtime_ns + r1.runtime_ns) / 2.0, 1e-3);
 }
 
@@ -92,8 +94,10 @@ TEST(SensitivityEngine, WriteHeavyWorkloadReportsWriteLatencies) {
   const SensitivityEngine engine(fast_config());
   const auto trace = small_trace("edit_thumbnail");
   const RunMeasurement m =
-      engine.run_once(workload::CompiledTrace(trace),
-                      Placement(trace.key_count(), NodeId::kFast));
+      engine
+          .try_run_once(workload::CompiledTrace(trace),
+                        Placement(trace.key_count(), NodeId::kFast))
+          .value();
   EXPECT_GT(m.writes, 0u);
   EXPECT_GT(m.avg_write_ns, 0.0);
   EXPECT_GT(m.avg_read_ns, 0.0);
@@ -110,8 +114,10 @@ TEST(SensitivityEngine, PlatformCapacityAutoSizesToDataset) {
   spec.request_count = 2'000;
   const auto trace = workload::Trace::generate(spec);
   const RunMeasurement m =
-      engine.run_once(workload::CompiledTrace(trace),
-                      Placement(trace.key_count(), NodeId::kFast));
+      engine
+          .try_run_once(workload::CompiledTrace(trace),
+                        Placement(trace.key_count(), NodeId::kFast))
+          .value();
   EXPECT_EQ(m.requests, trace.requests().size());
 }
 

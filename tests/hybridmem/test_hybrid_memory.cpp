@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "util/bytes.hpp"
 
 namespace mnemo::hybridmem {
@@ -10,6 +12,14 @@ namespace {
 EmulationProfile small_profile() {
   EmulationProfile p = paper_testbed_with_capacity(10 * util::kMiB);
   return p;
+}
+
+/// Whether one read of `id` hit the LLC, read off its hit counter.
+bool read_hits_llc(HybridMemory& mem, std::uint64_t id,
+                   const AccessTraits& t) {
+  const std::uint64_t before = mem.llc().hits();
+  mem.access(id, MemOp::kRead, t);
+  return mem.llc().hits() == before + 1;
 }
 
 TEST(HybridMemory, PlaceLocateRemove) {
@@ -66,10 +76,11 @@ TEST(HybridMemory, SmallObjectsHitLlcOnReuse) {
   HybridMemory mem(small_profile());
   ASSERT_TRUE(mem.place(1, 1024, NodeId::kSlow));
   AccessTraits t;
+  const std::uint64_t hits = mem.llc().hits();
   const AccessResult miss = mem.access(1, MemOp::kRead, t);
+  EXPECT_EQ(mem.llc().hits(), hits);
   const AccessResult hit = mem.access(1, MemOp::kRead, t);
-  EXPECT_FALSE(miss.llc_hit);
-  EXPECT_TRUE(hit.llc_hit);
+  EXPECT_EQ(mem.llc().hits(), hits + 1);
   EXPECT_LT(hit.ns, miss.ns * 0.2)
       << "an LLC hit hides the SlowMem penalty";
 }
@@ -79,9 +90,9 @@ TEST(HybridMemory, DropCachesForcesMissesAgain) {
   ASSERT_TRUE(mem.place(1, 1024, NodeId::kFast));
   AccessTraits t;
   mem.access(1, MemOp::kRead, t);
-  ASSERT_TRUE(mem.access(1, MemOp::kRead, t).llc_hit);
+  ASSERT_TRUE(read_hits_llc(mem, 1, t));
   mem.drop_caches();
-  EXPECT_FALSE(mem.access(1, MemOp::kRead, t).llc_hit);
+  EXPECT_FALSE(read_hits_llc(mem, 1, t));
 }
 
 TEST(HybridMemory, RemoveInvalidatesLlc) {
@@ -91,7 +102,7 @@ TEST(HybridMemory, RemoveInvalidatesLlc) {
   mem.access(1, MemOp::kRead, t);
   mem.remove(1);
   ASSERT_TRUE(mem.place(1, 1024, NodeId::kFast));
-  EXPECT_FALSE(mem.access(1, MemOp::kRead, t).llc_hit);
+  EXPECT_FALSE(read_hits_llc(mem, 1, t));
 }
 
 TEST(HybridMemory, MetadataOnlyAccessStreamsObjectSize) {

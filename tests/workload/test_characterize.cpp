@@ -107,9 +107,12 @@ TEST(Characterize, PredictsTheEmulatorsLlcHitRate) {
   core::SensitivityConfig cfg;
   cfg.repeats = 1;
   const core::SensitivityEngine engine(cfg);
-  const auto measured = engine.run_once(
-      CompiledTrace(trace),
-      hybridmem::Placement(trace.key_count(), hybridmem::NodeId::kFast));
+  const auto measured =
+      engine
+          .try_run_once(CompiledTrace(trace),
+                        hybridmem::Placement(trace.key_count(),
+                                             hybridmem::NodeId::kFast))
+          .value();
 
   const auto& platform = cfg.platform;
   const auto bypass = static_cast<std::uint64_t>(
