@@ -7,7 +7,8 @@
 #include "core/campaign.hpp"
 #include "hybridmem/hybrid_memory.hpp"
 #include "kvstore/dual_server.hpp"
-#include "stats/summary.hpp"
+#include "stats/log_histogram.hpp"
+#include "stats/regression.hpp"
 #include "util/assert.hpp"
 #include "workload/compiled_trace.hpp"
 
@@ -42,41 +43,35 @@ kvstore::StoreConfig SensitivityEngine::store_config(int repeat) const {
 
 namespace {
 
-/// Fit service ≈ a + b·bytes with the campaign-invariant x-side work
-/// (distinct scan + normal-equation moments) precomputed by CompiledTrace;
-/// the byte stream is only re-read for the y-side products. Degenerate
-/// samples (empty, or a single record size) collapse to a flat line at the
-/// mean, which makes the size-aware estimate model coincide with the
-/// uniform-delta one.
-stats::Line fit_service_line(const workload::ServiceFitMoments& moments,
-                             std::span<const double> bytes,
-                             std::span<const double> latency) {
-  if (latency.empty()) return stats::Line{};
-  if (!moments.distinct || latency.size() < 2) {
-    return stats::Line{stats::mean(latency), 0.0};
-  }
-  return stats::fit_line_moments(moments.n, moments.sum_x, moments.sum_xx,
-                                 bytes, latency);
-}
+/// One request class's sums over a cell's replay, taken in request order:
+/// Σlatency and Σbytes·latency, the same addition chains stats::mean and
+/// stats::fit_line's loop run over the class's latency stream. `bytes` is
+/// the class's request-order byte stream from the compiled trace.
+struct ClassSums {
+  std::span<const double> bytes;
+  std::size_t n = 0;
+  double sum_lat = 0.0;
+  double sum_bytes_lat = 0.0;
 
-/// stats::percentile_sorted without the sort: nth_element places exactly
-/// the value that would sit at sorted rank `lo`, and the interpolation
-/// partner at rank lo+1 is the minimum of the right partition (exact and
-/// order-independent on these NaN-free streams). The interpolation
-/// arithmetic is identical to stats::percentile_sorted, so the result is
-/// the same double to the last bit. Mutates `scratch` (partial ordering);
-/// O(n) per call.
-double percentile_select(std::vector<double>& scratch, double q) {
-  MNEMO_EXPECTS(!scratch.empty());
-  if (scratch.size() == 1) return scratch[0];
-  const double pos = q * static_cast<double>(scratch.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const double frac = pos - static_cast<double>(lo);
-  const auto nth = scratch.begin() + static_cast<std::ptrdiff_t>(lo);
-  std::nth_element(scratch.begin(), nth, scratch.end());
-  if (lo + 1 >= scratch.size()) return scratch[scratch.size() - 1];
-  const double next = *std::min_element(nth + 1, scratch.end());
-  return *nth * (1.0 - frac) + next * frac;
+  void add(double latency) {
+    sum_lat += latency;
+    sum_bytes_lat += bytes[n++] * latency;
+  }
+
+  [[nodiscard]] double mean() const {
+    return n == 0 ? 0.0 : sum_lat / static_cast<double>(n);
+  }
+};
+
+/// Fit service ≈ a + b·bytes from the class's sums and the byte stream's
+/// campaign-invariant x-side moments. Degenerate samples (empty, or a
+/// single record size) collapse to a flat line at the mean, which makes
+/// the size-aware estimate model coincide with the uniform-delta one.
+stats::Line fit_service_line(const workload::ServiceFitMoments& x,
+                             const ClassSums& y) {
+  if (!x.distinct || y.n < 2) return stats::Line{y.mean(), 0.0};
+  return stats::fit_line_sums(x.n, x.sum_x, x.sum_xx, y.sum_lat,
+                              y.sum_bytes_lat);
 }
 
 util::Error empty_trace_error() {
@@ -86,46 +81,41 @@ util::Error empty_trace_error() {
   return e;
 }
 
-/// The per-cell latency streams of a replay: the per-op sink both full
-/// replay and skeleton replay feed, and the statistics tail they share —
-/// so the two paths cannot drift apart.
+/// The per-cell sample sink both full replay and skeleton replay feed, and
+/// the statistics tail they share — so the two paths cannot drift apart.
+/// add() touches each sample once: the runtime sum, the histogram, the
+/// latency vector and its class's sums.
 struct CompiledSamples {
-  std::vector<double> read_lat;
-  std::vector<double> write_lat;
+  std::vector<double> latency;
+  ClassSums reads;
+  ClassSums writes;
 
-  explicit CompiledSamples(const workload::CompiledTrace& compiled) {
-    // Exact counts are campaign invariants the compile step already paid
-    // for. The read stream also holds room for the writes derive()
-    // appends to it.
-    read_lat.reserve(compiled.request_count());
-    write_lat.reserve(compiled.write_count());
+  explicit CompiledSamples(const workload::CompiledTrace& compiled)
+      : reads{compiled.read_bytes()}, writes{compiled.write_bytes()} {
+    latency.reserve(compiled.request_count());
   }
 
   void add(RunMeasurement& m, workload::OpType op, double service_ns) {
     m.runtime_ns += service_ns;
     m.latency_hist.add(service_ns);
-    (op == workload::OpType::kRead ? read_lat : write_lat)
-        .push_back(service_ns);
+    latency.push_back(service_ns);
+    (op == workload::OpType::kRead ? reads : writes).add(service_ns);
   }
 
-  /// Derive every per-run statistic from the latency streams. Means and
-  /// fits read the streams in request order before any reordering; the
-  /// per-request byte streams are placement-invariant, so the compiled
-  /// trace carries them pre-split, in the same order add() pushed. The two
-  /// tail ranks are then extracted by selection over the concatenated
-  /// streams (the writes appended in place to the reads, which derive()
-  /// consumes) — the same doubles a sort would index, pinned by the golden
-  /// fixtures.
+  /// Derive every per-run statistic: means and fits from the class sums,
+  /// the two tail ranks by selection above the histogram's p95 bucket
+  /// (stats::tail_percentiles) — the same doubles a sort would index,
+  /// pinned by the golden fixtures. Consumes the latency vector's order.
   [[nodiscard]] util::Status derive(RunMeasurement& m,
                                     const workload::CompiledTrace& compiled) {
-    m.reads = read_lat.size();
-    m.writes = write_lat.size();
-    m.avg_read_ns = read_lat.empty() ? 0.0 : stats::mean(read_lat);
-    m.avg_write_ns = write_lat.empty() ? 0.0 : stats::mean(write_lat);
-    m.read_vs_bytes =
-        fit_service_line(compiled.read_fit(), compiled.read_bytes(), read_lat);
-    m.write_vs_bytes = fit_service_line(compiled.write_fit(),
-                                        compiled.write_bytes(), write_lat);
+    MNEMO_ASSERT(reads.n == reads.bytes.size() &&
+                 writes.n == writes.bytes.size());
+    m.reads = reads.n;
+    m.writes = writes.n;
+    m.avg_read_ns = reads.mean();
+    m.avg_write_ns = writes.mean();
+    m.read_vs_bytes = fit_service_line(compiled.read_fit(), reads);
+    m.write_vs_bytes = fit_service_line(compiled.write_fit(), writes);
     if (!(m.runtime_ns > 0.0)) {
       // Every request cost 0ns (a degenerate profile): division would turn
       // avg_latency_ns/throughput_ops into NaN/inf and quietly poison every
@@ -139,9 +129,10 @@ struct CompiledSamples {
     m.avg_latency_ns = m.runtime_ns / static_cast<double>(m.requests);
     m.throughput_ops =
         static_cast<double>(m.requests) / (m.runtime_ns / 1e9);
-    read_lat.insert(read_lat.end(), write_lat.begin(), write_lat.end());
-    m.p95_ns = percentile_select(read_lat, 0.95);
-    m.p99_ns = percentile_select(read_lat, 0.99);
+    const stats::TailPercentiles tail =
+        stats::tail_percentiles(latency, m.latency_hist);
+    m.p95_ns = tail.p95;
+    m.p99_ns = tail.p99;
     return {};
   }
 };

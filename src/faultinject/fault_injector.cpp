@@ -32,7 +32,6 @@ FaultInjector::ReadOutcome FaultInjector::on_slow_read() {
   out.faulted = true;
   ++stats_.transient_faults;
   for (int i = 0; i < plan_.transient_max_retries; ++i) {
-    ++out.retries;
     ++stats_.transient_retries;
     out.extra_ns += plan_.transient_retry_cost_ns;
     if (rng_.next_double() < plan_.transient_recover_prob) return out;

@@ -22,7 +22,6 @@ class FaultInjector {
   struct ReadOutcome {
     bool faulted = false;  ///< the read drew a transient fault
     bool failed = false;   ///< retries exhausted; the access failed
-    int retries = 0;       ///< retry attempts performed
     double extra_ns = 0.0;  ///< simulated retry cost to add to the access
   };
 

@@ -100,20 +100,9 @@ Line fit_line(std::span<const double> x, std::span<const double> y) {
   return Line{beta[0], beta[1]};
 }
 
-Line fit_line_moments(double n, double sum_x, double sum_xx,
-                      std::span<const double> x, std::span<const double> y) {
-  MNEMO_EXPECTS(x.size() == y.size());
-  MNEMO_EXPECTS(x.size() >= 2);
-  // The y-side accumulators below sum in index order, exactly like
-  // normal_equations' per-row loop; each accumulator is an independent
-  // chain of additions, so splitting them from the x-side chains cannot
-  // change any of the four sums.
-  double sum_y = 0.0;
-  double sum_xy = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    sum_y += y[i];
-    sum_xy += x[i] * y[i];
-  }
+Line fit_line_sums(double n, double sum_x, double sum_xx, double sum_y,
+                   double sum_xy) {
+  MNEMO_EXPECTS(n >= 2.0);
   std::vector<std::vector<double>> xtx = {{n, sum_x}, {sum_x, sum_xx}};
   std::vector<double> xty = {sum_y, sum_xy};
   const auto beta = solve_linear(std::move(xtx), std::move(xty));

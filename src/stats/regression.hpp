@@ -36,16 +36,16 @@ struct Line {
 };
 Line fit_line(std::span<const double> x, std::span<const double> y);
 
-/// fit_line with the x-side normal-equation moments precomputed by the
-/// caller: n = Σ1, sum_x = Σx[i], sum_xx = Σx[i]², each accumulated in
-/// index order exactly as fit_line's own loop would. The y-side moments
-/// are accumulated here in the same order, and the identical 2×2 system
-/// goes through the same solver — the returned Line is bit-identical to
-/// fit_line(x, y). Used by the compiled replay path, where x (the byte
-/// stream) is campaign-invariant but y (latency) changes per cell; it
-/// also skips fit_line's per-row feature-vector materialization.
-Line fit_line_moments(double n, double sum_x, double sum_xx,
-                      std::span<const double> x, std::span<const double> y);
+/// fit_line from its normal-equation sums: n = Σ1, sum_x = Σx[i],
+/// sum_xx = Σx[i]², sum_y = Σy[i] and sum_xy = Σx[i]·y[i]. Given sums
+/// accumulated in index order, each as its own chain of additions exactly
+/// as fit_line's loop accumulates it, the 2×2 system and its solver are
+/// fit_line's, so the returned Line is bit-identical to fit_line(x, y).
+/// Used by the compiled replay, which keeps the x-side sums once per
+/// campaign (x, the byte stream, is campaign-invariant) and takes the
+/// y-side ones in its replay loop, with no per-row feature vectors.
+Line fit_line_sums(double n, double sum_x, double sum_xx, double sum_y,
+                   double sum_xy);
 
 /// Coefficient of determination of predictions vs observations.
 double r_squared(std::span<const double> y, std::span<const double> yhat);

@@ -9,7 +9,7 @@
 namespace mnemo::workload {
 
 /// x-side normal-equation moments of one byte stream, precomputed once per
-/// campaign for stats::fit_line_moments: n = Σ1, sum_x = Σx, sum_xx = Σx²,
+/// campaign for stats::fit_line_sums: n = Σ1, sum_x = Σx, sum_xx = Σx²,
 /// each accumulated in index order exactly as stats::fit_line's own loop
 /// would, so the downstream 2×2 solve sees bit-identical coefficients.
 /// `distinct` records whether the stream has at least two different values
@@ -32,7 +32,7 @@ struct ServiceFitMoments {
 ///  - per-key tables: record size and util::mix64 bucket hash (the
 ///    Vermilion dict hash and the Cachet assoc hash are the same value),
 ///  - the per-op byte streams split by request class (read_bytes /
-///    write_bytes) that fit_service_line consumes, and
+///    write_bytes) that each cell's per-class Σbytes·latency reads, and
 ///  - dataset_bytes(), an O(keys) sum every cell used to recompute.
 ///
 /// The Trace must outlive the CompiledTrace (the per-key size table is
@@ -62,14 +62,6 @@ class CompiledTrace {
     return keys_;
   }
 
-  /// Exact sizes for the per-cell sample vectors (reads + writes ==
-  /// request_count()).
-  [[nodiscard]] std::size_t read_count() const noexcept {
-    return read_bytes_.size();
-  }
-  [[nodiscard]] std::size_t write_count() const noexcept {
-    return write_bytes_.size();
-  }
   /// Record sizes of read (resp. write) requests, in request order — the
   /// placement-invariant x-axis of the service-vs-bytes fit, identical to
   /// what the per-cell loop used to rebuild.
@@ -80,7 +72,7 @@ class CompiledTrace {
     return write_bytes_;
   }
   /// Normal-equation moments of read_bytes() / write_bytes(), for the
-  /// per-cell service-line fit via stats::fit_line_moments.
+  /// per-cell service-line fit via stats::fit_line_sums.
   [[nodiscard]] const ServiceFitMoments& read_fit() const noexcept {
     return read_fit_;
   }

@@ -53,10 +53,8 @@ TEST(CompiledTrace, HoistsExactlyWhatTheStoresWouldCompute) {
     ASSERT_EQ(compiled.keys()[i], req.key);
     if (req.op == workload::OpType::kRead) ++reads;
   }
-  EXPECT_EQ(compiled.read_count(), reads);
-  EXPECT_EQ(compiled.write_count(), compiled.request_count() - reads);
-  EXPECT_EQ(compiled.read_bytes().size(), compiled.read_count());
-  EXPECT_EQ(compiled.write_bytes().size(), compiled.write_count());
+  EXPECT_EQ(compiled.read_bytes().size(), reads);
+  EXPECT_EQ(compiled.write_bytes().size(), compiled.request_count() - reads);
 }
 
 TEST(CompiledReplay, ZeroRequestTraceIsTypedErrorOnBothPaths) {

@@ -87,7 +87,7 @@ TEST(FaultInjector, SamePlanAndStreamReplaysBitIdentically) {
     const auto rb = b.on_slow_read();
     ASSERT_EQ(ra.faulted, rb.faulted);
     ASSERT_EQ(ra.failed, rb.failed);
-    ASSERT_EQ(ra.retries, rb.retries);
+    ASSERT_EQ(a.stats().transient_retries, b.stats().transient_retries);
     ASSERT_EQ(ra.extra_ns, rb.extra_ns);
     ASSERT_EQ(a.next_bandwidth_factor(), b.next_bandwidth_factor());
   }

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <span>
 #include <vector>
@@ -123,6 +127,124 @@ TEST(LogHistogram, BucketBoundsTableIsExactAtEveryBoundary) {
     ASSERT_EQ(bounds[i], std::numeric_limits<double>::infinity())
         << "i=" << i;
   }
+}
+
+/// The bucket layout's definition, copied from the library's private
+/// reference: floor of the clamped log10 position.
+std::size_t formula_bucket(double ns) {
+  double idx = (std::log10(std::max(ns, LogHistogram::kMinNs)) -
+                std::log10(LogHistogram::kMinNs)) /
+               (1.0 / static_cast<double>(LogHistogram::kBucketsPerDecade));
+  idx = std::clamp(idx, 0.0,
+                   static_cast<double>(LogHistogram::kBuckets) - 1.0);
+  return static_cast<std::size_t>(idx);
+}
+
+double ulps_away(double x, std::int64_t ulps) {
+  return std::bit_cast<double>(std::bit_cast<std::uint64_t>(x) +
+                               static_cast<std::uint64_t>(ulps));
+}
+
+TEST(LogHistogram, BucketIndexIsTheLog10FormulaBitForBit) {
+  // The O(1) lookup (a table of candidates per 1/16 octave plus one
+  // compare against bucket_bounds()) must classify every double as the
+  // formula does.
+  const auto check = [](double x) {
+    ASSERT_EQ(LogHistogram::bucket_index(x), formula_bucket(x))
+        << "x=" << x << " bits=" << std::bit_cast<std::uint64_t>(x);
+  };
+  const std::span<const double, 256> bounds = LogHistogram::bucket_bounds();
+  for (std::size_t i = 1; i < LogHistogram::kBuckets; ++i) {
+    for (std::int64_t ulps = -2; ulps <= 2; ++ulps) {
+      check(ulps_away(bounds[i], ulps));
+    }
+  }
+  // Every table-cell edge — a cell is the top 16 bits of a positive
+  // double, its exponent and top 4 mantissa bits — and the double below
+  // it, from 1 ns to past the top of the range.
+  for (std::uint64_t cell = std::bit_cast<std::uint64_t>(1.0) >> 48;
+       cell <= (std::bit_cast<std::uint64_t>(1e11) >> 48); ++cell) {
+    const double edge = std::bit_cast<double>(cell << 48);
+    check(edge);
+    check(ulps_away(edge, -1));
+  }
+  util::Rng rng(0x1065);
+  for (int i = 0; i < 1'000'000; ++i) {
+    check(std::pow(10.0, -3.0 + 15.0 * rng.next_double()));
+  }
+  for (const double x :
+       {0.0, -0.0, -1.0, std::numeric_limits<double>::denorm_min(), 10.0,
+        1e10, DBL_MAX, std::numeric_limits<double>::infinity()}) {
+    check(x);
+  }
+}
+
+/// tail_percentiles over a copy of `xs` against stats::percentile, bit for
+/// bit.
+void expect_tail_matches_sort(const std::vector<double>& xs) {
+  LogHistogram h;
+  for (const double x : xs) h.add(x);
+  std::vector<double> scratch = xs;
+  const TailPercentiles t = tail_percentiles(scratch, h);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(t.p95),
+            std::bit_cast<std::uint64_t>(percentile(xs, 0.95)))
+      << "n=" << xs.size() << " p95=" << t.p95;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(t.p99),
+            std::bit_cast<std::uint64_t>(percentile(xs, 0.99)))
+      << "n=" << xs.size() << " p99=" << t.p99;
+}
+
+std::vector<double> shuffled(std::vector<double> xs, std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::shuffle(xs.begin(), xs.end(), rng);
+  return xs;
+}
+
+TEST(TailPercentiles, MatchPercentileAtEverySampleCount) {
+  util::Rng rng(0x7a11);
+  for (const std::size_t n : {1u, 2u, 3u, 20u, 21u, 1000u}) {
+    std::vector<double> xs;
+    for (std::size_t i = 0; i < n; ++i) {
+      // Lognormal latencies around 10 us, spread over many buckets.
+      xs.push_back(1e4 * std::exp(1.5 * rng.gaussian()));
+    }
+    expect_tail_matches_sort(xs);
+  }
+}
+
+TEST(TailPercentiles, MatchPercentileOnDegenerateSamples) {
+  const std::span<const double, 256> bounds = LogHistogram::bucket_bounds();
+  // All equal.
+  expect_tail_matches_sort(std::vector<double>(1000, 512.0));
+  // All distinct inside one bucket.
+  std::vector<double> one_bucket;
+  for (int i = 0; i < 1000; ++i) {
+    one_bucket.push_back(bounds[60] +
+                         (bounds[61] - bounds[60]) * (i / 1000.0));
+  }
+  expect_tail_matches_sort(shuffled(one_bucket, 1));
+  // Ties exactly at the partition bound: p95's lower rank (949 of 1000)
+  // falls in the bucket whose lower bound 60 samples sit on exactly, with
+  // more samples one ulp below it and the rest above.
+  std::vector<double> ties(890, 100.0);
+  ties.insert(ties.end(), 30, std::nextafter(bounds[100], 0.0));
+  ties.insert(ties.end(), 60, bounds[100]);
+  ties.insert(ties.end(), 20, bounds[101]);
+  ASSERT_EQ(ties.size(), 1000u);
+  expect_tail_matches_sort(shuffled(ties, 2));
+  // Below the range (bucket 0) and above it (the last bucket).
+  std::vector<double> edges;
+  for (int i = 0; i < 500; ++i) {
+    edges.push_back(10.0 * i / 500.0);
+    edges.push_back(1e10 * (1.0 + i));
+  }
+  expect_tail_matches_sort(shuffled(edges, 3));
+  std::vector<double> low(1000);
+  for (int i = 0; i < 1000; ++i) low[i] = i % 7 == 0 ? 10.0 : i * 1e-3;
+  expect_tail_matches_sort(shuffled(low, 4));
+  std::vector<double> high(1000);
+  for (int i = 0; i < 1000; ++i) high[i] = 1e10 + i * 1e7;
+  expect_tail_matches_sort(shuffled(high, 5));
 }
 
 TEST(MixtureQuantile, UnnormalizedWeightsAreEquivalent) {

@@ -106,6 +106,27 @@ TEST(FitLine, InterceptAndSlope) {
   EXPECT_NEAR(line.at(10.0), 21.0, 1e-9);
 }
 
+TEST(FitLine, SumsGiveTheSameLineBitForBit) {
+  util::Rng rng(0xf17);
+  std::vector<double> x;
+  std::vector<double> y;
+  double n = 0.0;
+  double sum_x = 0.0;
+  double sum_xx = 0.0;
+  double sum_y = 0.0;
+  double sum_xy = 0.0;
+  for (int i = 0; i < 5000; ++i) {
+    x.push_back(static_cast<double>(64 << (i % 9)));
+    y.push_back(300.0 + 0.02 * x.back() + 40.0 * rng.gaussian());
+    n += 1.0;
+    sum_x += x.back();
+    sum_xx += x.back() * x.back();
+    sum_y += y.back();
+    sum_xy += x.back() * y.back();
+  }
+  EXPECT_EQ(fit_line_sums(n, sum_x, sum_xx, sum_y, sum_xy), fit_line(x, y));
+}
+
 TEST(RSquared, PerfectAndPoorFits) {
   const std::vector<double> y = {1.0, 2.0, 3.0};
   EXPECT_DOUBLE_EQ(r_squared(y, y), 1.0);
